@@ -13,14 +13,22 @@ how coordinates that may fall outside the interval are handled:
 
 * bounded   -- M supplied by the caller, K* = round(ln n / (2 ln ln n)),
                best-approximation coefficients by default;
-* growing   -- M_n = sqrt(c ln n) for a caller-chosen c > 1,
-               K = max(1, floor(log2(n)/7 - sqrt(ln n))), truncated
+* growing   -- the bounded series with M_n = sqrt(c ln n) for a caller-chosen
+               c > 1, K = max(1, floor(log2(n)/7 - sqrt(ln n))), truncated
                Chebyshev coefficients;
 * unbounded -- sample splitting plus a per-coordinate hybrid: the series
                component on the half-sample coordinate when the other half
                looks small, |x| itself otherwise;
-* sparse    -- the unbounded hybrid with the constant term dropped, a
-               higher truncation level, and normalization by k_n.
+* sparse    -- the unbounded hybrid with the constant term dropped, the cap
+               raised from n to n^2, and normalization by k_n.
+
+Every variant evaluates the same object, the per-coordinate even series
+S(y_i) = sum_k g_{2k} M^{1-2k} H_{2k}(y_i), with one kernel:
+numpy.polynomial.hermite_e.hermeval (Clenshaw summation) on a coefficient
+vector whose odd slots are zero.  The bounded and growing estimates are the
+mean of S over the coordinates; the hybrids cap S and branch per coordinate.
+`resolve_parameters` is the one place that turns an EstimatorSpec and n into
+the (K, M) the estimator runs with.
 """
 
 from __future__ import annotations
@@ -30,8 +38,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.hermite_e import hermeval
 
-from .errors import DataError, DomainError
+from .errors import DataError, DomainError, RangeError
 from .polyapprox import build_G_K, remez_best_approx
 from .rng import stream
 
@@ -90,7 +99,7 @@ def approx_coefficients(K: int, basis: str) -> tuple[float, ...]:
 
 
 # ---------------------------------------------------------------------------
-# data handling and Hermite accumulation
+# data handling and the series kernel
 
 def _as_data(y) -> np.ndarray:
     arr = np.asarray(y, dtype=np.float64)
@@ -103,39 +112,11 @@ def _as_data(y) -> np.ndarray:
     return arr
 
 
-def _even_hermite_means(y: np.ndarray, K: int) -> np.ndarray:
-    """[B_0, B_2, ..., B_{2K}] where B_{2k} = mean of H_{2k}(y_i).
-
-    Streaming recurrence: only two degree slices are alive at a time.
-    """
-    means = np.empty(K + 1)
-    means[0] = 1.0
-    if K == 0:
-        return means
-    prev = np.ones_like(y)
-    cur = y
-    for j in range(1, 2 * K + 1):
-        if j % 2 == 0:
-            means[j // 2] = float(cur.mean())
-        if j < 2 * K:
-            prev, cur = cur, y * cur - j * prev
-    return means
-
-
-def _series_values(x: np.ndarray, scaled: np.ndarray) -> np.ndarray:
-    """sum_k scaled[k] * H_{2k}(x_i) for every coordinate, streaming."""
-    K = len(scaled) - 1
-    out = np.full_like(x, scaled[0])
-    if K == 0:
-        return out
-    prev = np.ones_like(x)
-    cur = x.copy()
-    for j in range(1, 2 * K + 1):
-        if j % 2 == 0:
-            out += scaled[j // 2] * cur
-        if j < 2 * K:
-            prev, cur = cur, x * cur - j * prev
-    return out
+def _even_series(x: np.ndarray, scaled: np.ndarray) -> np.ndarray:
+    """sum_k scaled[k] * H_{2k}(x_i) for every coordinate."""
+    coeffs = np.zeros(2 * len(scaled) - 1)
+    coeffs[::2] = scaled
+    return hermeval(x, coeffs)
 
 
 def _scaled_coeffs(g: tuple[float, ...], M: float) -> np.ndarray:
@@ -151,29 +132,29 @@ def estimate_bounded(y, M: float, K: int, basis: str = "best") -> float:
 
     Returns sum_{k=0..K} g_{2k} M^{-2k+1} B_{2k}.  With basis "best" the
     g_{2k} come from the degree-2K best uniform approximation of |x|; with
-    "chebyshev" from the truncated Chebyshev expansion.
+    "chebyshev" from the truncated Chebyshev expansion.  Raises RangeError
+    when the series overflows the double range on the data.
     """
     arr = _as_data(y)
     if not (isinstance(M, (int, float)) and math.isfinite(M)) or M <= 0:
         raise DomainError(f"M must be a finite positive number, got {M!r}")
     if not isinstance(K, (int, np.integer)) or K < 1:
         raise DomainError(f"K must be a positive integer, got {K!r}")
-    g = approx_coefficients(int(K), basis)
-    means = _even_hermite_means(arr, int(K))
-    return float(np.dot(_scaled_coeffs(g, float(M)), means))
+    scaled = _scaled_coeffs(approx_coefficients(int(K), basis), float(M))
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float(np.mean(_even_series(arr, scaled)))
+    if not math.isfinite(value):
+        peak = float(np.max(np.abs(arr)))
+        raise RangeError(f"the degree-{2 * int(K)} series overflows the double range at |y| up to {peak:.6g}")
+    return value
 
 
 def estimate_growing(y, c: float = 2.0, K: int | None = None) -> float:
     """Bounded-variant series on the slowly growing interval M_n = sqrt(c ln n)."""
     arr = _as_data(y)
     n = arr.size
-    M_n = growing_radius(n, c)
-    cutoff = select_K_growing(n) if K is None else int(K)
-    if cutoff < 1:
-        raise DomainError(f"K must be >= 1, got {cutoff}")
-    g = approx_coefficients(cutoff, "chebyshev")
-    means = _even_hermite_means(arr, cutoff)
-    return float(np.dot(_scaled_coeffs(g, M_n), means))
+    cutoff = select_K_growing(n) if K is None else K
+    return estimate_bounded(arr, growing_radius(n, c), cutoff, "chebyshev")
 
 
 def split_samples(y, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -189,6 +170,19 @@ def split_samples(y, seed: int) -> tuple[np.ndarray, np.ndarray]:
     return (arr + z) / _SQRT2, (arr - z) / _SQRT2
 
 
+def _hybrid_coeffs(n: int) -> np.ndarray:
+    """Scaled Chebyshev coefficients g_{2k} M_n^{1-2k} of the hybrid series at n."""
+    M_n, K, _ = unbounded_params(n)
+    return _scaled_coeffs(approx_coefficients(K, "chebyshev"), M_n)
+
+
+def _hybrid_terms(x1: np.ndarray, x2: np.ndarray, n: int, scaled: np.ndarray, cap: float) -> np.ndarray:
+    """Per coordinate: min(S(x1), cap) where |x2| <= 2 sqrt(2 ln n), |x1| elsewhere."""
+    _, _, threshold = unbounded_params(n)
+    capped = np.minimum(_even_series(x1, scaled), cap)
+    return np.where(np.abs(x2) <= threshold, capped, np.abs(x1))
+
+
 def delta_component(x, n: int):
     """Series component min(S_K(x), n) of the hybrid estimator.
 
@@ -196,15 +190,11 @@ def delta_component(x, n: int):
     coefficients, M_n = 8 sqrt(ln n) and K = max(1, floor(log2(n)/12)).
     `x` may be a scalar or a vector; n is the calibration sample size.
     """
-    M_n, K, _ = unbounded_params(n)
     arr = np.asarray(x, dtype=np.float64)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
     if not np.all(np.isfinite(arr)):
         raise DataError("non-finite value passed to the series component")
-    scaled = _scaled_coeffs(approx_coefficients(K, "chebyshev"), M_n)
-    out = np.minimum(_series_values(arr, scaled), float(n))
-    return float(out[0]) if scalar else out
+    out = np.minimum(_even_series(np.atleast_1d(arr), _hybrid_coeffs(n)), float(n))
+    return float(out[0]) if arr.ndim == 0 else out
 
 
 def hybrid_component(x1, x2, n: int):
@@ -214,14 +204,14 @@ def hybrid_component(x1, x2, n: int):
     xi = min(S_K(x1), n) 1{|x2| <= 2 sqrt(2 ln n)} + |x1| 1{otherwise}.
     Scalar or vector inputs; x1 and x2 must have matching shapes.
     """
-    _, _, threshold = unbounded_params(n)
     a1 = np.asarray(x1, dtype=np.float64)
     a2 = np.asarray(x2, dtype=np.float64)
     if a1.shape != a2.shape:
         raise DataError("the two sample halves must have matching shapes")
-    scalar = a1.ndim == 0
-    out = np.where(np.abs(a2) <= threshold, delta_component(a1, n), np.abs(np.atleast_1d(a1)))
-    return float(out[0]) if scalar else out
+    if not np.all(np.isfinite(a1)):
+        raise DataError("non-finite value passed to the series component")
+    out = _hybrid_terms(np.atleast_1d(a1), np.atleast_1d(a2), n, _hybrid_coeffs(n), float(n))
+    return float(out[0]) if a1.ndim == 0 else out
 
 
 def estimate_unbounded(y, seed: int) -> float:
@@ -234,7 +224,7 @@ def estimate_unbounded(y, seed: int) -> float:
     arr = _as_data(y)
     n = arr.size
     x1, x2 = split_samples(arr, seed)
-    return float(_SQRT2 * np.mean(hybrid_component(x1, x2, n)))
+    return float(_SQRT2 * np.mean(_hybrid_terms(x1, x2, n, _hybrid_coeffs(n), float(n))))
 
 
 def estimate_sparse(y, k_n: int, seed: int) -> float:
@@ -249,13 +239,10 @@ def estimate_sparse(y, k_n: int, seed: int) -> float:
     n = arr.size
     if not isinstance(k_n, (int, np.integer)) or not 1 <= k_n <= n:
         raise DomainError(f"k_n must be an integer in [1, n], got {k_n!r}")
-    M_n, K, threshold = unbounded_params(n)
     x1, x2 = split_samples(arr, seed)
-    scaled = _scaled_coeffs(approx_coefficients(K, "chebyshev"), M_n)
+    scaled = _hybrid_coeffs(n)
     scaled[0] = 0.0   # constant term omitted
-    tilde = np.minimum(_series_values(x1, scaled), float(n) ** 2)
-    small = np.abs(x2) <= threshold
-    xi = np.where(small, tilde, np.abs(x1))
+    xi = _hybrid_terms(x1, x2, n, scaled, float(n) ** 2)
     return float(_SQRT2 * xi.sum() / float(k_n))
 
 
@@ -315,6 +302,18 @@ class EstimatorSpec:
         return "chebyshev"
 
 
+def resolve_parameters(spec: EstimatorSpec, n: int) -> tuple[int, float]:
+    """Effective (K, M) the estimator described by `spec` uses on data of length n."""
+    if spec.variant == "bounded":
+        K = spec.K_override if spec.K_override is not None else select_K_star(n)
+        return K, float(spec.M)
+    if spec.variant == "growing":
+        K = spec.K_override if spec.K_override is not None else select_K_growing(n)
+        return K, growing_radius(n, spec.c)
+    M_n, K, _ = unbounded_params(n)
+    return K, M_n
+
+
 def run_estimator(spec: EstimatorSpec, y, seed: int | None = None) -> float:
     """Apply the estimator described by `spec` to the data vector."""
     arr = _as_data(y)
@@ -323,10 +322,11 @@ def run_estimator(spec: EstimatorSpec, y, seed: int | None = None) -> float:
         raise DomainError(f"spec.n = {spec.n} does not match data length {n}")
     use_seed = spec.seed if seed is None else seed
     if spec.variant == "bounded":
-        K = spec.K_override if spec.K_override is not None else select_K_star(n)
-        return estimate_bounded(arr, spec.M, K, spec.resolved_basis)
+        K, M = resolve_parameters(spec, n)
+        return estimate_bounded(arr, M, K, spec.resolved_basis)
     if spec.variant == "growing":
-        return estimate_growing(arr, spec.c, K=spec.K_override)
+        K, _ = resolve_parameters(spec, n)
+        return estimate_growing(arr, spec.c, K)
     if spec.variant == "unbounded":
         return estimate_unbounded(arr, use_seed)
     if spec.k_n > n:

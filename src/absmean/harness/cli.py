@@ -9,7 +9,9 @@ Subcommands:
   selftest    run the invariant suite
 
 Exit codes: 0 success (risk: all bounds met), 1 compliance violations,
-2 bad flags or configuration, 3 data errors, 4 convergence failures.
+2 bad flags or configuration, 3 data errors (unparseable or non-finite
+observations, or data on which the series overflows the double range),
+4 convergence failures.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from ..errors import (
     ConvergenceError,
     DataError,
     IntegrationError,
+    RangeError,
 )
 from ..estimators import EstimatorSpec, run_estimator
 from ..lowerbound import lower_bound_pipeline
@@ -160,7 +163,7 @@ def main(argv=None) -> int:
     except (ConvergenceError, ConditioningError, IntegrationError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 4
-    except DataError as e:
+    except (DataError, RangeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
     except AbsmeanError as e:

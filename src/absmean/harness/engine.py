@@ -31,15 +31,7 @@ import numpy as np
 
 from .. import __version__
 from ..errors import AbsmeanError, DomainError
-from ..estimators import (
-    EstimatorSpec,
-    approx_coefficients,
-    growing_radius,
-    run_estimator,
-    select_K_growing,
-    select_K_star,
-    unbounded_params,
-)
+from ..estimators import EstimatorSpec, approx_coefficients, resolve_parameters, run_estimator
 from ..polyapprox import EvenPolynomial, uniform_error
 from ..rng import LANE_EST, LANE_OBS, LANE_THETA, derive_seed, stream
 from .scenarios import RunConfig, Scenario, draw_theta
@@ -70,18 +62,6 @@ class RiskReport:
     mc_stderr: float
     bias_bound: float
     var_bound: float
-
-
-def resolve_parameters(spec: EstimatorSpec, n: int) -> tuple[int, float]:
-    """Effective (K, M) the estimator will use on data of length n."""
-    if spec.variant == "bounded":
-        K = spec.K_override if spec.K_override is not None else select_K_star(n)
-        return K, float(spec.M)
-    if spec.variant == "growing":
-        K = spec.K_override if spec.K_override is not None else select_K_growing(n)
-        return K, growing_radius(n, spec.c)
-    M_n, K, _ = unbounded_params(n)
-    return K, M_n
 
 
 def analytic_bounds(spec: EstimatorSpec, n: int) -> tuple[float, float]:

@@ -164,6 +164,8 @@ class RunConfig:
             seen.add(s.id)
         if not isinstance(self.seed, int) or not 0 <= self.seed < 2 ** 64:
             raise DomainError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
+        if not isinstance(self.output_path, str) or not self.output_path:
+            raise DomainError(f"output_path must be a nonempty string, got {self.output_path!r}")
         if self.format not in ("csv", "json"):
             raise DomainError(f"format must be 'csv' or 'json', got {self.format!r}")
         if not isinstance(self.workers, int) or self.workers < 1:
@@ -184,11 +186,29 @@ _FAMILY_KINDS = {
 }
 
 
+def _reject_booleans(node, where: str) -> None:
+    """No config field is boolean, and JSON true/false would pass as the integers 1/0."""
+    if isinstance(node, bool):
+        raise DomainError(f"{where} must not be a boolean")
+    if isinstance(node, dict):
+        for key, child in node.items():
+            _reject_booleans(child, f"{where}.{key}")
+    elif isinstance(node, list):
+        for i, child in enumerate(node):
+            _reject_booleans(child, f"{where}[{i}]")
+
+
+def _number(value, name: str) -> float:
+    if not isinstance(value, (int, float)):
+        raise DomainError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def _parse_family(obj) -> object:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise DomainError("family must be an object with a 'kind' key")
     kind = obj["kind"]
-    if kind not in _FAMILY_KINDS:
+    if not isinstance(kind, str) or kind not in _FAMILY_KINDS:
         raise DomainError(f"unknown family kind {kind!r}; expected one of {sorted(_FAMILY_KINDS)}")
     cls, fields = _FAMILY_KINDS[kind]
     extra = set(obj) - {"kind"} - set(fields)
@@ -199,7 +219,7 @@ def _parse_family(obj) -> object:
         vals = kwargs.get("values")
         if not isinstance(vals, list):
             raise DomainError("custom family needs a 'values' list")
-        kwargs["values"] = tuple(float(v) for v in vals)
+        kwargs["values"] = tuple(_number(v, "custom value") for v in vals)
     try:
         return cls(**kwargs)
     except TypeError as e:
@@ -215,11 +235,11 @@ def _parse_estimator(obj) -> EstimatorSpec:
         raise DomainError(f"unexpected keys {sorted(extra)} in estimator")
     return EstimatorSpec(
         variant=obj["variant"],
-        M=float(obj["M"]) if "M" in obj else None,
+        M=_number(obj["M"], "M") if "M" in obj else None,
         K_override=obj.get("K"),
         basis=obj.get("basis"),
         k_n=obj.get("kn"),
-        c=float(obj.get("c", 2.0)),
+        c=_number(obj.get("c", 2.0), "c"),
         seed=obj.get("seed", 0),
     )
 
@@ -251,6 +271,7 @@ def parse_config(text: str) -> RunConfig:
         raise DomainError(f"config is not valid JSON: {e}") from e
     if not isinstance(doc, dict):
         raise DomainError("config must be a JSON object")
+    _reject_booleans(doc, "config")
     allowed = {"scenarios", "seed", "output_path", "format", "workers", "compliance_slack"}
     extra = set(doc) - allowed
     if extra:
@@ -266,7 +287,7 @@ def parse_config(text: str) -> RunConfig:
         output_path=doc["output_path"],
         format=doc.get("format", "csv"),
         workers=doc.get("workers", 1),
-        compliance_slack=float(doc.get("compliance_slack", 2.0)),
+        compliance_slack=_number(doc.get("compliance_slack", 2.0), "compliance_slack"),
     )
 
 

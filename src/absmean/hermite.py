@@ -13,6 +13,12 @@ unbiased estimators of pure powers of the mean.  The exact second moment
 
 gives the variance control; it is bounded by e^{mu^2} k^k in general and by
 (2 M^2)^k when |mu| <= M with M^2 >= k.
+
+There is one evaluation kernel in the package, numpy.polynomial.hermite_e
+(numpy's name for this family is HermiteE).  `hermite_eval` and
+`hermite_eval_batch` validate their arguments and read the table that
+`hermevander` builds by the recurrence above; the estimators sum their
+series with `hermeval`.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.polynomial.hermite_e import hermevander
 
 from .errors import DegreeOverflowError, DomainError, RangeError
 
@@ -41,16 +48,7 @@ def _check_degree(k: int, max_degree: int) -> None:
 
 def hermite_eval(k: int, y: float, max_degree: int = DEFAULT_MAX_DEGREE) -> float:
     """Evaluate H_k(y) by the three-term recurrence."""
-    _check_degree(k, max_degree)
-    y = float(y)
-    if not math.isfinite(y):
-        raise DomainError(f"y must be finite, got {y!r}")
-    if k == 0:
-        return 1.0
-    prev, cur = 1.0, y
-    for j in range(1, k):
-        prev, cur = cur, y * cur - j * prev
-    return cur
+    return float(hermite_eval_batch(k, float(y), max_degree)[k])
 
 
 def hermite_eval_batch(k_max: int, y, max_degree: int = DEFAULT_MAX_DEGREE) -> np.ndarray:
@@ -58,19 +56,15 @@ def hermite_eval_batch(k_max: int, y, max_degree: int = DEFAULT_MAX_DEGREE) -> n
 
     `y` may be a scalar or an ndarray; the output has shape
     (k_max + 1,) + shape(y).  Element j agrees exactly with
-    hermite_eval(j, y): both run the identical recurrence.
+    hermite_eval(j, y): both read the same recurrence table.
     """
     _check_degree(k_max, max_degree)
     arr = np.asarray(y, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
         raise DomainError("y must be finite")
-    out = np.empty((k_max + 1,) + arr.shape, dtype=np.float64)
-    out[0] = 1.0
-    if k_max >= 1:
-        out[1] = arr
-    for j in range(1, k_max):
-        out[j + 1] = arr * out[j] - j * out[j - 1]
-    return out
+    # hermevander puts the degree last; moving it back to the front restores
+    # the layout the table was built in
+    return np.moveaxis(hermevander(arr, k_max), -1, 0).reshape((k_max + 1,) + arr.shape)
 
 
 def hermite_second_moment(k: int, mu: float, max_degree: int = DEFAULT_MAX_DEGREE) -> float:

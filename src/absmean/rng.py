@@ -15,7 +15,6 @@ from .errors import DomainError
 
 # Lane codes used by the harness engine.  Lane 0 is reserved for direct
 # library calls (for example sample splitting inside an estimator).
-LANE_DIRECT = 0
 LANE_THETA = 1
 LANE_OBS = 2
 LANE_EST = 3

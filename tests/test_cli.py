@@ -86,6 +86,13 @@ def test_estimate_non_finite_input(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_estimate_series_overflow_is_a_data_error(tmp_path, capsys):
+    path = _write_data(tmp_path, [1e200, 0.0])
+    assert main(["estimate", "--variant", "b", "--input", path, "--K", "3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "overflows" in captured.err
+
+
 def test_estimate_sparse_requires_valid_kn(tmp_path, capsys):
     path = _write_data(tmp_path, [0.0] * 12)
     # missing kn altogether is a configuration error
@@ -196,6 +203,10 @@ def test_risk_malformed_config(tmp_path, capsys):
     cfg.write_text("{\"seed\": }")
     assert main(["risk", "--config", str(cfg)]) == 2
     cfg.write_text(json.dumps({"seed": 1, "output_path": "x.csv", "scenarios": [], "typo": 1}))
+    assert main(["risk", "--config", str(cfg)]) == 2
+    bad_M = {"id": "z", "family": {"kind": "zero"}, "n": 32, "replications": 4,
+             "estimator": {"variant": "bounded", "M": "abc"}}
+    cfg.write_text(json.dumps({"seed": 1, "output_path": "x.csv", "scenarios": [bad_M]}))
     assert main(["risk", "--config", str(cfg)]) == 2
 
 

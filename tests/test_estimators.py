@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from absmean.errors import DataError, DomainError
+from absmean.errors import DataError, DomainError, RangeError
 from absmean.estimators import (
     EstimatorSpec,
     approx_coefficients,
@@ -179,6 +179,18 @@ def test_data_validation_errors():
         estimate_bounded(np.asarray([0.0, math.nan]), 1.0, 1)
     with pytest.raises(DataError):
         estimate_bounded(np.asarray([math.inf, 0.0]), 1.0, 1)
+
+
+def test_series_overflow_raises_range_error():
+    # the degree-6 series overflows to nan at 1e80, degree 2 to inf at 1e200
+    with pytest.raises(RangeError):
+        estimate_bounded(np.array([1e80, 0.0]), 1.0, 3)
+    with pytest.raises(RangeError):
+        estimate_bounded(np.array([1e200, 0.0]), 1.0, 1)
+    y = np.zeros(10**4)
+    y[0] = 1e200
+    with pytest.raises(RangeError):
+        estimate_growing(y)
 
 
 def test_parameter_validation_errors():

@@ -178,6 +178,16 @@ def test_parse_config_rejections():
         lambda d: d["scenarios"][0]["family"].update(kind="uniform"),
         lambda d: d["scenarios"][0]["estimator"].update(bandwidth=2.0),
         lambda d: d["scenarios"][0]["family"].update(value=1.0),   # zero takes no value
+        lambda d: d["scenarios"][0]["family"].update(kind=["zero"]),
+        lambda d: d["scenarios"][0]["estimator"].update(M="abc"),
+        lambda d: d["scenarios"][0]["estimator"].update(c="x"),
+        lambda d: d.update(compliance_slack="2"),
+        lambda d: d.update(output_path=1),
+        # booleans would otherwise pass as the integers 1 and 0
+        lambda d: d["scenarios"][0]["estimator"].update(K=True),
+        lambda d: d["scenarios"][1]["family"].update(value=True),
+        lambda d: d["scenarios"][1]["family"].update(count=True),
+        lambda d: d.update(seed=False),
     ):
         broken = json.loads(json.dumps(doc))
         mutate(broken)

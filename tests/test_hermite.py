@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import roots_hermite
 
 from absmean.errors import DegreeOverflowError, DomainError, RangeError
+from absmean.estimators import approx_coefficients, estimate_bounded
 from absmean.hermite import (
     DEFAULT_MAX_DEGREE,
     hermite_eval,
@@ -51,6 +52,17 @@ def test_batch_agrees_with_scalar(k_max, ys):
     for j in (0, k_max // 2, k_max):
         for i, y in enumerate(ys):
             assert table[j, i] == hermite_eval(j, y)
+
+
+@given(K=st.integers(min_value=1, max_value=10), basis=st.sampled_from(["best", "chebyshev"]), y=dyadic)
+@settings(max_examples=200, deadline=None)
+def test_estimator_series_matches_exact_hermite_sum(K, basis, y):
+    # one coordinate at M = 1: the estimate is sum_k g_{2k} H_{2k}(y) exactly
+    terms = [Fraction(g) * hermite_exact(2 * k, Fraction(y))
+             for k, g in enumerate(approx_coefficients(K, basis))]
+    scale = float(sum(abs(t) for t in terms))
+    got = estimate_bounded(np.array([y]), 1.0, K, basis)
+    assert abs(got - float(sum(terms))) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("mu", [0.0, 0.5, 1.0, 2.0, -1.5])

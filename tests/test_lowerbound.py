@@ -5,13 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from absmean.errors import ConstructionError, DomainError, PreconditionError
+from absmean import lowerbound
+from absmean.errors import ConditioningError, ConstructionError, DomainError, PreconditionError
 from absmean.lowerbound import (
     DiscreteModel,
     MixtureDistance,
     PriorMoments,
     SymmetricDiscretePrior,
-    _prior_pair_lp,
     chi_square_bound_n,
     chi_square_gaussian_mixtures,
     chi_square_mixture_1d,
@@ -81,14 +81,13 @@ def test_construct_prior_pair_validation():
             construct_prior_pair(bad)
 
 
-def test_lp_fallback_agrees_with_exchange_solution():
-    (p0, w0), (p1, w1), delta = _prior_pair_lp(2)
-    assert abs(delta - 0.125) < 1e-4
-    lp0 = SymmetricDiscretePrior(p0, w0)
-    lp1 = SymmetricDiscretePrior(p1, w1)
-    assert abs(lp1.mean_abs() - lp0.mean_abs() - 0.25) < 1e-3
-    for order in (0, 1, 2):
-        assert abs(lp1.moment(order) - lp0.moment(order)) < 1e-6
+def test_ill_conditioned_prior_system_raises(monkeypatch):
+    # every supported k solves with condition number ~10; past the limit the
+    # construction refuses instead of returning untrusted weights
+    monkeypatch.setattr(lowerbound, "_COND_LIMIT", 1.0)
+    lowerbound._prior_pair_data.cache_clear()
+    with pytest.raises(ConditioningError):
+        construct_prior_pair(4)
 
 
 def test_prior_validation():
