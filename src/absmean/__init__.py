@@ -71,7 +71,6 @@ from .polyapprox import (
     EvenPolynomial,
     bernstein_estimate,
     build_G_K,
-    chebyshev_even_coeffs,
     remez_best_approx,
     uniform_error,
 )
@@ -100,7 +99,6 @@ __all__ = [
     "approx_coefficients",
     "bernstein_estimate",
     "build_G_K",
-    "chebyshev_even_coeffs",
     "chi_square_bound_n",
     "chi_square_gaussian_mixtures",
     "chi_square_mixture_1d",

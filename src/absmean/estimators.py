@@ -177,10 +177,21 @@ def _hybrid_coeffs(n: int) -> np.ndarray:
 
 
 def _hybrid_terms(x1: np.ndarray, x2: np.ndarray, n: int, scaled: np.ndarray, cap: float) -> np.ndarray:
-    """Per coordinate: min(S(x1), cap) where |x2| <= 2 sqrt(2 ln n), |x1| elsewhere."""
+    """Per coordinate: min(S(x1), cap) where |x2| <= 2 sqrt(2 ln n), |x1| elsewhere.
+
+    The series may overflow on coordinates that take the |x1| branch, so
+    numpy's warnings are suppressed and only the returned terms are checked;
+    a non-finite one can only come from the series branch and raises
+    RangeError.
+    """
     _, _, threshold = unbounded_params(n)
-    capped = np.minimum(_even_series(x1, scaled), cap)
-    return np.where(np.abs(x2) <= threshold, capped, np.abs(x1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        capped = np.minimum(_even_series(x1, scaled), cap)
+    terms = np.where(np.abs(x2) <= threshold, capped, np.abs(x1))
+    if not np.isfinite(terms).all():
+        peak = float(np.max(np.abs(x1[~np.isfinite(terms)])))
+        raise RangeError(f"the hybrid series overflows the double range at |x| up to {peak:.6g}")
+    return terms
 
 
 def delta_component(x, n: int):
@@ -189,11 +200,14 @@ def delta_component(x, n: int):
     S_K(x) = sum_{k=0..K} g_{2k} M_n^{-2k+1} H_{2k}(x) with Chebyshev
     coefficients, M_n = 8 sqrt(ln n) and K = max(1, floor(log2(n)/12)).
     `x` may be a scalar or a vector; n is the calibration sample size.
+    Raises RangeError when the series overflows the double range.
     """
     arr = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
         raise DataError("non-finite value passed to the series component")
-    out = np.minimum(_even_series(np.atleast_1d(arr), _hybrid_coeffs(n)), float(n))
+    x1 = np.atleast_1d(arr)
+    # a zero companion coordinate always passes the small-signal test
+    out = _hybrid_terms(x1, np.zeros_like(x1), n, _hybrid_coeffs(n), float(n))
     return float(out[0]) if arr.ndim == 0 else out
 
 
@@ -202,7 +216,8 @@ def hybrid_component(x1, x2, n: int):
     coordinate x2 looks small, |x1| itself otherwise.
 
     xi = min(S_K(x1), n) 1{|x2| <= 2 sqrt(2 ln n)} + |x1| 1{otherwise}.
-    Scalar or vector inputs; x1 and x2 must have matching shapes.
+    Scalar or vector inputs; x1 and x2 must have matching shapes.  Raises
+    RangeError when a series term it returns overflows the double range.
     """
     a1 = np.asarray(x1, dtype=np.float64)
     a2 = np.asarray(x2, dtype=np.float64)

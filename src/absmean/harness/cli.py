@@ -9,9 +9,11 @@ Subcommands:
   selftest    run the invariant suite
 
 Exit codes: 0 success (risk: all bounds met), 1 compliance violations,
-2 bad flags or configuration, 3 data errors (unparseable or non-finite
-observations, or data on which the series overflows the double range),
-4 convergence failures.
+2 bad flags or configuration (for risk, also an output_path whose directory
+is missing or unwritable, or that names a directory; checked before any
+scenario runs), 3 data errors (unparseable or non-finite observations, or
+data on which the series overflows the double range), 4 convergence
+failures.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from ..errors import (
 from ..estimators import EstimatorSpec, run_estimator
 from ..lowerbound import lower_bound_pipeline
 from ..polyapprox import build_G_K, remez_best_approx, uniform_error
-from .engine import bound_compliance_report, run_config, write_reports
+from .engine import bound_compliance_report, check_output_path, run_config, write_reports
 from .scenarios import load_config
 from .selftest import run_selftest
 
@@ -127,6 +129,7 @@ def _cmd_risk(args) -> int:
     except FileNotFoundError:
         print(f"error: config file not found: {args.config}", file=sys.stderr)
         return 2
+    check_output_path(cfg.output_path)
     reports = run_config(cfg)
     write_reports(reports, cfg.output_path, cfg.format)
     rows = bound_compliance_report(reports, slack=cfg.compliance_slack)

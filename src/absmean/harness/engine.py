@@ -125,8 +125,12 @@ def _partition(total: int, parts: int) -> list[range]:
 
 
 def run_scenario(s: Scenario, seed: int, scenario_index: int = 0, workers: int = 1) -> RiskReport:
-    """Run every replication of one scenario and aggregate deterministically."""
+    """Run every replication of one scenario and aggregate deterministically.
+
+    The pool has at most min(workers, R, os.cpu_count()) processes.
+    """
     R = s.replications
+    workers = min(workers, os.cpu_count() or 1)
     if workers <= 1:
         rows = _replication_block((s, seed, scenario_index, range(R)))
     else:
@@ -217,10 +221,32 @@ def render_json(reports: list[RiskReport]) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def check_output_path(path: str) -> None:
+    """Raise DomainError unless write_reports can create or replace `path`.
+
+    Run before the scenarios, so a bad path fails in seconds, not after the run.
+    """
+    parent = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        raise DomainError(f"output_path {path!r} is a directory")
+    if not os.path.isdir(parent):
+        raise DomainError(f"output directory {parent!r} does not exist")
+    if not os.access(parent, os.W_OK | os.X_OK):
+        raise DomainError(f"output directory {parent!r} is not writable")
+
+
 def write_reports(reports: list[RiskReport], path: str, format: str) -> None:
+    """Write the reports to `path` atomically: a temp file in the same
+    directory, then os.replace, so a failed write leaves no partial report."""
     text = render_csv(reports) if format == "csv" else render_json(reports)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,10 @@ Three ingredients:
   approximation to |x|.  The construction solves a small linear system on
   the alternation points of the best approximation, with the alternation
   signs prescribing which prior receives each atom.  The system is written
-  in a Chebyshev basis and stays well conditioned for every supported k
-  (condition numbers about 10 up to k = 80); a solve past the condition
-  limit raises ConditioningError rather than returning untrusted weights.
+  in the Chebyshev basis T_i(2t^2 - 1), tabulated by numpy's chebvander, and
+  stays well conditioned for every supported k (condition numbers about 10
+  up to k = 80); a solve past the condition limit raises ConditioningError
+  rather than returning untrusted weights.
 
 * Chi-square distances between the induced Gaussian mixtures: an adaptive
   quadrature for one coordinate, the exact product identity
@@ -30,6 +31,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebvander
 from scipy import integrate
 
 from .errors import (
@@ -113,15 +115,8 @@ def _prior_pair_data(k: int) -> tuple[tuple, tuple, float]:
     # and v_j at each of +-t_j.  Moment conditions are expressed through
     # T_i(2t^2 - 1) (same span as the monomials t^{2i}, i <= K, but well
     # conditioned); the last row fixes total variation 2.
-    v = 2.0 * pts * pts - 1.0
     mult = np.where(pts > 0.0, 2.0, 1.0)   # mirror atoms counted once
-    cheb_rows = [np.ones_like(v), v]
-    while len(cheb_rows) < K + 1:
-        cheb_rows.append(2.0 * v * cheb_rows[-1] - cheb_rows[-2])
-    A = np.empty((K + 2, K + 2))
-    for i in range(K + 1):
-        A[i, :] = signs * mult * cheb_rows[i]
-    A[K + 1, :] = mult
+    A = np.vstack([((signs * mult)[:, None] * chebvander(2.0 * pts * pts - 1.0, K)).T, mult])
     b = np.zeros(K + 2)
     b[K + 1] = 2.0
 

@@ -20,7 +20,10 @@ Numerical note: monomial coefficients of either polynomial grow like 2^{3K},
 so Horner evaluation in the monomial basis loses about 2^{3K} * eps of
 absolute accuracy near x = +-1 and is useless by K ~ 20.  Polynomials built
 here therefore carry their even-Chebyshev representation and evaluate
-through it (Clenshaw); the monomial half-coefficients are kept as data.
+through it; the monomial half-coefficients are kept as data.  One kernel,
+numpy.polynomial.chebyshev, does all the Chebyshev work: chebval (Clenshaw)
+evaluates, chebvander tabulates T_j(2x^2 - 1) for the exchange system, and
+cheb2poly converts to monomial half-coefficients.
 """
 
 from __future__ import annotations
@@ -29,6 +32,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial.chebyshev import cheb2poly, chebval, chebvander
+from numpy.polynomial.polynomial import polyval
 
 from .errors import (
     ConditioningError,
@@ -41,20 +46,21 @@ from .errors import (
 # algorithms themselves
 BERNSTEIN_CONSTANT = 0.280169499
 
-_MAX_EVEN_HALF_DEGREE = 100   # chebyshev_even_coeffs(m), T_{2m}
 _MAX_GK = 60
 _MAX_REMEZ_K = 40
 _REMEZ_MAX_ITER = 200
 _COND_LIMIT = 1e12
 
 
-def _clenshaw_t(coeffs: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Sum coeffs[j] * T_j(v) by Clenshaw recursion."""
-    b1 = np.zeros_like(v)
-    b2 = np.zeros_like(v)
-    for c in coeffs[:0:-1]:
-        b1, b2 = c + 2.0 * v * b1 - b2, b1
-    return coeffs[0] + v * b1 - b2
+def _half_coeffs(cheb: np.ndarray) -> tuple[float, ...]:
+    """Monomial half-coefficients of sum_j cheb[j] T_j(2x^2 - 1).
+
+    T_j(2x^2 - 1) = T_{2j}(x), so the series is a Chebyshev series in x with
+    zero odd slots; its monomial form has zero odd powers as well.
+    """
+    even = np.zeros(2 * len(cheb) - 1)
+    even[::2] = cheb
+    return tuple(float(c) for c in cheb2poly(even)[::2])
 
 
 @dataclass(frozen=True)
@@ -84,39 +90,10 @@ class EvenPolynomial:
         scalar = arr.ndim == 0
         arr = np.atleast_1d(arr)
         if self.cheb_half_coeffs is not None:
-            v = 2.0 * arr * arr - 1.0
-            out = _clenshaw_t(np.asarray(self.cheb_half_coeffs, dtype=np.float64), v)
+            out = chebval(2.0 * arr * arr - 1.0, self.cheb_half_coeffs)
         else:
-            u = arr * arr
-            out = np.full_like(u, self.half_coeffs[-1])
-            for g in self.half_coeffs[-2::-1]:
-                out = out * u + g
+            out = polyval(arr * arr, self.half_coeffs)
         return float(out[0]) if scalar else out
-
-
-def chebyshev_even_coeffs(m: int) -> EvenPolynomial:
-    """Monomial half-coefficients of T_{2m}.
-
-    Uses T_{2m}(x) = P_m(x) with P_0 = 1, P_1 = 2x^2 - 1 and
-    P_{m+1} = (4x^2 - 2) P_m - P_{m-1}, a recurrence directly on the
-    x^{2k} coefficient arrays.
-    """
-    if not isinstance(m, (int, np.integer)) or m < 0:
-        raise DomainError(f"m must be a nonnegative integer, got {m!r}")
-    if m > _MAX_EVEN_HALF_DEGREE:
-        raise DegreeOverflowError(f"m = {m} exceeds the supported maximum {_MAX_EVEN_HALF_DEGREE}")
-    cheb = tuple(0.0 if j != m else 1.0 for j in range(m + 1))
-    if m == 0:
-        return EvenPolynomial((1.0,), cheb)
-    prev = np.array([1.0])
-    cur = np.array([-1.0, 2.0])
-    for _ in range(m - 1):
-        nxt = np.zeros(len(cur) + 1)
-        nxt[1:] += 4.0 * cur
-        nxt[: len(cur)] -= 2.0 * cur
-        nxt[: len(prev)] -= prev
-        prev, cur = cur, nxt
-    return EvenPolynomial(tuple(float(c) for c in cur), cheb)
 
 
 def build_G_K(K: int) -> EvenPolynomial:
@@ -129,11 +106,7 @@ def build_G_K(K: int) -> EvenPolynomial:
     cheb[0] = 2.0 / math.pi
     for k in range(1, K + 1):
         cheb[k] = (4.0 / math.pi) * (-1.0) ** (k + 1) / (4.0 * k * k - 1.0)
-    half = np.zeros(K + 1)
-    for k in range(K + 1):
-        term = chebyshev_even_coeffs(k).half_coeffs
-        half[: len(term)] += cheb[k] * np.asarray(term)
-    return EvenPolynomial(tuple(float(c) for c in half), tuple(float(c) for c in cheb))
+    return EvenPolynomial(_half_coeffs(cheb), tuple(float(c) for c in cheb))
 
 
 def uniform_error(poly: EvenPolynomial, grid_size: int = 100001) -> float:
@@ -166,31 +139,13 @@ class BestApproxSolution:
         return tuple(x for x, s in zip(self.alternation_points, self.alternation_signs) if s > 0)
 
 
-def _cheb_u_to_half_coeffs(b: np.ndarray) -> np.ndarray:
-    """Monomial coefficients in u of sum_j b[j] T_j(2u - 1)."""
-    cv = np.polynomial.chebyshev.cheb2poly(np.asarray(b, dtype=np.float64))
-    acc = np.array([cv[-1]])
-    for c in cv[-2::-1]:
-        acc = np.polynomial.polynomial.polymul(acc, np.array([-1.0, 2.0]))
-        acc[0] += c
-    return acc
-
-
 def _solve_levelled(ref: np.ndarray, K: int) -> tuple[np.ndarray, float, float]:
     """Solve the exchange system on one reference set.
 
     Finds b_0..b_K and lam with  sum_j b_j T_j(2r_i^2-1) + (-1)^i lam = r_i,
     so that the error r - p(r) equals (-1)^i * lam on the reference.
     """
-    m = len(ref)
-    v = 2.0 * ref * ref - 1.0
-    phi = np.empty((m, K + 2))
-    phi[:, 0] = 1.0
-    if K >= 1:
-        phi[:, 1] = v
-    for j in range(1, K):
-        phi[:, j + 1] = 2.0 * v * phi[:, j] - phi[:, j - 1]
-    phi[:, K + 1] = [(-1.0) ** i for i in range(m)]
+    phi = np.column_stack([chebvander(2.0 * ref * ref - 1.0, K), (-1.0) ** np.arange(len(ref))])
     cond = float(np.linalg.cond(phi))
     if not np.isfinite(cond) or cond > _COND_LIMIT:
         raise ConditioningError(
@@ -251,7 +206,7 @@ def remez_best_approx(K: int, tol: float = 1e-12) -> BestApproxSolution:
     last_spread = math.inf
     for _ in range(_REMEZ_MAX_ITER):
         b, lam, _ = _solve_levelled(ref, K)
-        e = grid - _clenshaw_t(b, 2.0 * grid * grid - 1.0)
+        e = grid - chebval(2.0 * grid * grid - 1.0, b)
         idx = _pick_candidates(grid, e, K)
         if len(idx) < K + 2:
             raise ConvergenceError(
@@ -267,7 +222,7 @@ def remez_best_approx(K: int, tol: float = 1e-12) -> BestApproxSolution:
                     dx = 0.5 * h * (e[i - 1] - e[i + 1]) / d2
                     dx = float(np.clip(dx, -h, h))
                     xc = grid[i] + dx
-                    ec = xc - float(_clenshaw_t(b, np.asarray([2.0 * xc * xc - 1.0]))[0])
+                    ec = xc - float(chebval(2.0 * xc * xc - 1.0, b))
                     if abs(ec) >= abs(e[i]):
                         xs.append(float(xc))
                         es.append(float(ec))
@@ -288,8 +243,7 @@ def remez_best_approx(K: int, tol: float = 1e-12) -> BestApproxSolution:
             for a, bsign in zip(full_signs, full_signs[1:]):
                 if a == bsign:
                     raise ConvergenceError("alternation signs failed to alternate", last_spread=last_spread)
-            half = _cheb_u_to_half_coeffs(b)
-            poly = EvenPolynomial(tuple(float(c) for c in half), tuple(float(c) for c in b))
+            poly = EvenPolynomial(_half_coeffs(b), tuple(float(c) for c in b))
             return BestApproxSolution(poly, delta, points, full_signs)
 
     raise ConvergenceError(

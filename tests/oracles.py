@@ -59,6 +59,26 @@ def hermite_cross_moment_exact(a: int, b: int, mu: Fraction) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
+# Chebyshev polynomials, exact
+
+def chebyshev_even_exact(m: int) -> list[int]:
+    """Coefficients of x^0, x^2, ..., x^{2m} in T_{2m}(x), as exact integers.
+
+    From the recurrence T_{j+1} = 2x T_j - T_{j-1} on Python-integer
+    coefficient lists in x, keeping the even powers of T_{2m}.
+    """
+    prev, cur = [1], [0, 1]
+    if m == 0:
+        return prev
+    for _ in range(2 * m - 1):
+        nxt = [0] + [2 * c for c in cur]
+        for i, c in enumerate(prev):
+            nxt[i] -= c
+        prev, cur = cur, nxt
+    return cur[::2]
+
+
+# ---------------------------------------------------------------------------
 # exact risk of a series estimator on an atomic coordinate distribution
 
 def exact_series_risk(atoms, weights, scaled_coeffs, n: int):

@@ -210,6 +210,22 @@ def test_risk_malformed_config(tmp_path, capsys):
     assert main(["risk", "--config", str(cfg)]) == 2
 
 
+def test_risk_bad_output_path_fails_before_running(tmp_path, capsys, monkeypatch):
+    def must_not_run(cfg):
+        raise AssertionError("run_config called despite a bad output_path")
+
+    monkeypatch.setattr("absmean.harness.cli.run_config", must_not_run)
+    scenario = {"id": "z", "family": {"kind": "zero"}, "n": 32, "replications": 4,
+                "estimator": {"variant": "bounded", "M": 1.0, "K": 1}}
+    cfg = tmp_path / "config.json"
+    # a missing directory, not a permission bit: root passes os.access
+    for path in (tmp_path / "missing" / "out.csv", tmp_path):
+        cfg.write_text(json.dumps({"seed": 1, "output_path": str(path), "scenarios": [scenario]}))
+        assert main(["risk", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # lowerbound
 

@@ -1,6 +1,7 @@
 """Estimator variants: frozen values, selection rules, split mechanics, exact risk."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -191,6 +192,22 @@ def test_series_overflow_raises_range_error():
     y[0] = 1e200
     with pytest.raises(RangeError):
         estimate_growing(y)
+    # the hybrid series overflows to nan at 1e200 and to -inf at 1e100
+    for call in (lambda: hybrid_component(1e200, 0.0, 2**24),
+                 lambda: delta_component(1e200, 2**24),
+                 lambda: delta_component(1e100, 2**24)):
+        with pytest.raises(RangeError):
+            call()
+
+
+def test_hybrid_overflow_on_the_abs_branch_is_silent():
+    # huge coordinates fail the small-signal test, so |x1| is used and the
+    # overflowing series value is discarded without a numpy warning
+    y = np.zeros(64)
+    y[:4] = 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert estimate_unbounded(y, seed=0) == pytest.approx(6.25e198, rel=1e-12)
 
 
 def test_parameter_validation_errors():

@@ -254,6 +254,31 @@ def test_worker_count_does_not_change_results():
     assert serial == pooled
 
 
+def test_pool_is_capped_by_cpu_count(monkeypatch):
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    monkeypatch.setattr("absmean.harness.engine.concurrent.futures.ProcessPoolExecutor", InProcessPool)
+    s = _scenario(AlternationAtoms(k=2, M=1.0), n=64, reps=40, K_override=1)
+    capped = run_scenario(s, seed=3, scenario_index=0, workers=64)
+    serial = run_scenario(s, seed=3, scenario_index=0, workers=1)
+    assert sizes and max(sizes) <= 2
+    assert render_csv([capped]) == render_csv([serial])
+
+
 def test_run_config_env_override(tmp_path, monkeypatch):
     cfg = RunConfig(
         scenarios=(_scenario(ZeroVector(), n=32, reps=20, sid="z"),),
@@ -292,8 +317,10 @@ def test_csv_shape_and_round_trip(tmp_path):
     assert float(cells[6]) == rep.bias
     assert float(cells[8]) == rep.mse
     path = tmp_path / "out.csv"
+    path.write_text("stale report")
     write_reports([rep], str(path), "csv")
     assert path.read_text(encoding="utf-8") == text
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]   # the temp file was renamed
 
 
 def test_json_rendering_carries_metadata(tmp_path):

@@ -1,6 +1,7 @@
 """Polynomial approximation of |x|: series construction and the exchange solve."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,22 +13,13 @@ from absmean.polyapprox import (
     EvenPolynomial,
     bernstein_estimate,
     build_G_K,
-    chebyshev_even_coeffs,
     remez_best_approx,
     uniform_error,
 )
-from oracles import lp_minimax_delta
+from oracles import chebyshev_even_exact, lp_minimax_delta
 
 # grid comparisons sit exactly at the sup in places; one ulp of slack
 ULP = 1.0 + 1e-12
-
-
-def test_even_chebyshev_matches_cosine_form():
-    x = np.linspace(0.0, 1.0, 2001)
-    for m in range(0, 12):
-        poly = chebyshev_even_coeffs(m)
-        want = np.cos(2 * m * np.arccos(np.clip(x, 0, 1)))
-        assert np.max(np.abs(poly(x) - want)) < 5e-12, m
 
 
 @given(st.lists(st.floats(-3, 3, allow_nan=False), min_size=1, max_size=8),
@@ -59,6 +51,31 @@ def test_truncation_error_bound_and_coefficients():
         poly = build_G_K(K)
         assert uniform_error(poly) <= 2.0 / (math.pi * (2 * K + 1)) * ULP
         assert max(abs(g) for g in poly.half_coeffs) <= 2.0 ** (3 * K)
+
+
+def test_truncation_half_coeffs_match_exact_chebyshev_sum():
+    # monomial coefficients are sum_j cheb_j T_{2j}, summed exactly from the floats
+    for K in range(1, 21):
+        poly = build_G_K(K)
+        exact = [Fraction(0)] * (K + 1)
+        for j, b in enumerate(poly.cheb_half_coeffs):
+            for i, t in enumerate(chebyshev_even_exact(j)):
+                exact[i] += Fraction(b) * t
+        scale = max(abs(g) for g in poly.half_coeffs)
+        assert len(poly.half_coeffs) == K + 1
+        for g, e in zip(poly.half_coeffs, exact):
+            assert abs(float(Fraction(g) - e)) <= 1e-14 * scale, K
+
+
+@pytest.mark.parametrize("basis", ["best", "chebyshev"])
+def test_monomial_coefficients_evaluate_like_the_chebyshev_form(basis):
+    # the estimators use the monomial half-coefficients; Horner on them loses
+    # about 4^K eps against the Chebyshev evaluation near |x| = 1
+    x = np.linspace(-1.0, 1.0, 20001)
+    for K in range(1, 11):
+        poly = remez_best_approx(K).poly if basis == "best" else build_G_K(K)
+        monomial = EvenPolynomial(poly.half_coeffs)
+        assert np.max(np.abs(monomial(x) - poly(x))) <= 1e-15 * 4.0 ** K, K
 
 
 def test_uniform_error_validates_grid():
