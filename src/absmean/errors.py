@@ -1,6 +1,23 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one argument policy.
+
+Every scalar argument goes through `check_int` or `check_real`: an integer
+is a Python or numpy integer, a real is a finite Python or numpy integer or
+float, and a bool is neither.  Anything else raises DomainError (never
+TypeError, ValueError or OverflowError), which the command line maps to
+exit 2.  A sample size n that only enters formulas is at most MAX_N, the
+largest integer a double holds; a count that sizes an array or a loop is at
+most MAX_COUNT, numpy's largest index.  Observation vectors are data, not
+arguments: they raise DataError with the offending index.
+"""
 
 from __future__ import annotations
+
+import math
+
+import numpy as np
+
+MAX_N = int(np.finfo(np.float64).max)
+MAX_COUNT = int(np.iinfo(np.int64).max)
 
 
 class AbsmeanError(Exception):
@@ -57,3 +74,40 @@ class ConstructionError(AbsmeanError, RuntimeError):
 
 class PreconditionError(AbsmeanError, ValueError):
     """A verification routine was invoked with its stated precondition violated."""
+
+
+def _shown(value) -> str:
+    """repr(value) on one short line; an integer past 15 digits in floating notation."""
+    if isinstance(value, int) and abs(value) >= 10**15:
+        return f"{value:.6g}" if abs(value) <= MAX_N else f"an integer of {value.bit_length()} bits"
+    try:
+        text = repr(value)
+    except ValueError:   # holds an integer past Python's digit limit
+        return f"a {type(value).__name__}"
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
+def check_int(name: str, value, low: int | None = None, high: int | None = None) -> int:
+    """Return `value` as an int, or raise DomainError unless it is an integer in [low, high]."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise DomainError(f"{name} must be an integer, got {_shown(value)}")
+    value = int(value)
+    if low is not None and value < low:
+        raise DomainError(f"{name} must be an integer >= {_shown(low)}, got {_shown(value)}")
+    if high is not None and value > high:
+        raise DomainError(f"{name} must be an integer <= {_shown(high)}, got {_shown(value)}")
+    return value
+
+
+def check_real(name: str, value, above: float | None = None) -> float:
+    """Return `value` as a float, or raise DomainError unless it is a finite real > `above`."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise DomainError(f"{name} must be a real number, got {_shown(value)}")
+    try:
+        x = float(value)
+    except OverflowError:   # an int beyond the double range
+        x = math.inf
+    if not math.isfinite(x) or (above is not None and not x > above):
+        bound = "finite" if above is None else f"finite and > {above:g}"
+        raise DomainError(f"{name} must be {bound}, got {_shown(value)}")
+    return x

@@ -40,9 +40,9 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.hermite_e import hermeval
 
-from .errors import DataError, DomainError, RangeError
+from .errors import MAX_COUNT, MAX_N, DataError, DomainError, RangeError, check_int, check_real
 from .polyapprox import build_G_K, remez_best_approx
-from .rng import stream
+from .rng import MAX_SEED, stream
 
 VARIANTS = ("bounded", "growing", "unbounded", "sparse")
 BASES = ("best", "chebyshev")
@@ -55,25 +55,20 @@ _SQRT2 = math.sqrt(2.0)
 
 def select_K_star(n: int) -> int:
     """Series cutoff for the bounded variant: round(ln n / (2 ln ln n)), at least 1."""
-    if not isinstance(n, (int, np.integer)) or n < 17:
-        raise DomainError(f"n must be an integer >= 17, got {n!r}")
+    n = check_int("n", n, 17, MAX_N)
     return max(1, round(math.log(n) / (2.0 * math.log(math.log(n)))))
 
 
 def select_K_growing(n: int) -> int:
     """Cutoff for the growing-interval variant: max(1, floor(log2(n)/7 - sqrt(ln n)))."""
-    if not isinstance(n, (int, np.integer)) or n < 17:
-        raise DomainError(f"n must be an integer >= 17, got {n!r}")
+    n = check_int("n", n, 17, MAX_N)
     return max(1, math.floor(math.log2(n) / 7.0 - math.sqrt(math.log(n))))
 
 
 def growing_radius(n: int, c: float) -> float:
     """Working interval half-width sqrt(c ln n) for the growing variant."""
-    if not isinstance(n, (int, np.integer)) or n < 17:
-        raise DomainError(f"n must be an integer >= 17, got {n!r}")
-    if not (isinstance(c, (int, float)) and math.isfinite(c)) or c <= 1.0:
-        raise DomainError(f"c must be a finite number > 1, got {c!r}")
-    return math.sqrt(c * math.log(n))
+    n = check_int("n", n, 17, MAX_N)
+    return math.sqrt(check_real("c", c, above=1.0) * math.log(n))
 
 
 def unbounded_params(n: int) -> tuple[float, int, float]:
@@ -82,8 +77,7 @@ def unbounded_params(n: int) -> tuple[float, int, float]:
     M_n = 8 sqrt(ln n), K = max(1, floor(log2(n)/12)), and the small-signal
     test threshold 2 sqrt(2 ln n) applied to the second half-sample.
     """
-    if not isinstance(n, (int, np.integer)) or n < 17:
-        raise DomainError(f"n must be an integer >= 17, got {n!r}")
+    n = check_int("n", n, 17, MAX_N)
     log_n = math.log(n)
     return 8.0 * math.sqrt(log_n), max(1, math.floor(math.log2(n) / 12.0)), 2.0 * math.sqrt(2.0 * log_n)
 
@@ -136,16 +130,14 @@ def estimate_bounded(y, M: float, K: int, basis: str = "best") -> float:
     when the series overflows the double range on the data.
     """
     arr = _as_data(y)
-    if not (isinstance(M, (int, float)) and math.isfinite(M)) or M <= 0:
-        raise DomainError(f"M must be a finite positive number, got {M!r}")
-    if not isinstance(K, (int, np.integer)) or K < 1:
-        raise DomainError(f"K must be a positive integer, got {K!r}")
-    scaled = _scaled_coeffs(approx_coefficients(int(K), basis), float(M))
+    M = check_real("M", M, above=0.0)
+    K = check_int("K", K, low=1)
+    scaled = _scaled_coeffs(approx_coefficients(K, basis), M)
     with np.errstate(over="ignore", invalid="ignore"):
         value = float(np.mean(_even_series(arr, scaled)))
     if not math.isfinite(value):
         peak = float(np.max(np.abs(arr)))
-        raise RangeError(f"the degree-{2 * int(K)} series overflows the double range at |y| up to {peak:.6g}")
+        raise RangeError(f"the degree-{2 * K} series overflows the double range at |y| up to {peak:.6g}")
     return value
 
 
@@ -223,8 +215,8 @@ def hybrid_component(x1, x2, n: int):
     a2 = np.asarray(x2, dtype=np.float64)
     if a1.shape != a2.shape:
         raise DataError("the two sample halves must have matching shapes")
-    if not np.all(np.isfinite(a1)):
-        raise DataError("non-finite value passed to the series component")
+    if not (np.all(np.isfinite(a1)) and np.all(np.isfinite(a2))):
+        raise DataError("non-finite value passed to the hybrid component")
     out = _hybrid_terms(np.atleast_1d(a1), np.atleast_1d(a2), n, _hybrid_coeffs(n), float(n))
     return float(out[0]) if a1.ndim == 0 else out
 
@@ -252,13 +244,12 @@ def estimate_sparse(y, k_n: int, seed: int) -> float:
     """
     arr = _as_data(y)
     n = arr.size
-    if not isinstance(k_n, (int, np.integer)) or not 1 <= k_n <= n:
-        raise DomainError(f"k_n must be an integer in [1, n], got {k_n!r}")
+    k_n = check_int("k_n", k_n, 1, n)
     x1, x2 = split_samples(arr, seed)
     scaled = _hybrid_coeffs(n)
     scaled[0] = 0.0   # constant term omitted
     xi = _hybrid_terms(x1, x2, n, scaled, float(n) ** 2)
-    return float(_SQRT2 * xi.sum() / float(k_n))
+    return float(_SQRT2 * xi.sum() / k_n)
 
 
 # ---------------------------------------------------------------------------
@@ -268,11 +259,11 @@ def estimate_sparse(y, k_n: int, seed: int) -> float:
 class EstimatorSpec:
     """Which estimator to run and with what parameters.
 
-    `n` is optional; when set it must match the data length (the owning
-    scenario is the source of truth in harness runs).  `K_override` replaces
-    the variant's cutoff rule.  `basis` is honored by the bounded variant
-    (default "best"); the other variants are defined through the Chebyshev
-    coefficients.
+    `K_override` replaces the variant's cutoff rule.  `basis` is honored by
+    the bounded variant (default "best"); the other variants are defined
+    through the Chebyshev coefficients.  `c` must exceed 1 whatever the
+    variant; only the growing variant reads it.  Numeric fields are checked
+    by the package's argument policy and stored as Python ints and floats.
     """
 
     variant: str
@@ -282,33 +273,28 @@ class EstimatorSpec:
     k_n: int | None = None
     c: float = 2.0
     seed: int = 0
-    n: int | None = None
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise DomainError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if self.variant == "bounded":
-            if self.M is None or not math.isfinite(self.M) or self.M <= 0:
-                raise DomainError("bounded variant requires a finite M > 0")
+        # the checked values are stored back as Python ints and floats
+        checked = {"c": check_real("c", self.c, above=1.0),
+                   "seed": check_int("seed", self.seed, 0, MAX_SEED)}
+        if self.M is not None or self.variant == "bounded":
+            checked["M"] = check_real("M", self.M, above=0.0)
+        if self.k_n is not None or self.variant == "sparse":
+            checked["k_n"] = check_int("k_n", self.k_n, 1, MAX_COUNT)
+        if self.K_override is not None:
+            checked["K_override"] = check_int("K_override", self.K_override, 1, MAX_COUNT)
+            if self.variant in ("unbounded", "sparse"):
+                raise DomainError(f"the {self.variant!r} variant fixes its own cutoff from n")
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
         if self.basis is not None:
             if self.basis not in BASES:
                 raise DomainError(f"basis must be one of {BASES}, got {self.basis!r}")
             if self.variant != "bounded" and self.basis != "chebyshev":
                 raise DomainError(f"variant {self.variant!r} is defined with chebyshev coefficients")
-        if self.K_override is not None:
-            if not isinstance(self.K_override, int) or self.K_override < 1:
-                raise DomainError(f"K_override must be a positive integer, got {self.K_override!r}")
-            if self.variant in ("unbounded", "sparse"):
-                raise DomainError(f"the {self.variant!r} variant fixes its own cutoff from n")
-        if self.variant == "sparse":
-            if self.k_n is None or not isinstance(self.k_n, int) or self.k_n < 1:
-                raise DomainError("sparse variant requires an integer k_n >= 1")
-        if self.variant == "growing" and not self.c > 1.0:
-            raise DomainError(f"growing variant requires c > 1, got {self.c!r}")
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise DomainError(f"seed must be a nonnegative integer, got {self.seed!r}")
-        if self.n is not None and (not isinstance(self.n, int) or self.n < 1):
-            raise DomainError(f"n must be a positive integer, got {self.n!r}")
 
     @property
     def resolved_basis(self) -> str:
@@ -321,7 +307,7 @@ def resolve_parameters(spec: EstimatorSpec, n: int) -> tuple[int, float]:
     """Effective (K, M) the estimator described by `spec` uses on data of length n."""
     if spec.variant == "bounded":
         K = spec.K_override if spec.K_override is not None else select_K_star(n)
-        return K, float(spec.M)
+        return K, spec.M
     if spec.variant == "growing":
         K = spec.K_override if spec.K_override is not None else select_K_growing(n)
         return K, growing_radius(n, spec.c)
@@ -333,8 +319,6 @@ def run_estimator(spec: EstimatorSpec, y, seed: int | None = None) -> float:
     """Apply the estimator described by `spec` to the data vector."""
     arr = _as_data(y)
     n = arr.size
-    if spec.n is not None and spec.n != n:
-        raise DomainError(f"spec.n = {spec.n} does not match data length {n}")
     use_seed = spec.seed if seed is None else seed
     if spec.variant == "bounded":
         K, M = resolve_parameters(spec, n)
@@ -344,6 +328,4 @@ def run_estimator(spec: EstimatorSpec, y, seed: int | None = None) -> float:
         return estimate_growing(arr, spec.c, K)
     if spec.variant == "unbounded":
         return estimate_unbounded(arr, use_seed)
-    if spec.k_n > n:
-        raise DomainError(f"k_n = {spec.k_n} exceeds data length {n}")
     return estimate_sparse(arr, spec.k_n, use_seed)

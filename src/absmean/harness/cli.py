@@ -9,11 +9,11 @@ Subcommands:
   selftest    run the invariant suite
 
 Exit codes: 0 success (risk: all bounds met), 1 compliance violations,
-2 bad flags or configuration (for risk, also an output_path whose directory
-is missing or unwritable, or that names a directory; checked before any
-scenario runs), 3 data errors (unparseable or non-finite observations, or
-data on which the series overflows the double range), 4 convergence
-failures.
+2 bad flags, configuration or any argument errors.check_int / check_real
+reject (for risk, also an output_path whose directory is missing or
+unwritable, or that names a directory; checked before any scenario runs),
+3 data errors (unparseable or non-finite observations, or data on which the
+series overflows the double range), 4 convergence failures.
 """
 
 from __future__ import annotations

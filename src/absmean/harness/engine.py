@@ -30,7 +30,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .. import __version__
-from ..errors import AbsmeanError, DomainError
+from ..errors import MAX_COUNT, AbsmeanError, DomainError, check_int, check_real
 from ..estimators import EstimatorSpec, approx_coefficients, resolve_parameters, run_estimator
 from ..polyapprox import EvenPolynomial, uniform_error
 from ..rng import LANE_EST, LANE_OBS, LANE_THETA, derive_seed, stream
@@ -177,8 +177,7 @@ def run_config(cfg: RunConfig) -> list[RiskReport]:
             workers = int(env)
         except ValueError as e:
             raise DomainError(f"{WORKERS_ENV_VAR} must be an integer, got {env!r}") from e
-        if workers < 1:
-            raise DomainError(f"{WORKERS_ENV_VAR} must be >= 1, got {workers}")
+        workers = check_int(WORKERS_ENV_VAR, workers, 1, MAX_COUNT)
     return [
         run_scenario(s, cfg.seed, scenario_index=i, workers=workers)
         for i, s in enumerate(cfg.scenarios)
@@ -269,8 +268,7 @@ def bound_compliance_report(reports: list[RiskReport], slack: float = 2.0) -> li
     """Check measured |bias| and variance against slack times their bounds."""
     if len(reports) == 0:
         raise DomainError("compliance report needs at least one risk report")
-    if not (slack > 0 and math.isfinite(slack)):
-        raise DomainError(f"slack must be finite and positive, got {slack!r}")
+    slack = check_real("slack", slack, above=0.0)
     out = []
     for r in reports:
         bias_ratio = abs(r.bias) / r.bias_bound if r.bias_bound > 0 else math.inf

@@ -10,12 +10,11 @@ is documented in the package README.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import DomainError
+from ..errors import MAX_COUNT, DomainError, check_int, check_real
 from ..estimators import EstimatorSpec
 from ..lowerbound import SymmetricDiscretePrior, construct_prior_pair, scale_prior
 
@@ -32,8 +31,7 @@ class ConstantAt:
     value: float
 
     def __post_init__(self):
-        if not (isinstance(self.value, (int, float)) and math.isfinite(self.value)):
-            raise DomainError(f"value must be a finite number, got {self.value!r}")
+        check_real("value", self.value)
 
 
 @dataclass(frozen=True)
@@ -51,8 +49,7 @@ class AlternationAtoms:
     def __post_init__(self):
         if self.prior not in ("nu0", "nu1"):
             raise DomainError(f"prior must be 'nu0' or 'nu1', got {self.prior!r}")
-        if not (isinstance(self.M, (int, float)) and math.isfinite(self.M)) or self.M <= 0:
-            raise DomainError(f"M must be a finite positive number, got {self.M!r}")
+        check_real("M", self.M, above=0.0)
         construct_prior_pair(self.k)   # validates k, warms the cache
 
     def scaled_prior(self) -> SymmetricDiscretePrior:
@@ -69,10 +66,8 @@ class TwoSpike:
     value: float
 
     def __post_init__(self):
-        if not isinstance(self.count, int) or self.count < 1:
-            raise DomainError(f"count must be a positive integer, got {self.count!r}")
-        if not (isinstance(self.value, (int, float)) and math.isfinite(self.value)):
-            raise DomainError(f"value must be a finite number, got {self.value!r}")
+        check_int("count", self.count, 1, MAX_COUNT)
+        check_real("value", self.value)
 
 
 @dataclass(frozen=True)
@@ -82,10 +77,10 @@ class CustomVector:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        if len(self.values) == 0 or not all(
-            isinstance(v, (int, float)) and math.isfinite(v) for v in self.values
-        ):
-            raise DomainError("values must be a nonempty tuple of finite numbers")
+        if len(self.values) == 0:
+            raise DomainError("values must not be empty")
+        for v in self.values:
+            check_real("values", v)
 
 
 FAMILIES = (ZeroVector, ConstantAt, AlternationAtoms, TwoSpike, CustomVector)
@@ -129,10 +124,9 @@ class Scenario:
     def __post_init__(self):
         if not isinstance(self.id, str) or not self.id:
             raise DomainError("scenario id must be a nonempty string")
-        if not isinstance(self.n, int) or self.n < 1:
-            raise DomainError(f"n must be a positive integer, got {self.n!r}")
-        if not isinstance(self.replications, int) or self.replications < 2:
-            raise DomainError(f"replications must be an integer >= 2, got {self.replications!r}")
+        # stored as Python ints, which the reports carry to JSON
+        object.__setattr__(self, "n", check_int("n", self.n, 1, MAX_COUNT))
+        object.__setattr__(self, "replications", check_int("replications", self.replications, 2, MAX_COUNT))
         if not isinstance(self.family, FAMILIES):
             raise DomainError(f"unknown theta family {self.family!r}")
         if not isinstance(self.estimator, EstimatorSpec):
@@ -141,8 +135,6 @@ class Scenario:
             raise DomainError("custom vector length must equal n")
         if isinstance(self.family, TwoSpike) and self.family.count > self.n:
             raise DomainError("spike count must not exceed n")
-        if self.estimator.n is not None and self.estimator.n != self.n:
-            raise DomainError("estimator n disagrees with scenario n")
 
 
 @dataclass(frozen=True)
@@ -162,16 +154,13 @@ class RunConfig:
             if s.id in seen:
                 raise DomainError(f"duplicate scenario id {s.id!r}")
             seen.add(s.id)
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2 ** 64:
-            raise DomainError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
+        check_int("seed", self.seed, 0, (1 << 64) - 1)
         if not isinstance(self.output_path, str) or not self.output_path:
             raise DomainError(f"output_path must be a nonempty string, got {self.output_path!r}")
         if self.format not in ("csv", "json"):
             raise DomainError(f"format must be 'csv' or 'json', got {self.format!r}")
-        if not isinstance(self.workers, int) or self.workers < 1:
-            raise DomainError(f"workers must be a positive integer, got {self.workers!r}")
-        if not (self.compliance_slack > 0 and math.isfinite(self.compliance_slack)):
-            raise DomainError("compliance_slack must be finite and positive")
+        check_int("workers", self.workers, 1, MAX_COUNT)
+        check_real("compliance_slack", self.compliance_slack, above=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -186,24 +175,6 @@ _FAMILY_KINDS = {
 }
 
 
-def _reject_booleans(node, where: str) -> None:
-    """No config field is boolean, and JSON true/false would pass as the integers 1/0."""
-    if isinstance(node, bool):
-        raise DomainError(f"{where} must not be a boolean")
-    if isinstance(node, dict):
-        for key, child in node.items():
-            _reject_booleans(child, f"{where}.{key}")
-    elif isinstance(node, list):
-        for i, child in enumerate(node):
-            _reject_booleans(child, f"{where}[{i}]")
-
-
-def _number(value, name: str) -> float:
-    if not isinstance(value, (int, float)):
-        raise DomainError(f"{name} must be a number, got {value!r}")
-    return float(value)
-
-
 def _parse_family(obj) -> object:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise DomainError("family must be an object with a 'kind' key")
@@ -216,10 +187,9 @@ def _parse_family(obj) -> object:
         raise DomainError(f"unexpected keys {sorted(extra)} in family {kind!r}")
     kwargs = {k: obj[k] for k in fields if k in obj}
     if kind == "custom":
-        vals = kwargs.get("values")
-        if not isinstance(vals, list):
+        if not isinstance(kwargs.get("values"), list):
             raise DomainError("custom family needs a 'values' list")
-        kwargs["values"] = tuple(_number(v, "custom value") for v in vals)
+        kwargs["values"] = tuple(kwargs["values"])
     try:
         return cls(**kwargs)
     except TypeError as e:
@@ -229,18 +199,18 @@ def _parse_family(obj) -> object:
 def _parse_estimator(obj) -> EstimatorSpec:
     if not isinstance(obj, dict) or "variant" not in obj:
         raise DomainError("estimator must be an object with a 'variant' key")
-    allowed = {"variant", "M", "K", "basis", "kn", "c", "seed"}
-    extra = set(obj) - allowed
+    if "seed" in obj:
+        raise DomainError("the estimator takes no 'seed' key: the run seed drives the sample split")
+    extra = set(obj) - {"variant", "M", "K", "basis", "kn", "c"}
     if extra:
         raise DomainError(f"unexpected keys {sorted(extra)} in estimator")
     return EstimatorSpec(
         variant=obj["variant"],
-        M=_number(obj["M"], "M") if "M" in obj else None,
+        M=obj.get("M"),
         K_override=obj.get("K"),
         basis=obj.get("basis"),
         k_n=obj.get("kn"),
-        c=_number(obj.get("c", 2.0), "c"),
-        seed=obj.get("seed", 0),
+        c=obj.get("c", 2.0),
     )
 
 
@@ -267,11 +237,10 @@ def parse_config(text: str) -> RunConfig:
     """Parse a JSON configuration document into a validated RunConfig."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:   # also an integer past Python's digit limit
         raise DomainError(f"config is not valid JSON: {e}") from e
     if not isinstance(doc, dict):
         raise DomainError("config must be a JSON object")
-    _reject_booleans(doc, "config")
     allowed = {"scenarios", "seed", "output_path", "format", "workers", "compliance_slack"}
     extra = set(doc) - allowed
     if extra:
@@ -287,7 +256,7 @@ def parse_config(text: str) -> RunConfig:
         output_path=doc["output_path"],
         format=doc.get("format", "csv"),
         workers=doc.get("workers", 1),
-        compliance_slack=_number(doc.get("compliance_slack", 2.0), "compliance_slack"),
+        compliance_slack=doc.get("compliance_slack", 2.0),
     )
 
 

@@ -28,7 +28,7 @@ import math
 import numpy as np
 from numpy.polynomial.hermite_e import hermevander
 
-from .errors import DegreeOverflowError, DomainError, RangeError
+from .errors import DegreeOverflowError, DomainError, RangeError, check_int, check_real
 
 DEFAULT_MAX_DEGREE = 200
 
@@ -39,11 +39,11 @@ _LOG_MAX_FLOAT = math.log(_MAX_FLOAT)
 _DIRECT_LIMIT = 1e300
 
 
-def _check_degree(k: int, max_degree: int) -> None:
-    if not isinstance(k, (int, np.integer)) or k < 0:
-        raise DomainError(f"degree must be a nonnegative integer, got {k!r}")
+def _check_degree(k: int, max_degree: int) -> int:
+    k = check_int("degree", k, low=0)
     if k > max_degree:
         raise DegreeOverflowError(f"degree {k} exceeds the configured maximum {max_degree}")
+    return k
 
 
 def hermite_eval(k: int, y: float, max_degree: int = DEFAULT_MAX_DEGREE) -> float:
@@ -58,7 +58,7 @@ def hermite_eval_batch(k_max: int, y, max_degree: int = DEFAULT_MAX_DEGREE) -> n
     (k_max + 1,) + shape(y).  Element j agrees exactly with
     hermite_eval(j, y): both read the same recurrence table.
     """
-    _check_degree(k_max, max_degree)
+    k_max = _check_degree(k_max, max_degree)
     arr = np.asarray(y, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
         raise DomainError("y must be finite")
@@ -75,10 +75,8 @@ def hermite_second_moment(k: int, mu: float, max_degree: int = DEFAULT_MAX_DEGRE
     would exceed the direct-evaluation range.  Raises RangeError when even
     the final value overflows double precision.
     """
-    _check_degree(k, max_degree)
-    mu = float(mu)
-    if not math.isfinite(mu):
-        raise DomainError(f"mu must be finite, got {mu!r}")
+    k = _check_degree(k, max_degree)
+    mu = check_real("mu", mu)
 
     if k <= 170:  # k! representable, try the direct accumulation
         term = float(math.factorial(k))

@@ -35,11 +35,15 @@ from numpy.polynomial.chebyshev import chebvander
 from scipy import integrate
 
 from .errors import (
+    MAX_COUNT,
+    MAX_N,
     ConditioningError,
     ConstructionError,
     DomainError,
     IntegrationError,
     PreconditionError,
+    check_int,
+    check_real,
 )
 from .polyapprox import remez_best_approx
 
@@ -93,11 +97,8 @@ class SymmetricDiscretePrior:
 
 def scale_prior(prior: SymmetricDiscretePrior, M: float) -> SymmetricDiscretePrior:
     """Push the prior forward by t -> M t."""
-    if not (isinstance(M, (int, float)) and math.isfinite(M)) or M <= 0:
-        raise DomainError(f"M must be a finite positive number, got {M!r}")
-    return SymmetricDiscretePrior(
-        tuple(float(M) * t for t in prior.positions), prior.weights, M=prior.M * float(M)
-    )
+    M = check_real("M", M, above=0.0)
+    return SymmetricDiscretePrior(tuple(M * t for t in prior.positions), prior.weights, M=prior.M * M)
 
 
 @lru_cache(maxsize=None)
@@ -159,9 +160,10 @@ def construct_prior_pair(k: int) -> tuple[SymmetricDiscretePrior, SymmetricDiscr
     points where the best-approximation error is +delta, nu0 where it is
     -delta (always including the origin).
     """
-    if not isinstance(k, (int, np.integer)) or k % 2 != 0 or not 2 <= k <= 80:
-        raise DomainError(f"k must be an even integer in [2, 80], got {k!r}")
-    (p0, w0), (p1, w1), delta = _prior_pair_data(int(k))
+    k = check_int("k", k, 2, 80)
+    if k % 2 != 0:
+        raise DomainError(f"k must be even, got {k}")
+    (p0, w0), (p1, w1), delta = _prior_pair_data(k)
     return (
         SymmetricDiscretePrior(p0, w0),
         SymmetricDiscretePrior(p1, w1),
@@ -190,11 +192,10 @@ class PriorMoments:
 
 
 def prior_moments(mu0: SymmetricDiscretePrior, mu1: SymmetricDiscretePrior, n: int) -> PriorMoments:
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise DomainError(f"n must be a positive integer, got {n!r}")
+    n = check_int("n", n, 1, MAX_N)
     m0 = mu0.mean_abs()
     var0 = mu0.moment(2) - m0 * m0
-    return PriorMoments(m0=m0, m1=mu1.mean_abs(), v0_sq=max(var0, 0.0) / float(n))
+    return PriorMoments(m0=m0, m1=mu1.mean_abs(), v0_sq=max(var0, 0.0) / n)
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +210,7 @@ def chi_square_gaussian_mixtures(
     where f_i(y) = sum_j w_ij phi(y - t_ij).  No symmetry is required of
     the mixing measures.
     """
+    abs_tol = check_real("abs_tol", abs_tol, above=0.0)
     p0 = np.asarray(positions0, dtype=float)
     w0 = np.asarray(weights0, dtype=float)
     p1 = np.asarray(positions1, dtype=float)
@@ -249,10 +251,9 @@ def chi_square_mixture_1d(mu0: SymmetricDiscretePrior, mu1: SymmetricDiscretePri
 
 def chi_square_product_n(I1_sq: float, n: int) -> float:
     """Exact product identity: I_n^2 = (1 + I_1^2)^n - 1, in log space."""
-    if I1_sq < 0:
+    if I1_sq != math.inf and check_real("I1_sq", I1_sq) < 0:   # +inf: a saturated distance
         raise DomainError(f"I1_sq must be nonnegative, got {I1_sq!r}")
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise DomainError(f"n must be a positive integer, got {n!r}")
+    n = check_int("n", n, 1, MAX_N)
     if math.isinf(I1_sq):
         return math.inf
     log_total = n * math.log1p(I1_sq)
@@ -263,10 +264,8 @@ def chi_square_product_n(I1_sq: float, n: int) -> float:
 
 def chi_square_tail_bound_1d(M: float, k_n: int) -> float:
     """Moment-matching tail bound e^{M^2/2} sum_{k > k_n} M^{2k}/k! for one coordinate."""
-    if not (isinstance(M, (int, float)) and math.isfinite(M)) or M <= 0:
-        raise DomainError(f"M must be a finite positive number, got {M!r}")
-    if not isinstance(k_n, (int, np.integer)) or k_n < 1:
-        raise DomainError(f"k_n must be a positive integer, got {k_n!r}")
+    M = check_real("M", M, above=0.0)
+    k_n = check_int("k_n", k_n, 1, MAX_COUNT)
     m2 = M * M
     # term-by-term from k_n+1; no cancellation, geometric-factorial decay
     log_term = (k_n + 1) * math.log(m2) - math.lgamma(k_n + 2)
@@ -284,10 +283,8 @@ def chi_square_tail_bound_1d(M: float, k_n: int) -> float:
 
 def chi_square_single_term_bound_1d(M: float, k_n: int) -> float:
     """Single-term form e^{3M^2/2} (e M^2 / k_n)^{k_n} dominating the tail bound."""
-    if not (isinstance(M, (int, float)) and math.isfinite(M)) or M <= 0:
-        raise DomainError(f"M must be a finite positive number, got {M!r}")
-    if not isinstance(k_n, (int, np.integer)) or k_n < 1:
-        raise DomainError(f"k_n must be a positive integer, got {k_n!r}")
+    M = check_real("M", M, above=0.0)
+    k_n = check_int("k_n", k_n, 1, MAX_COUNT)
     log_val = 1.5 * M * M + k_n * (1.0 + 2.0 * math.log(M) - math.log(k_n))
     if log_val > math.log(np.finfo(float).max):
         return math.inf
@@ -296,8 +293,7 @@ def chi_square_single_term_bound_1d(M: float, k_n: int) -> float:
 
 def chi_square_bound_n(M: float, k_n: int, n: int) -> float:
     """(1 + e^{3M^2/2}(e M^2/k_n)^{k_n})^n - 1, saturating to inf, in log space."""
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise DomainError(f"n must be a positive integer, got {n!r}")
+    n = check_int("n", n, 1, MAX_N)
     x = chi_square_single_term_bound_1d(M, k_n)
     if math.isinf(x):
         return math.inf
@@ -309,8 +305,7 @@ def chi_square_bound_n(M: float, k_n: int, n: int) -> float:
 
 def select_kn_bounded(n: int) -> int:
     """Smallest even integer >= ln n/ln ln n + ln n/(ln ln n)^{3/2}."""
-    if not isinstance(n, (int, np.integer)) or n < 17:
-        raise DomainError(f"n must be an integer >= 17, got {n!r}")
+    n = check_int("n", n, 17, MAX_N)
     log_n = math.log(n)
     loglog = math.log(log_n)
     target = log_n / loglog + log_n / loglog ** 1.5
@@ -346,7 +341,7 @@ class LowerBoundValue:
 
 def minimax_lower_bound(pm: PriorMoments, I: float) -> LowerBoundValue:
     """(|m1 - m0| - v0 I)^2 / (I + 2)^2 when the gap beats v0 I, else 0."""
-    if I < 0 or not math.isfinite(I) and I != math.inf:
+    if I != math.inf and check_real("I", I) < 0:   # +inf: a saturated distance
         raise DomainError(f"I must be a nonnegative real, got {I!r}")
     v0 = math.sqrt(pm.v0_sq)
     if math.isinf(I) or pm.gap <= v0 * I:
@@ -408,6 +403,7 @@ def verify_constrained_risk(model: DiscreteModel, mu0, mu1, rule, eps: float) ->
     estimator, one real per observation symbol.  eps: risk budget under
     mu0; the precondition risk0 <= eps^2 is enforced.
     """
+    eps = check_real("eps", eps)
     T = np.asarray(model.T_values, dtype=float)
     P = np.asarray(model.obs_probs, dtype=float)
     u0 = np.asarray(mu0, dtype=float)

@@ -36,10 +36,13 @@ from numpy.polynomial.chebyshev import cheb2poly, chebval, chebvander
 from numpy.polynomial.polynomial import polyval
 
 from .errors import (
+    MAX_COUNT,
     ConditioningError,
     ConvergenceError,
     DegreeOverflowError,
     DomainError,
+    check_int,
+    check_real,
 )
 
 # limit value of 2K * delta_2K; used by tests and reporting, not by the
@@ -98,8 +101,7 @@ class EvenPolynomial:
 
 def build_G_K(K: int) -> EvenPolynomial:
     """Truncated Chebyshev expansion of |x| with K even harmonics."""
-    if not isinstance(K, (int, np.integer)) or K < 1:
-        raise DomainError(f"K must be a positive integer, got {K!r}")
+    K = check_int("K", K, low=1)
     if K > _MAX_GK:
         raise DegreeOverflowError(f"K = {K} exceeds the supported maximum {_MAX_GK}")
     cheb = np.zeros(K + 1)
@@ -113,9 +115,10 @@ def uniform_error(poly: EvenPolynomial, grid_size: int = 100001) -> float:
     """max over a uniform grid on [-1, 1] of | |x| - poly(x) |."""
     if len(poly.half_coeffs) == 0:
         raise DomainError("empty polynomial")
-    if not isinstance(grid_size, (int, np.integer)) or grid_size < 1001 or grid_size % 2 == 0:
-        raise DomainError(f"grid_size must be an odd integer >= 1001, got {grid_size!r}")
-    x = np.linspace(-1.0, 1.0, int(grid_size))
+    grid_size = check_int("grid_size", grid_size, 1001, MAX_COUNT)
+    if grid_size % 2 == 0:
+        raise DomainError(f"grid_size must be odd, got {grid_size}")
+    x = np.linspace(-1.0, 1.0, grid_size)
     return float(np.max(np.abs(np.abs(x) - poly(x))))
 
 
@@ -189,11 +192,10 @@ def remez_best_approx(K: int, tol: float = 1e-12) -> BestApproxSolution:
     error, and the loop stops once the spread of |error| over the new
     reference falls below tol * delta.
     """
-    if not isinstance(K, (int, np.integer)) or K < 1:
-        raise DomainError(f"K must be a positive integer, got {K!r}")
+    K = check_int("K", K, low=1)
     if K > _MAX_REMEZ_K:
         raise DegreeOverflowError(f"K = {K} exceeds the supported maximum {_MAX_REMEZ_K}")
-    if not (isinstance(tol, (int, float)) and math.isfinite(tol)) or tol < 1e-12 or tol >= 1.0:
+    if not 1e-12 <= check_real("tol", tol) < 1.0:
         raise DomainError(f"tol must lie in [1e-12, 1), got {tol!r}")
 
     npts = max(50001, 2500 * (K + 2) + 1)
@@ -256,6 +258,6 @@ def bernstein_estimate(K_list) -> list[tuple[int, float]]:
     """Pairs (2K, 2K * delta_{2K}) for each K; approaches the Bernstein constant."""
     out = []
     for K in K_list:
-        sol = remez_best_approx(int(K))
-        out.append((2 * int(K), 2 * int(K) * sol.delta))
+        sol = remez_best_approx(K)
+        out.append((sol.poly.degree, sol.poly.degree * sol.delta))
     return out

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import check_int
 
 # Lane codes used by the harness engine.  Lane 0 is reserved for direct
 # library calls (for example sample splitting inside an estimator).
@@ -19,20 +19,18 @@ LANE_THETA = 1
 LANE_OBS = 2
 LANE_EST = 3
 
-_WORD = 1 << 64
+MAX_SEED = (1 << 128) - 1   # the Philox key is 128 bits
+_MAX_COORD = (1 << 64) - 1  # each stream coordinate owns one 64-bit counter word
 
 
 def stream(seed: int, lane: int = 0, scenario: int = 0, replication: int = 0) -> np.random.Generator:
     """Return the deterministic generator for one (seed, lane, scenario, replication) cell."""
-    for name, value in (("seed", seed), ("lane", lane), ("scenario", scenario), ("replication", replication)):
-        if not isinstance(value, (int, np.integer)) or value < 0:
-            raise DomainError(f"{name} must be a nonnegative integer, got {value!r}")
-    if seed >= 1 << 128:
-        raise DomainError("seed must fit in 128 bits")
-    if max(lane, scenario, replication) >= _WORD:
-        raise DomainError("stream coordinates must fit in 64 bits")
-    counter = (int(lane) << 192) | (int(scenario) << 128) | (int(replication) << 64)
-    return np.random.Generator(np.random.Philox(key=int(seed), counter=counter))
+    seed = check_int("seed", seed, 0, MAX_SEED)
+    lane = check_int("lane", lane, 0, _MAX_COORD)
+    scenario = check_int("scenario", scenario, 0, _MAX_COORD)
+    replication = check_int("replication", replication, 0, _MAX_COORD)
+    counter = (lane << 192) | (scenario << 128) | (replication << 64)
+    return np.random.Generator(np.random.Philox(key=seed, counter=counter))
 
 
 def derive_seed(seed: int, lane: int, scenario: int, replication: int) -> int:

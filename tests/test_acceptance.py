@@ -182,6 +182,7 @@ def test_criterion_06_constrained_risk_enumeration():
     print(f"[criterion 6] PASS risk inequality over {models} models x 10 rules, zero violations")
 
 
+@pytest.mark.slow
 def test_criterion_07_bounded_variant_risk_profile():
     # every analytically attainable clause is asserted; cells whose exact
     # mean squared error exceeds the asymptotic headline constant are

@@ -210,6 +210,30 @@ def test_risk_malformed_config(tmp_path, capsys):
     assert main(["risk", "--config", str(cfg)]) == 2
 
 
+def test_risk_huge_integer_is_a_config_error(tmp_path, capsys, monkeypatch):
+    # a 400-digit JSON integer does not fit a double; every real-valued field
+    # must reject it as a configuration error, before any scenario runs
+    def must_not_run(cfg):
+        raise AssertionError("run_config called despite a bad config")
+
+    monkeypatch.setattr("absmean.harness.cli.run_config", must_not_run)
+    huge = 10**400
+    zero = {"kind": "zero"}
+    bounded = {"variant": "bounded", "M": 1.0, "K": 1}
+    for family, estimator, slack in (
+        (zero, {"variant": "bounded", "M": huge}, 2.0),
+        (zero, {"variant": "growing", "c": huge}, 2.0),
+        ({"kind": "constant", "value": huge}, bounded, 2.0),
+        ({"kind": "custom", "values": [0.0] * 31 + [huge]}, bounded, 2.0),
+        (zero, bounded, huge),
+    ):
+        scenario = {"id": "z", "family": family, "n": 32, "replications": 4, "estimator": estimator}
+        cfg, _ = _risk_config(tmp_path, [scenario], slack=slack)
+        assert main(["risk", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_risk_bad_output_path_fails_before_running(tmp_path, capsys, monkeypatch):
     def must_not_run(cfg):
         raise AssertionError("run_config called despite a bad output_path")

@@ -141,6 +141,11 @@ def test_hybrid_component_scalar_and_shape_checks():
     assert hybrid_component(2.0, 0.0, n) == delta_component(2.0, n)
     with pytest.raises(DataError):
         hybrid_component(np.zeros(3), np.zeros(4), n)
+    # a non-finite companion fails the small-signal test; it must not pick the |x1| branch
+    with pytest.raises(DataError):
+        hybrid_component(1.0, float("nan"), 1000)
+    with pytest.raises(DataError):
+        hybrid_component(1.0, float("inf"), 1000)
 
 
 def test_series_component_cap_and_finiteness():
@@ -234,6 +239,8 @@ def test_spec_validation():
     with pytest.raises(DomainError):
         EstimatorSpec(variant="growing", c=1.0)
     with pytest.raises(DomainError):
+        EstimatorSpec(variant="bounded", M=1.0, c=0.5)  # c > 1 whatever the variant
+    with pytest.raises(DomainError):
         EstimatorSpec(variant="unbounded", basis="best")
     with pytest.raises(DomainError):
         EstimatorSpec(variant="median")
@@ -254,8 +261,6 @@ def test_run_estimator_dispatch_matches_direct_calls():
     )
     # an explicit seed argument wins over the stored one
     assert run_estimator(EstimatorSpec(variant="unbounded", seed=4), y, seed=9) == estimate_unbounded(y, 9)
-    with pytest.raises(DomainError):
-        run_estimator(EstimatorSpec(variant="bounded", M=1.0, n=999), y)
 
 
 # ---------------------------------------------------------------------------

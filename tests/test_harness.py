@@ -5,8 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from absmean.errors import AbsmeanError, DomainError
+from absmean.errors import MAX_COUNT, AbsmeanError, DomainError
 from absmean.estimators import EstimatorSpec, approx_coefficients, unbounded_params
 from absmean.harness import (
     CSV_HEADER,
@@ -108,11 +109,6 @@ def test_scenario_validation():
         Scenario(id="a", family=CustomVector((1.0,)), n=8, replications=5, estimator=est)
     with pytest.raises(DomainError):
         Scenario(id="a", family=TwoSpike(9, 1.0), n=8, replications=5, estimator=est)
-    with pytest.raises(DomainError):
-        Scenario(
-            id="a", family=ZeroVector(), n=8, replications=5,
-            estimator=EstimatorSpec(variant="bounded", M=1.0, n=9),
-        )
 
 
 def test_run_config_validation():
@@ -149,7 +145,7 @@ def _config_doc():
                 "family": {"kind": "two_spike", "count": 4, "value": 3.0},
                 "n": 64,
                 "replications": 10,
-                "estimator": {"variant": "sparse", "kn": 4, "seed": 1},
+                "estimator": {"variant": "sparse", "kn": 4},
             },
         ],
     }
@@ -188,6 +184,12 @@ def test_parse_config_rejections():
         lambda d: d["scenarios"][1]["family"].update(value=True),
         lambda d: d["scenarios"][1]["family"].update(count=True),
         lambda d: d.update(seed=False),
+        # inf does not parse as a radius constant; 1e999 reads as inf
+        lambda d: d["scenarios"][0].update(estimator={"variant": "growing", "c": 1e999}),
+        # the run seed drives the sample split, so the estimator takes none
+        lambda d: d["scenarios"][1]["estimator"].update(seed=1),
+        lambda d: d["scenarios"][0]["estimator"].update(M=10**400),
+        lambda d: d.update(workers=10**400),
     ):
         broken = json.loads(json.dumps(doc))
         mutate(broken)
@@ -197,6 +199,130 @@ def test_parse_config_rejections():
         parse_config("{not json")
     with pytest.raises(DomainError):
         parse_config("[1, 2]")
+    with pytest.raises(DomainError):   # past Python's int digit limit, not a JSONDecodeError
+        parse_config('{"seed": ' + "1" * 5000 + "}")
+
+
+# ---------------------------------------------------------------------------
+# config parser properties
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_FAMILY_DOCS = st.one_of(
+    st.just({"kind": "zero"}),
+    st.builds(lambda v: {"kind": "constant", "value": v}, _FINITE),
+    st.builds(lambda c, v: {"kind": "two_spike", "count": c, "value": v}, st.integers(1, 17), _FINITE),
+    st.builds(lambda k, M, p: {"kind": "alternation", "k": k, "M": M, "prior": p},
+              st.sampled_from([2, 4, 6]), _POSITIVE, st.sampled_from(["nu0", "nu1"])),
+)
+_ESTIMATOR_DOCS = st.one_of(
+    st.builds(lambda M, K, b: {"variant": "bounded", "M": M, "K": K, "basis": b},
+              _POSITIVE, st.integers(1, 40), st.sampled_from(["best", "chebyshev"])),
+    st.builds(lambda c: {"variant": "growing", "c": c},
+              st.floats(min_value=1.0, exclude_min=True, allow_infinity=False)),
+    st.just({"variant": "unbounded"}),
+    st.builds(lambda k: {"variant": "sparse", "kn": k}, st.integers(1, 17)),
+)
+_CONFIG_DOCS = st.fixed_dictionaries(
+    {
+        "seed": st.integers(0, 2**64 - 1),
+        "output_path": st.text(min_size=1),
+        "scenarios": st.lists(
+            st.fixed_dictionaries({
+                "id": st.text(min_size=1),
+                "family": _FAMILY_DOCS,
+                "n": st.integers(17, MAX_COUNT),
+                "replications": st.integers(2, MAX_COUNT),
+                "estimator": _ESTIMATOR_DOCS,
+            }),
+            min_size=1, max_size=3, unique_by=lambda s: s["id"],
+        ),
+    },
+    optional={
+        "format": st.sampled_from(["csv", "json"]),
+        "workers": st.integers(1, MAX_COUNT),
+        "compliance_slack": _POSITIVE,
+    },
+)
+_FAMILY_TYPES = {"zero": ZeroVector, "constant": ConstantAt, "two_spike": TwoSpike,
+                 "alternation": AlternationAtoms}
+_ESTIMATOR_KEYS = {"variant": "variant", "M": "M", "K": "K_override", "basis": "basis", "kn": "k_n",
+                   "c": "c"}
+
+
+@given(doc=_CONFIG_DOCS)
+@settings(max_examples=150, deadline=None)
+def test_parse_config_round_trips_through_json(doc):
+    # every value written by json.dumps comes back in the field it names
+    expected = RunConfig(
+        scenarios=tuple(
+            Scenario(
+                id=s["id"],
+                family=_FAMILY_TYPES[s["family"]["kind"]](
+                    **{k: v for k, v in s["family"].items() if k != "kind"}),
+                n=s["n"],
+                replications=s["replications"],
+                estimator=EstimatorSpec(**{_ESTIMATOR_KEYS[k]: v for k, v in s["estimator"].items()}),
+            )
+            for s in doc["scenarios"]
+        ),
+        seed=doc["seed"],
+        output_path=doc["output_path"],
+        format=doc.get("format", "csv"),
+        workers=doc.get("workers", 1),
+        compliance_slack=doc.get("compliance_slack", 2.0),
+    )
+    assert parse_config(json.dumps(doc)) == expected
+
+
+def _field_paths(node, prefix=()):
+    """The path to every key and list entry of a JSON document, outermost first."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _field_paths(child, prefix + (key,))
+
+
+_WORDS = st.sampled_from([
+    "zero", "constant", "alternation", "two_spike", "custom", "bounded", "growing", "unbounded",
+    "sparse", "best", "chebyshev", "csv", "json", "nu0", "nu1", "kind", "variant", "value", "",
+])
+_ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.floats() | _WORDS | st.text(max_size=6)
+    | st.integers() | st.sampled_from([10**400, -10**400, 2**63, 2**64, 2**128, -1, 0, 1, 17, 10**19]),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(_WORDS | st.text(max_size=6), children, max_size=4),
+    max_leaves=12,
+)
+
+
+def _parses_or_rejects(path, value) -> None:
+    """Replace one field of _config_doc() by `value`: parse_config must
+    return a RunConfig or raise DomainError, nothing else."""
+    doc = _config_doc()
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    try:
+        cfg = parse_config(json.dumps(doc))
+    except DomainError:
+        return
+    assert isinstance(cfg, RunConfig)
+
+
+@given(path=st.sampled_from(list(_field_paths(_config_doc()))), value=_ANY_JSON)
+@settings(max_examples=400, deadline=None)
+def test_parse_config_takes_any_json_in_any_field(path, value):
+    _parses_or_rejects(path, value)
+
+
+def test_parse_config_takes_edge_values_in_every_field():
+    # every field against every value the random search might miss
+    for path in _field_paths(_config_doc()):
+        for value in (None, True, False, math.inf, -math.inf, math.nan, 10**400, -10**400, 2**64,
+                      -1, 0, 0.5, "1", "", [], [1.0], {}):
+            _parses_or_rejects(path, value)
 
 
 # ---------------------------------------------------------------------------
