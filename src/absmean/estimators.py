@@ -40,8 +40,8 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.hermite_e import hermeval
 
-from .errors import MAX_COUNT, MAX_N, DataError, DomainError, RangeError, check_int, check_real
-from .polyapprox import build_G_K, remez_best_approx
+from .errors import MAX_COUNT, MAX_N, DataError, DegreeOverflowError, DomainError, RangeError, check_int, check_real
+from .polyapprox import _MAX_GK, _MAX_REMEZ_K, build_G_K, remez_best_approx
 from .rng import MAX_SEED, stream
 
 VARIANTS = ("bounded", "growing", "unbounded", "sparse")
@@ -129,9 +129,10 @@ def estimate_bounded(y, M: float, K: int, basis: str = "best") -> float:
     "chebyshev" from the truncated Chebyshev expansion.  Raises RangeError
     when the series overflows the double range on the data.
     """
-    arr = _as_data(y)
-    M = check_real("M", M, above=0.0)
-    K = check_int("K", K, low=1)
+    return _bounded(_as_data(y), check_real("M", M, above=0.0), check_int("K", K, low=1), basis)
+
+
+def _bounded(arr: np.ndarray, M: float, K: int, basis: str) -> float:
     scaled = _scaled_coeffs(approx_coefficients(K, basis), M)
     with np.errstate(over="ignore", invalid="ignore"):
         value = float(np.mean(_even_series(arr, scaled)))
@@ -145,8 +146,9 @@ def estimate_growing(y, c: float = 2.0, K: int | None = None) -> float:
     """Bounded-variant series on the slowly growing interval M_n = sqrt(c ln n)."""
     arr = _as_data(y)
     n = arr.size
-    cutoff = select_K_growing(n) if K is None else K
-    return estimate_bounded(arr, growing_radius(n, c), cutoff, "chebyshev")
+    M = growing_radius(n, c)
+    K = select_K_growing(n) if K is None else check_int("K", K, low=1)
+    return _bounded(arr, M, K, "chebyshev")
 
 
 def split_samples(y, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -157,7 +159,10 @@ def split_samples(y, seed: int) -> tuple[np.ndarray, np.ndarray]:
     N(theta_i/sqrt(2), 1).  The same seed reproduces the same split
     bit-for-bit.
     """
-    arr = _as_data(y)
+    return _split(_as_data(y), seed)
+
+
+def _split(arr: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray]:
     z = stream(seed).standard_normal(arr.size)
     return (arr + z) / _SQRT2, (arr - z) / _SQRT2
 
@@ -228,9 +233,12 @@ def estimate_unbounded(y, seed: int) -> float:
     when |x2| <= 2 sqrt(2 ln n) and |x1| itself otherwise; the sqrt(2)
     factor undoes the split's rescaling of the means.
     """
-    arr = _as_data(y)
+    return _unbounded(_as_data(y), seed)
+
+
+def _unbounded(arr: np.ndarray, seed: int) -> float:
     n = arr.size
-    x1, x2 = split_samples(arr, seed)
+    x1, x2 = _split(arr, seed)
     return float(_SQRT2 * np.mean(_hybrid_terms(x1, x2, n, _hybrid_coeffs(n), float(n))))
 
 
@@ -242,10 +250,13 @@ def estimate_sparse(y, k_n: int, seed: int) -> float:
     in expectation), truncates at n^2 instead of n, and the sum is
     normalized by the known support size k_n.
     """
-    arr = _as_data(y)
+    return _sparse(_as_data(y), k_n, seed)
+
+
+def _sparse(arr: np.ndarray, k_n: int, seed: int) -> float:
     n = arr.size
     k_n = check_int("k_n", k_n, 1, n)
-    x1, x2 = split_samples(arr, seed)
+    x1, x2 = _split(arr, seed)
     scaled = _hybrid_coeffs(n)
     scaled[0] = 0.0   # constant term omitted
     xi = _hybrid_terms(x1, x2, n, scaled, float(n) ** 2)
@@ -304,28 +315,34 @@ class EstimatorSpec:
 
 
 def resolve_parameters(spec: EstimatorSpec, n: int) -> tuple[int, float]:
-    """Effective (K, M) the estimator described by `spec` uses on data of length n."""
+    """Effective (K, M) the estimator described by `spec` uses on data of length n.
+
+    Raises DomainError where that estimator cannot run at n: n below a cutoff
+    rule's minimum, K past its basis' limit, or k_n > n.  Arithmetic only, so
+    a whole config is checked before any coefficients are built.
+    """
+    if spec.variant in ("unbounded", "sparse"):
+        M_n, K, _ = unbounded_params(n)
+        if spec.variant == "sparse":
+            check_int("k_n", spec.k_n, 1, n)
+        return K, M_n
     if spec.variant == "bounded":
-        K = spec.K_override if spec.K_override is not None else select_K_star(n)
-        return K, spec.M
-    if spec.variant == "growing":
-        K = spec.K_override if spec.K_override is not None else select_K_growing(n)
-        return K, growing_radius(n, spec.c)
-    M_n, K, _ = unbounded_params(n)
-    return K, M_n
+        K, M = spec.K_override or select_K_star(n), spec.M
+    else:
+        K, M = spec.K_override or select_K_growing(n), growing_radius(n, spec.c)
+    limit = _MAX_REMEZ_K if spec.resolved_basis == "best" else _MAX_GK
+    if K > limit:
+        raise DegreeOverflowError(f"K = {K} exceeds the supported maximum {limit}")
+    return K, M
 
 
 def run_estimator(spec: EstimatorSpec, y, seed: int | None = None) -> float:
     """Apply the estimator described by `spec` to the data vector."""
     arr = _as_data(y)
-    n = arr.size
     use_seed = spec.seed if seed is None else seed
-    if spec.variant == "bounded":
-        K, M = resolve_parameters(spec, n)
-        return estimate_bounded(arr, M, K, spec.resolved_basis)
-    if spec.variant == "growing":
-        K, _ = resolve_parameters(spec, n)
-        return estimate_growing(arr, spec.c, K)
+    if spec.variant in ("bounded", "growing"):
+        K, M = resolve_parameters(spec, arr.size)
+        return _bounded(arr, M, K, spec.resolved_basis)
     if spec.variant == "unbounded":
-        return estimate_unbounded(arr, use_seed)
-    return estimate_sparse(arr, spec.k_n, use_seed)
+        return _unbounded(arr, use_seed)
+    return _sparse(arr, spec.k_n, use_seed)

@@ -32,19 +32,14 @@ from ..errors import (
     IntegrationError,
     RangeError,
 )
-from ..estimators import EstimatorSpec, run_estimator
+from ..estimators import VARIANTS, EstimatorSpec, run_estimator
 from ..lowerbound import lower_bound_pipeline
 from ..polyapprox import build_G_K, remez_best_approx, uniform_error
 from .engine import bound_compliance_report, check_output_path, run_config, write_reports
 from .scenarios import load_config
 from .selftest import run_selftest
 
-_VARIANT_ALIASES = {
-    "b": "bounded", "bounded": "bounded",
-    "g": "growing", "growing": "growing",
-    "u": "unbounded", "unbounded": "unbounded",
-    "s": "sparse", "sparse": "sparse",
-}
+_VARIANT_ALIASES = {alias: v for v in VARIANTS for alias in (v, v[0])}   # full name or first letter
 
 
 def _build_parser() -> argparse.ArgumentParser:

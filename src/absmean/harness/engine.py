@@ -1,11 +1,15 @@
 """Monte Carlo risk engine.
 
-Each (scenario, replication) cell gets its own counter-based random streams,
-keyed by (seed, lane, scenario index, replication index), so the realized
-numbers do not depend on scheduling.  Workers return per-replication results
-tagged with their replication index; aggregation sorts by that index and
-reduces with numpy's fixed-order pairwise summation.  Consequence: a run is
-byte-identical for any worker count.
+The unit of work is a block of B consecutive replications of one scenario.
+Each block owns one counter-based random stream per lane, keyed by (seed,
+lane, scenario index, block index): replication j of the block takes the
+j-th theta draw from the theta lane and the j-th noise vector from the
+observation lane, and the block's estimator seeds are one vector draw from
+the estimator lane.  B is a constant, not the worker count, so the realized
+numbers do not depend on scheduling.  A run opens one process pool for all
+its (scenario, block) tasks; aggregation takes each scenario's blocks in
+order and reduces with numpy's fixed-order pairwise summation.
+Consequence: a run is byte-identical for any worker count.
 
 Per replication: theta is realized from the scenario family (random families
 redraw it each time), y = theta + standard normal noise, the estimator runs
@@ -33,10 +37,13 @@ from .. import __version__
 from ..errors import MAX_COUNT, AbsmeanError, DomainError, check_int, check_real
 from ..estimators import EstimatorSpec, approx_coefficients, resolve_parameters, run_estimator
 from ..polyapprox import EvenPolynomial, uniform_error
-from ..rng import LANE_EST, LANE_OBS, LANE_THETA, derive_seed, stream
+# derive_seed is unused here but stays importable: perfbench/session.py traces this module's names
+from ..rng import LANE_EST, LANE_OBS, LANE_THETA, derive_seed, stream  # noqa: F401
 from .scenarios import RunConfig, Scenario, draw_theta
 
 WORKERS_ENV_VAR = "ABSMEAN_WORKERS"
+
+B = 16   # replications per block; the block index keys the streams
 
 CSV_HEADER = "scenario_id,n,variant,K,M,replications,bias,variance,mse,mc_stderr,bias_bound,var_bound"
 
@@ -44,6 +51,8 @@ _METADATA = {
     "rng": "philox4x64",
     "normal_sampling": "ziggurat",
     "package_version": __version__,
+    "numpy_version": np.__version__,   # Philox draws are bit-stable within one numpy version
+    "replication_block": B,
 }
 
 
@@ -78,13 +87,9 @@ def analytic_bounds(spec: EstimatorSpec, n: int) -> tuple[float, float]:
     K, M = resolve_parameters(spec, n)
     if spec.variant == "bounded":
         poly = EvenPolynomial(approx_coefficients(K, spec.resolved_basis))
-        bias_bound = M * uniform_error(poly)
-        var_bound = 2.0 * math.exp(M * M) * 2.0 ** (8 * K) * float(K) ** (2 * K) / n
-        return bias_bound, var_bound
+        return M * uniform_error(poly), 2.0 * math.exp(M * M) * 2.0 ** (8 * K) * float(K) ** (2 * K) / n
     if spec.variant == "growing":
-        bias_bound = 2.0 * M / (math.pi * (2 * K + 1))
-        var_bound = 4.0 * M * M * 2.0 ** (8 * K) / n
-        return bias_bound, var_bound
+        return 2.0 * M / (math.pi * (2 * K + 1)), 4.0 * M * M * 2.0 ** (8 * K) / n
     series = 2.0 * M / (math.pi * (2 * K + 1))
     bias_bound = math.sqrt(2.0) * (series + 1.0)
     var_bound = 2.0 * math.log(n) ** 5 / math.sqrt(n)
@@ -95,55 +100,36 @@ def analytic_bounds(spec: EstimatorSpec, n: int) -> tuple[float, float]:
     return bias_bound, var_bound
 
 
-def run_replication(s: Scenario, seed: int, scenario_index: int, rep: int) -> tuple[float, float]:
-    """One Monte Carlo cell: returns (estimate, true functional value)."""
-    theta_rng = stream(seed, LANE_THETA, scenario_index, rep)
+def run_replication(s: Scenario, theta_rng, obs_rng, est_seed: int) -> tuple[float, float]:
+    """One Monte Carlo cell: returns (estimate, true functional value).
+
+    Takes the next theta draw and noise vector from the block's streams.
+    """
     theta = draw_theta(s.family, s.n, theta_rng)
-    y = theta + stream(seed, LANE_OBS, scenario_index, rep).standard_normal(s.n)
-    est_seed = derive_seed(seed, LANE_EST, scenario_index, rep)
-    try:
-        estimate = run_estimator(s.estimator, y, seed=est_seed)
-    except AbsmeanError as e:
-        e.args = (f"scenario {s.id!r}, replication {rep}: {e.args[0]}",) + e.args[1:]
-        raise
-    return estimate, float(np.mean(np.abs(theta)))
+    y = theta + obs_rng.standard_normal(s.n)
+    return run_estimator(s.estimator, y, seed=est_seed), float(np.mean(np.abs(theta)))
 
 
-def _replication_block(args) -> list[tuple[int, float, float]]:
-    s, seed, scenario_index, reps = args
+def _run_block(task) -> list[tuple[float, float]]:
+    """Replications b*B up to (b+1)*B of scenario i, in order."""
+    s, seed, i, b = task
+    reps = range(b * B, min(b * B + B, s.replications))
+    theta_rng = stream(seed, LANE_THETA, i, b)
+    obs_rng = stream(seed, LANE_OBS, i, b)
+    est_seeds = stream(seed, LANE_EST, i, b).integers(0, 1 << 63, size=len(reps)).tolist()
     out = []
-    for rep in reps:
-        estimate, truth = run_replication(s, seed, scenario_index, rep)
-        out.append((rep, estimate, truth))
+    for rep, est_seed in zip(reps, est_seeds):
+        try:
+            out.append(run_replication(s, theta_rng, obs_rng, est_seed))
+        except AbsmeanError as e:
+            e.args = (f"scenario {s.id!r}, replication {rep}: {e.args[0]}",) + e.args[1:]
+            raise
     return out
 
 
-def _partition(total: int, parts: int) -> list[range]:
-    parts = max(1, min(parts, total))
-    step = (total + parts - 1) // parts
-    return [range(lo, min(lo + step, total)) for lo in range(0, total, step)]
-
-
-def run_scenario(s: Scenario, seed: int, scenario_index: int = 0, workers: int = 1) -> RiskReport:
-    """Run every replication of one scenario and aggregate deterministically.
-
-    The pool has at most min(workers, R, os.cpu_count()) processes.
-    """
+def _report(s: Scenario, rows: list[tuple[float, float]]) -> RiskReport:
     R = s.replications
-    workers = min(workers, os.cpu_count() or 1)
-    if workers <= 1:
-        rows = _replication_block((s, seed, scenario_index, range(R)))
-    else:
-        blocks = _partition(R, workers)
-        rows = []
-        with concurrent.futures.ProcessPoolExecutor(max_workers=len(blocks)) as pool:
-            for block in pool.map(
-                _replication_block, [(s, seed, scenario_index, b) for b in blocks]
-            ):
-                rows.extend(block)
-    rows.sort(key=lambda t: t[0])   # replication order, independent of scheduling
-    estimates = np.asarray([r[1] for r in rows])
-    truths = np.asarray([r[2] for r in rows])
+    estimates, truths = np.array(rows).T
     errors = estimates - truths
     bias = float(np.mean(errors))
     mse = float(np.mean(errors ** 2))
@@ -152,24 +138,38 @@ def run_scenario(s: Scenario, seed: int, scenario_index: int = 0, workers: int =
     K, M = resolve_parameters(s.estimator, s.n)
     bias_bound, var_bound = analytic_bounds(s.estimator, s.n)
     return RiskReport(
-        scenario_id=s.id,
-        n=s.n,
-        variant=s.estimator.variant,
-        K=K,
-        M=M,
-        replications=R,
-        estimate_mean=float(np.mean(estimates)),
-        bias=bias,
-        variance=variance,
-        mse=mse,
-        mc_stderr=mc_stderr,
-        bias_bound=bias_bound,
-        var_bound=var_bound,
+        scenario_id=s.id, n=s.n, variant=s.estimator.variant, K=K, M=M, replications=R,
+        estimate_mean=float(np.mean(estimates)), bias=bias, variance=variance, mse=mse,
+        mc_stderr=mc_stderr, bias_bound=bias_bound, var_bound=var_bound,
     )
 
 
+def _run(indexed: list[tuple[int, Scenario]], seed: int, workers: int) -> list[RiskReport]:
+    """Run every block of the (scenario index, scenario) pairs, then aggregate.
+
+    One pool of at most min(workers, blocks, os.cpu_count()) processes
+    serves all blocks; with one process the blocks run here.
+    """
+    tasks = [(s, seed, i, b) for i, s in indexed for b in range(-(-s.replications // B))]
+    workers = min(workers, len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
+        blocks = list(map(_run_block, tasks))
+    else:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            blocks = list(pool.map(_run_block, tasks))
+    rows = {i: [] for i, _ in indexed}
+    for (_, _, i, _), block in zip(tasks, blocks):
+        rows[i].extend(block)   # pool.map keeps task order, so replication order
+    return [_report(s, rows[i]) for i, s in indexed]
+
+
+def run_scenario(s: Scenario, seed: int, scenario_index: int = 0, workers: int = 1) -> RiskReport:
+    """Run every replication of one scenario and aggregate deterministically."""
+    return _run([(scenario_index, s)], seed, workers)[0]
+
+
 def run_config(cfg: RunConfig) -> list[RiskReport]:
-    """Run all scenarios; honors the worker-count environment override."""
+    """Run all scenarios on one pool; honors the worker-count environment override."""
     workers = cfg.workers
     env = os.environ.get(WORKERS_ENV_VAR)
     if env is not None:
@@ -178,10 +178,7 @@ def run_config(cfg: RunConfig) -> list[RiskReport]:
         except ValueError as e:
             raise DomainError(f"{WORKERS_ENV_VAR} must be an integer, got {env!r}") from e
         workers = check_int(WORKERS_ENV_VAR, workers, 1, MAX_COUNT)
-    return [
-        run_scenario(s, cfg.seed, scenario_index=i, workers=workers)
-        for i, s in enumerate(cfg.scenarios)
-    ]
+    return _run(list(enumerate(cfg.scenarios)), cfg.seed, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -194,24 +191,9 @@ def _fmt(x: float) -> str:
 def render_csv(reports: list[RiskReport]) -> str:
     lines = [CSV_HEADER]
     for r in reports:
-        lines.append(
-            ",".join(
-                [
-                    r.scenario_id,
-                    str(r.n),
-                    r.variant,
-                    str(r.K),
-                    _fmt(r.M),
-                    str(r.replications),
-                    _fmt(r.bias),
-                    _fmt(r.variance),
-                    _fmt(r.mse),
-                    _fmt(r.mc_stderr),
-                    _fmt(r.bias_bound),
-                    _fmt(r.var_bound),
-                ]
-            )
-        )
+        head = [r.scenario_id, str(r.n), r.variant, str(r.K), _fmt(r.M), str(r.replications)]
+        stats = (r.bias, r.variance, r.mse, r.mc_stderr, r.bias_bound, r.var_bound)
+        lines.append(",".join(head + [_fmt(x) for x in stats]))
     return "\n".join(lines) + "\n"
 
 

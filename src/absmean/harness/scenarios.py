@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import MAX_COUNT, DomainError, check_int, check_real
-from ..estimators import EstimatorSpec
+from ..estimators import EstimatorSpec, resolve_parameters
 from ..lowerbound import SymmetricDiscretePrior, construct_prior_pair, scale_prior
 
 
@@ -39,7 +39,8 @@ class AlternationAtoms:
     """Coordinates drawn iid from a least-favorable prior scaled to [-M, M].
 
     The pair (nu0, nu1) matches moments to order k; `prior` picks which one
-    feeds the scenario.  Redrawn every replication.
+    feeds the scenario.  Redrawn every replication; the scaled prior is built
+    once, here.
     """
 
     k: int
@@ -50,11 +51,11 @@ class AlternationAtoms:
         if self.prior not in ("nu0", "nu1"):
             raise DomainError(f"prior must be 'nu0' or 'nu1', got {self.prior!r}")
         check_real("M", self.M, above=0.0)
-        construct_prior_pair(self.k)   # validates k, warms the cache
+        nu0, nu1, _ = construct_prior_pair(self.k)   # validates k
+        object.__setattr__(self, "_scaled", scale_prior(nu0 if self.prior == "nu0" else nu1, self.M))
 
     def scaled_prior(self) -> SymmetricDiscretePrior:
-        nu0, nu1, _ = construct_prior_pair(self.k)
-        return scale_prior(nu0 if self.prior == "nu0" else nu1, self.M)
+        return self._scaled
 
 
 @dataclass(frozen=True)
@@ -154,6 +155,11 @@ class RunConfig:
             if s.id in seen:
                 raise DomainError(f"duplicate scenario id {s.id!r}")
             seen.add(s.id)
+            try:   # the estimator must run at n; cutoff arithmetic only
+                resolve_parameters(s.estimator, s.n)
+            except DomainError as e:
+                e.args = (f"scenario {s.id!r}: {e.args[0]}",) + e.args[1:]
+                raise
         check_int("seed", self.seed, 0, (1 << 64) - 1)
         if not isinstance(self.output_path, str) or not self.output_path:
             raise DomainError(f"output_path must be a nonempty string, got {self.output_path!r}")

@@ -234,6 +234,27 @@ def test_risk_huge_integer_is_a_config_error(tmp_path, capsys, monkeypatch):
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_risk_scenario_that_cannot_run_fails_before_running(tmp_path, capsys, monkeypatch):
+    # the second scenario is bad: n below the cutoff rules' 17, K past the
+    # best basis' 40, or kn > n; the first must not run
+    def must_not_run(cfg):
+        raise AssertionError("run_config called despite a scenario that cannot run")
+
+    monkeypatch.setattr("absmean.harness.cli.run_config", must_not_run)
+    good = {"id": "good", "family": {"kind": "zero"}, "n": 32, "replications": 4,
+            "estimator": {"variant": "bounded", "M": 1.0, "K": 1}}
+    for n, estimator in (
+        (16, {"variant": "bounded", "M": 1.0}),
+        (64, {"variant": "bounded", "M": 1.0, "K": 45}),
+        (17, {"variant": "sparse", "kn": 20}),
+    ):
+        bad = {"id": "bad", "family": {"kind": "zero"}, "n": n, "replications": 4, "estimator": estimator}
+        cfg, _ = _risk_config(tmp_path, [good, bad])
+        assert main(["risk", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: scenario 'bad': ") and err.count("\n") == 1
+
+
 def test_risk_bad_output_path_fails_before_running(tmp_path, capsys, monkeypatch):
     def must_not_run(cfg):
         raise AssertionError("run_config called despite a bad output_path")

@@ -2,13 +2,14 @@
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from absmean.errors import MAX_COUNT, AbsmeanError, DomainError
-from absmean.estimators import EstimatorSpec, approx_coefficients, unbounded_params
+from absmean.estimators import EstimatorSpec, approx_coefficients, estimate_unbounded, unbounded_params
 from absmean.harness import (
     CSV_HEADER,
     AlternationAtoms,
@@ -30,9 +31,10 @@ from absmean.harness import (
     run_scenario,
     write_reports,
 )
+from absmean.harness import engine
 from absmean.harness.engine import RiskReport, analytic_bounds
-from absmean.lowerbound import construct_prior_pair
-from absmean.rng import stream
+from absmean.lowerbound import construct_prior_pair, scale_prior
+from absmean.rng import LANE_EST, LANE_OBS, LANE_THETA, stream
 from oracles import exact_series_risk
 
 
@@ -151,6 +153,21 @@ def _config_doc():
     }
 
 
+def test_parse_config_accepts_scenarios_at_their_limits():
+    # the run-at-n check rejects n < 17 only where a rule reads n, K past 40
+    # only for the best basis, and kn only above n
+    for n, estimator in (
+        (16, {"variant": "bounded", "M": 1.0, "K": 1}),
+        (64, {"variant": "bounded", "M": 1.0, "K": 40}),
+        (64, {"variant": "bounded", "M": 1.0, "K": 60, "basis": "chebyshev"}),
+        (64, {"variant": "growing", "K": 60}),
+        (17, {"variant": "sparse", "kn": 17}),
+    ):
+        doc = _config_doc()
+        doc["scenarios"][1].update(n=n, estimator=estimator, family={"kind": "zero"})
+        parse_config(json.dumps(doc))
+
+
 def test_parse_config_round_trip(tmp_path):
     doc = _config_doc()
     cfg = parse_config(json.dumps(doc))
@@ -190,6 +207,12 @@ def test_parse_config_rejections():
         lambda d: d["scenarios"][1]["estimator"].update(seed=1),
         lambda d: d["scenarios"][0]["estimator"].update(M=10**400),
         lambda d: d.update(workers=10**400),
+        # the second scenario's estimator could not run at its n
+        lambda d: d["scenarios"][1].update(n=16, estimator={"variant": "unbounded"}),
+        lambda d: d["scenarios"][1].update(n=16, estimator={"variant": "bounded", "M": 1.0}),
+        lambda d: d["scenarios"][1].update(estimator={"variant": "bounded", "M": 1.0, "K": 41}),
+        lambda d: d["scenarios"][1].update(estimator={"variant": "growing", "K": 61}),
+        lambda d: d["scenarios"][1].update(n=17, estimator={"variant": "sparse", "kn": 18}),
     ):
         broken = json.loads(json.dumps(doc))
         mutate(broken)
@@ -405,6 +428,85 @@ def test_pool_is_capped_by_cpu_count(monkeypatch):
     assert render_csv([capped]) == render_csv([serial])
 
 
+@pytest.fixture
+def fake_pool(monkeypatch):
+    """Replace the process pool by an in-process one that runs the tasks last
+    first, returns their results in task order and records each pool's size."""
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return reversed([fn(x) for x in reversed(list(items))])
+
+    monkeypatch.delenv("ABSMEAN_WORKERS", raising=False)
+    monkeypatch.setattr("absmean.harness.engine.concurrent.futures.ProcessPoolExecutor", InProcessPool)
+    return sizes
+
+
+def _three_scenarios(R: int):
+    return (
+        _scenario(AlternationAtoms(k=2, M=1.0), n=64, reps=R, sid="alt", variant="unbounded"),
+        _scenario(ConstantAt(0.5), n=32, reps=R, sid="const", K_override=2),
+        _scenario(TwoSpike(4, 3.0), n=64, reps=R, sid="spikes", variant="sparse", k_n=4),
+    )
+
+
+def test_blocked_run_is_byte_identical_for_any_worker_count(fake_pool, monkeypatch):
+    # R = 37 is not a multiple of the block size, so every scenario ends in a
+    # partial block; the fake pool runs the blocks in reverse order
+    monkeypatch.setattr("os.cpu_count", lambda: 4)
+    texts = {
+        render_csv(run_config(RunConfig(_three_scenarios(37), seed=3, output_path="r.csv", workers=w)))
+        for w in (1, 2, 3)
+    }
+    assert len(texts) == 1
+    assert fake_pool == [2, 3]   # workers = 1 runs here, without a pool
+
+
+def test_run_config_opens_one_pool_for_all_scenarios(fake_pool, monkeypatch):
+    monkeypatch.setattr("os.cpu_count", lambda: 3)
+    run_config(RunConfig(_three_scenarios(20), seed=3, output_path="r.csv", workers=64))
+    assert len(fake_pool) == 1 and fake_pool[0] <= os.cpu_count()
+
+
+def test_block_streams_pin_the_draws(monkeypatch):
+    # replication j of block b takes the j-th theta draw and noise vector of
+    # the block's streams, and the j-th seed of its estimator-lane draw
+    recorded = []
+    original = engine.run_replication
+
+    def recording(*args):
+        recorded.append(original(*args))
+        return recorded[-1]
+
+    monkeypatch.setattr(engine, "run_replication", recording)
+    seed, index, n, R = 5, 2, 64, 37
+    run_scenario(_scenario(AlternationAtoms(k=4, M=2.0), n=n, reps=R, variant="unbounded"),
+                 seed=seed, scenario_index=index)
+    assert len(recorded) == R
+    prior = scale_prior(construct_prior_pair(4)[1], 2.0)
+    atoms, weights = np.asarray(prior.positions), np.asarray(prior.weights)
+    for b, j in ((1, 5), (2, 4)):   # a full block, and the last, partial one
+        theta_rng = stream(seed, LANE_THETA, index, b)
+        obs_rng = stream(seed, LANE_OBS, index, b)
+        for _ in range(j + 1):
+            theta = theta_rng.choice(atoms, size=n, p=weights)
+            y = theta + obs_rng.standard_normal(n)
+        size = min(engine.B, R - engine.B * b)
+        est_seed = int(stream(seed, LANE_EST, index, b).integers(0, 1 << 63, size=size)[j])
+        expected = (estimate_unbounded(y, est_seed), float(np.mean(np.abs(theta))))
+        assert recorded[engine.B * b + j] == expected
+
+
 def test_run_config_env_override(tmp_path, monkeypatch):
     cfg = RunConfig(
         scenarios=(_scenario(ZeroVector(), n=32, reps=20, sid="z"),),
@@ -459,6 +561,8 @@ def test_json_rendering_carries_metadata(tmp_path):
         "rng": "philox4x64",
         "normal_sampling": "ziggurat",
         "package_version": absmean.__version__,
+        "numpy_version": np.__version__,
+        "replication_block": 16,
     }
     assert doc["reports"][0]["scenario_id"] == "s"
     assert doc["reports"][0]["bias"] == rep.bias
