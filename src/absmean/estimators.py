@@ -23,10 +23,12 @@ how coordinates that may fall outside the interval are handled:
                raised from n to n^2, and normalization by k_n.
 
 Every variant evaluates the same object, the per-coordinate even series
-S(y_i) = sum_k g_{2k} M^{1-2k} H_{2k}(y_i), with one kernel:
-numpy.polynomial.hermite_e.hermeval (Clenshaw summation) on a coefficient
-vector whose odd slots are zero.  The bounded and growing estimates are the
-mean of S over the coordinates; the hybrids cap S and branch per coordinate.
+S(y_i) = sum_k g_{2k} M^{1-2k} H_{2k}(y_i), with one kernel: Clenshaw
+summation in u = y^2, K steps where a Hermite evaluation in y takes 2K (see
+`_clenshaw`).  It runs _CHUNK coordinates at a time with in-place ufuncs, so
+its work arrays stay in cache.  The bounded and growing estimates are the
+mean of S over the coordinates; the hybrids cap S and branch per coordinate
+in the same chunk pass.
 `resolve_parameters` is the one place that turns an EstimatorSpec and n into
 the (K, M) the estimator runs with.
 """
@@ -38,7 +40,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.hermite_e import hermeval
 
 from .errors import MAX_COUNT, MAX_N, DataError, DegreeOverflowError, DomainError, RangeError, check_int, check_real
 from .polyapprox import _MAX_GK, _MAX_REMEZ_K, build_G_K, remez_best_approx
@@ -48,6 +49,9 @@ VARIANTS = ("bounded", "growing", "unbounded", "sparse")
 BASES = ("best", "chebyshev")
 
 _SQRT2 = math.sqrt(2.0)
+# coordinates per pass of the series kernel: its four work arrays of this
+# length (128 KiB each) stay in cache
+_CHUNK = 1 << 14
 
 
 # ---------------------------------------------------------------------------
@@ -106,11 +110,43 @@ def _as_data(y) -> np.ndarray:
     return arr
 
 
+def _clenshaw(x: np.ndarray, scaled: np.ndarray, out: np.ndarray, u: np.ndarray, o: np.ndarray,
+              t: np.ndarray) -> None:
+    """out = sum_k scaled[k] H_{2k}(x) on one chunk; u, o and t are scratch of x's length.
+
+    Clenshaw summation in u = x^2.  The even polynomials satisfy
+        H_{2k+2} = (u - (4k+1)) H_{2k} - 2k(2k-1) H_{2k-2},
+    but near x = 0 the two terms on the right nearly cancel, so the
+    recurrence runs as the pair it comes from, with R_k = x H_{2k+1}:
+        R_k = u H_{2k} - 2k R_{k-1},    H_{2k+2} = R_k - (2k+1) H_{2k}.
+    Its Clenshaw sums run from e_K = c_K, o_K = 0 down to the sum e_0:
+        o_k = u e_{k+1} - (2k+2) o_{k+1},    e_k = c_k + o_k - (2k+1) e_{k+1},
+    K steps of at most six in-place passes, as accurate as Clenshaw in x over
+    2K steps.
+    """
+    K = len(scaled) - 1   # at least 1: every coefficient builder requires it
+    np.multiply(x, x, out=u)
+    # the first step, from the scalars e_K = c_K and o_K = 0
+    np.multiply(u, scaled[K], out=o)
+    np.add(o, -(2.0 * K - 1.0) * scaled[K], out=out)
+    out += scaled[K - 1]
+    for k in range(K - 2, -1, -1):
+        np.multiply(u, out, out=t)
+        o *= -(2.0 * k + 2.0)
+        o += t
+        out *= -(2.0 * k + 1.0)
+        out += o
+        out += scaled[k]
+
+
 def _even_series(x: np.ndarray, scaled: np.ndarray) -> np.ndarray:
-    """sum_k scaled[k] * H_{2k}(x_i) for every coordinate."""
-    coeffs = np.zeros(2 * len(scaled) - 1)
-    coeffs[::2] = scaled
-    return hermeval(x, coeffs)
+    """sum_k scaled[k] * H_{2k}(x_i) for every coordinate, _CHUNK coordinates at a time."""
+    out = np.empty(x.size)
+    scratch = np.empty((3, min(x.size, _CHUNK)))
+    for lo in range(0, x.size, _CHUNK):
+        part = out[lo:lo + _CHUNK]
+        _clenshaw(x[lo:lo + _CHUNK], scaled, part, *scratch[:, :part.size])
+    return out
 
 
 def _scaled_coeffs(g: tuple[float, ...], M: float) -> np.ndarray:
@@ -164,7 +200,11 @@ def split_samples(y, seed: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _split(arr: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray]:
     z = stream(seed).standard_normal(arr.size)
-    return (arr + z) / _SQRT2, (arr - z) / _SQRT2
+    x1 = np.add(arr, z)
+    x1 /= _SQRT2
+    np.subtract(arr, z, out=z)   # x2 takes over the noise buffer
+    z /= _SQRT2
+    return x1, z
 
 
 def _hybrid_coeffs(n: int) -> np.ndarray:
@@ -176,19 +216,34 @@ def _hybrid_coeffs(n: int) -> np.ndarray:
 def _hybrid_terms(x1: np.ndarray, x2: np.ndarray, n: int, scaled: np.ndarray, cap: float) -> np.ndarray:
     """Per coordinate: min(S(x1), cap) where |x2| <= 2 sqrt(2 ln n), |x1| elsewhere.
 
-    The series may overflow on coordinates that take the |x1| branch, so
-    numpy's warnings are suppressed and only the returned terms are checked;
-    a non-finite one can only come from the series branch and raises
-    RangeError.
+    One pass of _CHUNK coordinates at a time runs the series, the cap and
+    the branch.  The series may overflow on coordinates that take the |x1|
+    branch, so numpy's warnings are suppressed and only the returned terms
+    are checked; a non-finite one can only come from the series branch and
+    raises RangeError.
     """
     _, _, threshold = unbounded_params(n)
+    out = np.empty(x1.size)
+    scratch = np.empty((3, min(x1.size, _CHUNK)))
+    large = np.empty(scratch.shape[1], dtype=bool)
+    finite = True
     with np.errstate(over="ignore", invalid="ignore"):
-        capped = np.minimum(_even_series(x1, scaled), cap)
-    terms = np.where(np.abs(x2) <= threshold, capped, np.abs(x1))
-    if not np.isfinite(terms).all():
-        peak = float(np.max(np.abs(x1[~np.isfinite(terms)])))
+        for lo in range(0, x1.size, _CHUNK):
+            part, a = out[lo:lo + _CHUNK], x1[lo:lo + _CHUNK]
+            u, o, t = scratch[:, :part.size]
+            mask = large[:part.size]
+            _clenshaw(a, scaled, part, u, o, t)
+            np.minimum(part, cap, out=part)
+            np.abs(x2[lo:lo + _CHUNK], out=u)
+            np.greater(u, threshold, out=mask)
+            np.abs(a, out=t)
+            np.copyto(part, t, where=mask)
+            np.isfinite(part, out=mask)
+            finite = finite and bool(mask.all())
+    if not finite:
+        peak = float(np.max(np.abs(x1[~np.isfinite(out)])))
         raise RangeError(f"the hybrid series overflows the double range at |x| up to {peak:.6g}")
-    return terms
+    return out
 
 
 def delta_component(x, n: int):

@@ -106,7 +106,8 @@ def run_replication(s: Scenario, theta_rng, obs_rng, est_seed: int) -> tuple[flo
     Takes the next theta draw and noise vector from the block's streams.
     """
     theta = draw_theta(s.family, s.n, theta_rng)
-    y = theta + obs_rng.standard_normal(s.n)
+    y = obs_rng.standard_normal(s.n)
+    y += theta
     return run_estimator(s.estimator, y, seed=est_seed), float(np.mean(np.abs(theta)))
 
 

@@ -93,6 +93,7 @@ def family_is_random(family) -> bool:
 
 def draw_theta(family, n: int, rng: np.random.Generator) -> np.ndarray:
     """Realize the mean vector; consumes `rng` only for random families."""
+    n = check_int("n", n, 1, MAX_COUNT)
     if isinstance(family, ZeroVector):
         return np.zeros(n)
     if isinstance(family, ConstantAt):

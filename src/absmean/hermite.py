@@ -14,11 +14,12 @@ unbiased estimators of pure powers of the mean.  The exact second moment
 gives the variance control; it is bounded by e^{mu^2} k^k in general and by
 (2 M^2)^k when |mu| <= M with M^2 >= k.
 
-There is one evaluation kernel in the package, numpy.polynomial.hermite_e
-(numpy's name for this family is HermiteE).  `hermite_eval` and
-`hermite_eval_batch` validate their arguments and read the table that
-`hermevander` builds by the recurrence above; the estimators sum their
-series with `hermeval`.
+`hermite_eval` and `hermite_eval_batch` validate their arguments and read
+the table that numpy.polynomial.hermite_e.hermevander builds by the
+recurrence above (numpy's name for this family is HermiteE).  The
+estimators need only the even polynomials, as a weighted sum; they sum them
+with their own kernel, Clenshaw summation in u = y^2 on the recurrence
+above taken two degrees at a time (estimators._clenshaw).
 """
 
 from __future__ import annotations

@@ -92,7 +92,15 @@ class SymmetricDiscretePrior:
         return float(np.dot(w, np.abs(p)))
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return rng.choice(np.asarray(self.positions), size=size, p=np.asarray(self.weights))
+        """`size` iid draws from the prior, grouped by atom in `positions` order.
+
+        One multinomial draw gives the atom counts and np.repeat lays them
+        out, so equal atoms are adjacent; shuffle the result where the
+        order of the coordinates matters.
+        """
+        size = check_int("size", size, 0, MAX_COUNT)
+        w = np.asarray(self.weights)
+        return np.repeat(np.asarray(self.positions), rng.multinomial(size, w / w.sum()))
 
 
 def scale_prior(prior: SymmetricDiscretePrior, M: float) -> SymmetricDiscretePrior:

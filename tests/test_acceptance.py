@@ -9,6 +9,7 @@ limit and are not reachable at the sample sizes a test suite can afford.
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -211,7 +212,7 @@ def test_criterion_07_bounded_variant_risk_profile():
                     id=f"{name}-{n}-{M}", family=family, n=n, replications=R,
                     estimator=EstimatorSpec(variant="bounded", M=M),
                 )
-                rep = run_scenario(s, seed=107)
+                rep = run_scenario(s, seed=107, workers=os.cpu_count())   # byte-identical for any count
                 se_bias = math.sqrt(err_var / R)
                 assert rep.K == K
                 assert abs(rep.bias - bias) < 5.0 * se_bias

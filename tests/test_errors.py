@@ -27,6 +27,7 @@ from absmean.harness import (
     TwoSpike,
     ZeroVector,
     bound_compliance_report,
+    draw_theta,
 )
 from absmean.harness.engine import RiskReport
 from absmean.hermite import hermite_eval, hermite_eval_batch, hermite_second_moment
@@ -108,6 +109,7 @@ def test_error_messages_stay_one_short_line():
 
 _Y = np.zeros(32)
 _NU0, _NU1, _ = construct_prior_pair(2)
+_ALT = AlternationAtoms(k=2, M=1.0)
 _SPEC = EstimatorSpec(variant="bounded", M=1.0)
 _SCENARIO = Scenario(id="s", family=ZeroVector(), n=32, replications=2, estimator=_SPEC)
 _MODEL, _MU0, _MU1 = random_discrete_model(np.random.default_rng(0))
@@ -154,6 +156,8 @@ INT_ARGS = [
     ("Scenario.n", lambda v: Scenario(id="s", family=ZeroVector(), n=v, replications=2, estimator=_SPEC), 32),
     ("Scenario.replications",
      lambda v: Scenario(id="s", family=ZeroVector(), n=32, replications=v, estimator=_SPEC), 2),
+    ("draw_theta.n", lambda v: draw_theta(_ALT, v, stream(0)), 8),
+    ("SymmetricDiscretePrior.sample.size", lambda v: _NU1.sample(stream(0), v), 8),
     ("RunConfig.seed", lambda v: RunConfig(scenarios=(_SCENARIO,), seed=v, output_path="o.csv"), 1),
     ("RunConfig.workers",
      lambda v: RunConfig(scenarios=(_SCENARIO,), seed=1, output_path="o.csv", workers=v), 1),

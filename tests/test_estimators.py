@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from absmean import estimators
 from absmean.errors import DataError, DomainError, RangeError
 from absmean.estimators import (
     EstimatorSpec,
@@ -203,6 +204,21 @@ def test_series_overflow_raises_range_error():
                  lambda: delta_component(1e100, 2**24)):
         with pytest.raises(RangeError):
             call()
+
+
+def test_kernel_chunks_do_not_change_a_coordinate():
+    # the kernel runs 2^14 coordinates at a time; across chunk boundaries and
+    # in the short last chunk every coordinate gets the bits it gets alone
+    rng = stream(11)
+    x1 = 4.0 * rng.standard_normal(2 * 2**14 + 3)
+    x2 = 8.0 * rng.standard_normal(x1.size)   # both hybrid branches occur
+    scaled = np.asarray(approx_coefficients(7, "best")) * 1.5 ** (1.0 - 2.0 * np.arange(8))
+    series = estimators._even_series(x1, scaled)
+    hybrid = hybrid_component(x1, x2, 2**36)
+    assert 0 < np.count_nonzero(hybrid == np.abs(x1)) < x1.size
+    for i in range(x1.size):
+        assert series[i] == estimators._even_series(x1[i:i + 1], scaled)[0]
+        assert hybrid[i] == hybrid_component(x1[i], x2[i], 2**36)
 
 
 def test_hybrid_overflow_on_the_abs_branch_is_silent():

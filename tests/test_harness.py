@@ -73,6 +73,18 @@ def test_draw_theta_alternation_prior_support():
     assert family_is_random(fam) and not family_is_random(ZeroVector())
 
 
+def test_draw_theta_alternation_is_one_multinomial_draw():
+    # the atom counts come from one multinomial draw; equal atoms are adjacent
+    fam = AlternationAtoms(k=6, M=1.5, prior="nu0")
+    prior = fam.scaled_prior()
+    atoms, weights = np.asarray(prior.positions), np.asarray(prior.weights)
+    rng, replay = stream(3, LANE_THETA), stream(3, LANE_THETA)
+    for n in (1, 50, 1000):
+        theta = draw_theta(fam, n, rng)
+        assert np.array_equal(theta, np.repeat(atoms, replay.multinomial(n, weights / weights.sum())))
+    assert rng.random() == replay.random()   # the same share of the stream was consumed
+
+
 def test_draw_theta_errors():
     rng = stream(0)
     with pytest.raises(DomainError):
@@ -499,7 +511,7 @@ def test_block_streams_pin_the_draws(monkeypatch):
         theta_rng = stream(seed, LANE_THETA, index, b)
         obs_rng = stream(seed, LANE_OBS, index, b)
         for _ in range(j + 1):
-            theta = theta_rng.choice(atoms, size=n, p=weights)
+            theta = np.repeat(atoms, theta_rng.multinomial(n, weights / weights.sum()))
             y = theta + obs_rng.standard_normal(n)
         size = min(engine.B, R - engine.B * b)
         est_seed = int(stream(seed, LANE_EST, index, b).integers(0, 1 << 63, size=size)[j])

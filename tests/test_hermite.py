@@ -16,6 +16,7 @@ from absmean.hermite import (
     hermite_eval_batch,
     hermite_second_moment,
 )
+from absmean.polyapprox import _MAX_GK, _MAX_REMEZ_K
 from oracles import hermite_exact, hermite_second_moment_exact
 
 # dyadic floats convert to Fraction without rounding, so the oracle is exact
@@ -54,14 +55,17 @@ def test_batch_agrees_with_scalar(k_max, ys):
             assert table[j, i] == hermite_eval(j, y)
 
 
-@given(K=st.integers(min_value=1, max_value=10), basis=st.sampled_from(["best", "chebyshev"]), y=dyadic)
+@given(data=st.data(), basis=st.sampled_from(["best", "chebyshev"]), M=st.sampled_from([0.5, 1.0, 2.0]),
+       y=dyadic)
 @settings(max_examples=200, deadline=None)
-def test_estimator_series_matches_exact_hermite_sum(K, basis, y):
-    # one coordinate at M = 1: the estimate is sum_k g_{2k} H_{2k}(y) exactly
-    terms = [Fraction(g) * hermite_exact(2 * k, Fraction(y))
+def test_estimator_series_matches_exact_hermite_sum(data, basis, M, y):
+    # one coordinate: the estimate is sum_k g_{2k} M^{1-2k} H_{2k}(y) exactly,
+    # for every K up to the basis' limit (40 best, 60 chebyshev)
+    K = data.draw(st.integers(min_value=1, max_value=_MAX_REMEZ_K if basis == "best" else _MAX_GK), label="K")
+    terms = [Fraction(g) * Fraction(M) ** (1 - 2 * k) * hermite_exact(2 * k, Fraction(y))
              for k, g in enumerate(approx_coefficients(K, basis))]
     scale = float(sum(abs(t) for t in terms))
-    got = estimate_bounded(np.array([y]), 1.0, K, basis)
+    got = estimate_bounded(np.array([y]), M, K, basis)
     assert abs(got - float(sum(terms))) <= 1e-12 * scale
 
 
