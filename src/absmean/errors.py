@@ -61,7 +61,8 @@ class ConditioningError(AbsmeanError, RuntimeError):
 
 
 class IntegrationError(AbsmeanError, RuntimeError):
-    """Adaptive quadrature did not reach the requested tolerance."""
+    """A quadrature's error estimate exceeds the requested tolerance,
+    or its window needs more panels than the rule evaluates."""
 
     def __init__(self, message: str, achieved_tolerance: float | None = None):
         super().__init__(message)

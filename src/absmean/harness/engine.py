@@ -39,7 +39,7 @@ from ..estimators import EstimatorSpec, approx_coefficients, resolve_parameters,
 from ..polyapprox import EvenPolynomial, uniform_error
 # derive_seed is unused here but stays importable: perfbench/session.py traces this module's names
 from ..rng import LANE_EST, LANE_OBS, LANE_THETA, derive_seed, stream  # noqa: F401
-from .scenarios import RunConfig, Scenario, draw_theta
+from .scenarios import ConstantAt, RunConfig, Scenario, ZeroVector, draw_theta
 
 WORKERS_ENV_VAR = "ABSMEAN_WORKERS"
 
@@ -104,11 +104,21 @@ def run_replication(s: Scenario, theta_rng, obs_rng, est_seed: int) -> tuple[flo
     """One Monte Carlo cell: returns (estimate, true functional value).
 
     Takes the next theta draw and noise vector from the block's streams.
+    The zero and constant families draw no theta: their value is added to
+    the noise as a scalar, and the truth is its absolute value.
     """
-    theta = draw_theta(s.family, s.n, theta_rng)
     y = obs_rng.standard_normal(s.n)
-    y += theta
-    return run_estimator(s.estimator, y, seed=est_seed), float(np.mean(np.abs(theta)))
+    if isinstance(s.family, ZeroVector):
+        truth = 0.0
+    elif isinstance(s.family, ConstantAt):
+        value = float(s.family.value)
+        y += value
+        truth = abs(value)
+    else:
+        theta = draw_theta(s.family, s.n, theta_rng)
+        y += theta
+        truth = float(np.mean(np.abs(theta)))
+    return run_estimator(s.estimator, y, seed=est_seed), truth
 
 
 def _run_block(task) -> list[tuple[float, float]]:

@@ -3,8 +3,9 @@
 Everything here is deliberately implemented differently from the package:
 exact rational arithmetic for Hermite quantities, brute-force linear
 programming for minimax fits, closed-form moment sums for estimator risk,
-and tensor-grid Gauss-Hermite quadrature for multi-dimensional chi-square
-integrals.  Slow and simple on purpose.
+tensor-grid Gauss-Hermite quadrature for multi-dimensional chi-square
+integrals, and scipy's adaptive quadrature for one-dimensional ones.  Slow
+and simple on purpose.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+from scipy.integrate import quad
 from scipy.optimize import linprog
 from scipy.special import roots_hermite
 
@@ -143,6 +145,45 @@ def lp_minimax_delta(K: int, grid_size: int = 4001) -> float:
     )
     assert res.success, res.message
     return float(res.fun)
+
+
+# ---------------------------------------------------------------------------
+# one-dimensional chi-square integrals by adaptive quadrature
+
+def chi2_quad_1d(positions0, weights0, positions1, weights1) -> float:
+    """Integral of (f1 - f0)^2 / f0 over R by scipy's adaptive quad.
+
+    The window is [-3S - 20, 3S + 20] with S the largest |atom|, which holds
+    every bump 2a - b of the integrand with 20 to spare; quad breaks at every
+    atom.  The densities are summed directly, so keep S small enough that f0
+    stays above the double range's floor on the window (S <= 5 does).
+    """
+    p0, w0 = np.asarray(positions0, dtype=float), np.asarray(weights0, dtype=float)
+    p1, w1 = np.asarray(positions1, dtype=float), np.asarray(weights1, dtype=float)
+    span = 3.0 * float(max(np.abs(p0).max(), np.abs(p1).max())) + 20.0
+
+    def integrand(y):
+        f0 = float(np.dot(w0, np.exp(-0.5 * (y - p0) ** 2))) / _SQRT_2PI
+        f1 = float(np.dot(w1, np.exp(-0.5 * (y - p1) ** 2))) / _SQRT_2PI
+        return (f1 - f0) ** 2 / f0
+
+    value, _ = quad(integrand, -span, span, epsabs=1e-22, epsrel=1e-12, limit=2000,
+                    points=sorted(set(np.concatenate([p0, p1]).tolist())))
+    return value
+
+
+def chi2_center_vs_pair(h: float) -> float:
+    """I^2 of N(0,1) against the mixture (N(-h,1) + N(h,1)) / 2, by quad.
+
+    There f1^2 / f0 = e^{h^2/2} phi(y) sech(h y), so I^2 = e^{h^2/2} E sech(h Z) - 1:
+    a smooth one-dimensional integral in which nothing underflows.
+    """
+    def integrand(y):
+        e = math.exp(-h * y)
+        return math.exp(-0.5 * y * y) / _SQRT_2PI * 2.0 * e / (1.0 + e * e)
+
+    half, _ = quad(integrand, 0.0, math.inf, epsabs=0.0, epsrel=1e-13, limit=500)
+    return math.exp(0.5 * h * h) * 2.0 * half - 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import absmean
 from absmean.errors import ConvergenceError
 from absmean.harness.cli import main
 
@@ -303,3 +307,15 @@ def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out or "ok" in out
+
+
+# ---------------------------------------------------------------------------
+# start-up
+
+def test_library_and_cli_load_without_scipy():
+    # scipy is a test dependency only; importing it would cost every command its start-up
+    src = os.path.dirname(os.path.dirname(absmean.__file__))
+    code = "import sys, absmean, absmean.harness.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert out.stdout.strip() == "False"

@@ -386,6 +386,20 @@ def test_run_scenario_matches_exact_risk_on_constant_vector():
     assert abs(rep.estimate_mean - (0.5 + bias)) < 5.0 * math.sqrt(err_var / R)
 
 
+def test_zero_and_constant_families_keep_their_reports():
+    # these families draw no theta vector; every number is pinned to the
+    # run that built one (n * 0.75 is exact, so the truths agree bit for bit)
+    pinned = {
+        ConstantAt(-0.75): (0.751917336694379, 0.0019173366943789514, 0.10938123587042994,
+                            0.10938491205042955, 0.0161639880314048),
+        ZeroVector(): (0.17645958129840414, 0.17645958129840414, 0.03575070615300918,
+                       0.06688868998501728, 0.013803792401429855),
+    }
+    for family, numbers in pinned.items():
+        rep = run_scenario(_scenario(family, n=64, reps=37), seed=3)
+        assert (rep.estimate_mean, rep.bias, rep.variance, rep.mse, rep.mc_stderr) == numbers
+
+
 def test_resolve_parameters_per_variant():
     assert resolve_parameters(EstimatorSpec(variant="bounded", M=3.0), 10**6) == (3, 3.0)
     K, M = resolve_parameters(EstimatorSpec(variant="growing", c=2.0), 10**4)

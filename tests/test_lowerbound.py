@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from absmean import lowerbound
-from absmean.errors import ConditioningError, ConstructionError, DomainError, PreconditionError
+from absmean.errors import (
+    ConditioningError,
+    ConstructionError,
+    DomainError,
+    IntegrationError,
+    PreconditionError,
+)
 from absmean.lowerbound import (
     DiscreteModel,
     MixtureDistance,
@@ -29,7 +35,7 @@ from absmean.lowerbound import (
 )
 from absmean.polyapprox import remez_best_approx
 from absmean.rng import stream
-from oracles import chi2_direct_nd
+from oracles import chi2_center_vs_pair, chi2_direct_nd, chi2_quad_1d
 
 # frozen best-approximation errors, half the functional gap of each pair
 DELTAS = {
@@ -117,11 +123,42 @@ def test_scale_prior_scales_moments():
 # ---------------------------------------------------------------------------
 # chi-square distances
 
-@pytest.mark.parametrize("mu", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("mu", [0.5, 1.0, 2.0, 5.0, 8.0, 10.0, 15.0, 20.0, 30.0])
 def test_chi_square_point_mass_closed_form(mu):
-    # N(0,1) vs N(mu,1): I^2 = e^{mu^2} - 1
+    # N(0,1) vs N(mu,1): I^2 = e^{mu^2} - 1, past the double range at mu = 30
     got = chi_square_gaussian_mixtures([0.0], [1.0], [mu], [1.0])
-    assert math.isclose(got, math.expm1(mu * mu), rel_tol=1e-8)
+    if mu * mu > math.log(np.finfo(float).max):
+        assert got == math.inf
+    else:
+        assert math.isclose(got, math.expm1(mu * mu), rel_tol=1e-8)
+
+
+def test_chi_square_matches_adaptive_quadrature():
+    # every sweep pair above roundoff; below 1e-12 the value is cancellation in f1 - f0
+    checked = 0
+    for k in range(2, 81, 2):
+        nu0, nu1, _ = construct_prior_pair(k)
+        for M in (0.5, 1.0, 2.0):
+            mu0, mu1 = scale_prior(nu0, M), scale_prior(nu1, M)
+            want = chi2_quad_1d(mu0.positions, mu0.weights, mu1.positions, mu1.weights)
+            if want > 1e-12:
+                assert math.isclose(chi_square_mixture_1d(mu0, mu1), want, rel_tol=1e-9), (k, M)
+                checked += 1
+    assert checked >= 10
+
+
+@pytest.mark.parametrize("h", [2.0, 5.0, 10.0, 15.0])
+def test_chi_square_across_a_deep_valley_of_f0(h):
+    # f0's atoms 2h apart: 1/f0 peaks at the origin over a width of about 1/h
+    got = chi_square_gaussian_mixtures([-h, h], [0.5, 0.5], [0.0], [1.0])
+    assert math.isclose(got, chi2_center_vs_pair(h), rel_tol=1e-9)
+
+
+def test_chi_square_refuses_a_window_it_cannot_cover():
+    with pytest.raises(IntegrationError):
+        chi_square_gaussian_mixtures([0.0], [1.0], [1e6], [1.0])
+    with pytest.raises(DomainError):
+        chi_square_gaussian_mixtures([0.0, math.inf], [0.5, 0.5], [0.0], [1.0])
 
 
 def test_chi_square_zero_for_identical_mixtures():
