@@ -52,6 +52,7 @@ from .polyapprox import remez_best_approx
 _COND_LIMIT = 1e12
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _LOG_MAX = math.log(np.finfo(float).max)
+_LOG_TINY = math.log(1e-30)
 
 # Chi-square quadrature: panels at most _PANEL_WIDTH wide and at most
 # _MAX_PANELS of them, each summed by the 32-point and by the 16-point
@@ -83,17 +84,27 @@ class SymmetricDiscretePrior:
     def __post_init__(self):
         if len(self.positions) != len(self.weights) or len(self.positions) == 0:
             raise ConstructionError("positions and weights must be nonempty and aligned")
-        if any(w < 0 for w in self.weights):
+        w = np.asarray(self.weights, dtype=float)
+        if not (w >= 0).all():   # NaN included
             raise ConstructionError("prior weights must be nonnegative")
         total = sum(self.weights)
         if abs(total - 1.0) > 1e-9:
             raise ConstructionError(f"prior weights sum to {total}, expected 1")
-        atlas = {}
-        for t, w in zip(self.positions, self.weights):
-            atlas[round(t, 12)] = atlas.get(round(t, 12), 0.0) + w
-        for t, w in atlas.items():
-            if abs(atlas.get(-t, 0.0) - w) > 1e-9:
-                raise ConstructionError(f"prior is not symmetric at t = {t}")
+        # atoms merged at 12 decimals (a no-op from 2^13 on, where doubles lie
+        # more than 1e-12 apart, and there t * 1e12 could overflow); entered
+        # once more at -t with weight -w, each merged atom sums to mass(t) - mass(-t)
+        p = np.asarray(self.positions, dtype=float)
+        small = np.abs(p) < 8192.0
+        keys = np.where(small, np.where(small, p, 0.0).round(12), p)
+        both = np.concatenate((keys, -keys))
+        order = both.argsort()
+        ranked = both[order]
+        atom = np.empty(both.size, dtype=np.intp)
+        atom[order] = np.cumsum(np.concatenate(([0], ranked[1:] != ranked[:-1])))
+        net = np.bincount(atom, weights=np.concatenate((w, -w)))
+        bad = np.flatnonzero(np.abs(net[atom[: keys.size]]) > 1e-9)
+        if bad.size:
+            raise ConstructionError(f"prior is not symmetric at t = {keys[bad[0]]}")
 
     def moment(self, order: int) -> float:
         p = np.asarray(self.positions)
@@ -245,7 +256,7 @@ def chi_square_gaussian_mixtures(
     for p, w in ((p0, w0), (p1, w1)):
         if p.ndim != 1 or p.shape != w.shape or not np.all(np.isfinite(p)):
             raise DomainError("mixture positions must be finite and aligned with the weights")
-        if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
+        if not (w >= 0).all() or abs(w.sum() - 1.0) > 1e-9:   # NaN included
             raise DomainError("mixture weights must be nonnegative and sum to 1")
     # weightless atoms change neither density, but would set a node's scale
     p0, w0, p1, w1 = p0[w0 > 0], w0[w0 > 0], p1[w1 > 0], w1[w1 > 0]
@@ -276,9 +287,13 @@ def chi_square_gaussian_mixtures(
     t = np.empty(nodes.size)
     q = np.empty(nodes.size)
     step = max(1, _BLOCK // atoms.size)
+    # one block buffer per call: a block per pass keeps two alive at once, and
+    # freeing them lets the allocator return the pages, which the next call
+    # then faults in again
+    block = np.empty((min(step, nodes.size), atoms.size))
     for start in range(0, nodes.size, step):
         y = nodes[start:start + step]
-        z = y[:, None] - atoms
+        z = np.subtract(y[:, None], atoms, out=block[: y.size])
         z *= z
         z *= -0.5
         s0 = _nearest_exponent(y, sorted0)
@@ -341,22 +356,28 @@ def chi_square_product_n(I1_sq: float, n: int) -> float:
 
 
 def chi_square_tail_bound_1d(M: float, k_n: int) -> float:
-    """Moment-matching tail bound e^{M^2/2} sum_{k > k_n} M^{2k}/k! for one coordinate."""
+    """Moment-matching tail bound e^{M^2/2} sum_{k > k_n} M^{2k}/k! for one coordinate.
+
+    Summed in log space; +inf past the double range.
+    """
     M = check_real("M", M, above=0.0)
     k_n = check_int("k_n", k_n, 1, MAX_COUNT)
     m2 = M * M
+    log_m2 = 2.0 * math.log(M)   # M * M may underflow
     # term-by-term from k_n+1; no cancellation, geometric-factorial decay
-    log_term = (k_n + 1) * math.log(m2) - math.lgamma(k_n + 2)
-    term = math.exp(log_term)
-    total = 0.0
+    log_term = (k_n + 1) * log_m2 - math.lgamma(k_n + 2)
+    log_total = -math.inf
     k = k_n + 1
-    while term > 1e-30 * max(total, 1.0) or k <= k_n + 3:
-        total += term
+    while log_term > _LOG_TINY + max(log_total, 0.0) or k <= k_n + 3:
+        high, low = max(log_total, log_term), min(log_total, log_term)
+        log_total = high + math.log1p(math.exp(low - high))
+        if 0.5 * m2 + log_total > _LOG_MAX:
+            return math.inf
         k += 1
-        term *= m2 / k
+        log_term += log_m2 - math.log(k)
         if k > k_n + 10000:
             break
-    return math.exp(0.5 * m2) * total
+    return math.exp(0.5 * m2 + log_total)
 
 
 def chi_square_single_term_bound_1d(M: float, k_n: int) -> float:

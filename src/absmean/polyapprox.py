@@ -22,8 +22,9 @@ absolute accuracy near x = +-1 and is useless by K ~ 20.  Polynomials built
 here therefore carry their even-Chebyshev representation and evaluate
 through it; the monomial half-coefficients are kept as data.  One kernel,
 numpy.polynomial.chebyshev, does all the Chebyshev work: chebval (Clenshaw)
-evaluates, chebvander tabulates T_j(2x^2 - 1) for the exchange system, and
-cheb2poly converts to monomial half-coefficients.
+evaluates, chebvander tabulates T_j(2x^2 - 1) for the exchange, chebder
+differentiates for its Newton steps, and cheb2poly converts to monomial
+half-coefficients.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.chebyshev import cheb2poly, chebval, chebvander
+from numpy.polynomial.chebyshev import cheb2poly, chebder, chebval, chebvander
 from numpy.polynomial.polynomial import polyval
 
 from .errors import (
@@ -53,6 +54,9 @@ _MAX_GK = 60
 _MAX_REMEZ_K = 40
 _REMEZ_MAX_ITER = 200
 _COND_LIMIT = 1e12
+# exchange grid points per reference point, and Newton steps per extremum
+_GRID_PER_REF = 16
+_NEWTON_STEPS = 3
 
 
 def _half_coeffs(cheb: np.ndarray) -> tuple[float, ...]:
@@ -124,12 +128,19 @@ def uniform_error(poly: EvenPolynomial, grid_size: int = 100001) -> float:
 
 @dataclass(frozen=True)
 class BestApproxSolution:
-    """Best uniform approximation of |x| by an even polynomial of degree 2K."""
+    """Best uniform approximation of |x| by an even polynomial of degree 2K.
+
+    The last three fields, ignored by equality, diagnose the exchange: its
+    iterations, final spread of |error| and largest condition estimate.
+    """
 
     poly: EvenPolynomial
     delta: float
     alternation_points: tuple[float, ...]
     alternation_signs: tuple[int, ...]   # sign of |x| - poly(x) at each point
+    iterations: int = field(default=0, compare=False)
+    spread: float = field(default=0.0, compare=False)
+    max_condition: float = field(default=0.0, compare=False)
 
     @property
     def a0(self) -> tuple[float, ...]:
@@ -159,13 +170,13 @@ def _solve_levelled(ref: np.ndarray, K: int) -> tuple[np.ndarray, float, float]:
     return sol[: K + 1], float(sol[K + 1]), cond
 
 
-def _pick_candidates(x: np.ndarray, e: np.ndarray, K: int) -> list[int]:
+def _pick_candidates(e: np.ndarray, K: int) -> np.ndarray:
     """One grid index per sign segment of e, trimmed to the K+2 best."""
     s = np.where(e >= 0.0, 1, -1)
     boundaries = np.nonzero(np.diff(s))[0]
     starts = np.concatenate(([0], boundaries + 1))
     ends = np.concatenate((boundaries, [len(e) - 1]))
-    idx = [int(a + np.argmax(np.abs(e[a : b + 1]))) for a, b in zip(starts, ends)]
+    idx = np.asarray([a + np.argmax(np.abs(e[a : b + 1])) for a, b in zip(starts, ends)])
     if len(idx) < K + 2:
         return idx
     vals = np.abs(e[idx])
@@ -187,10 +198,14 @@ def remez_best_approx(K: int, tol: float = 1e-12) -> BestApproxSolution:
     """Best uniform approximation of |x| on [-1, 1] by even polynomials of degree 2K.
 
     Remez exchange on [0, 1]: the reference starts at the Chebyshev extrema
-    of degree 2K+2 mapped to [0, 1], each iteration re-levels the error on
-    the reference and exchanges it against the extrema of the dense-grid
-    error, and the loop stops once the spread of |error| over the new
-    reference falls below tol * delta.
+    of degree 2K+2 mapped to [0, 1]; each iteration re-levels the error on
+    the reference and exchanges it against the extrema of the error curve,
+    until the spread of |error| over the new reference is below tol * delta.
+    The curve is one product with T_j(2x^2 - 1), tabulated once per call on
+    _GRID_PER_REF points per reference point at x = sin(pi s / 2), s uniform
+    on [0, 1] (clustered toward 1 like the alternation points).  The largest
+    sample of each sign segment then takes Newton steps on e'(x) = 0, with
+    p'(x) = 4x q'(u) and p''(x) = 4q'(u) + 16x^2 q''(u) for u = 2x^2 - 1.
     """
     K = check_int("K", K, low=1)
     if K > _MAX_REMEZ_K:
@@ -198,55 +213,55 @@ def remez_best_approx(K: int, tol: float = 1e-12) -> BestApproxSolution:
     if not 1e-12 <= check_real("tol", tol) < 1.0:
         raise DomainError(f"tol must lie in [1e-12, 1), got {tol!r}")
 
-    npts = max(50001, 2500 * (K + 2) + 1)
-    grid = np.linspace(0.0, 1.0, npts)
-    h = grid[1] - grid[0]
+    # sin(pi / 2) rounds to 1.0, so both endpoints are exact
+    grid = np.sin(0.5 * np.pi * np.linspace(0.0, 1.0, _GRID_PER_REF * (K + 2) + 1))
+    vander = chebvander(2.0 * grid * grid - 1.0, K)
 
     # extrema of T_{2K+2} that fall in [0, 1]: sin(pi i / (2(K+1))), i = 0..K+1
     ref = np.sin(np.pi * np.arange(K + 2) / (2.0 * (K + 1)))
 
     last_spread = math.inf
-    for _ in range(_REMEZ_MAX_ITER):
-        b, lam, _ = _solve_levelled(ref, K)
-        e = grid - chebval(2.0 * grid * grid - 1.0, b)
-        idx = _pick_candidates(grid, e, K)
+    max_cond = 0.0
+    for iteration in range(1, _REMEZ_MAX_ITER + 1):
+        b, _, cond = _solve_levelled(ref, K)
+        max_cond = max(max_cond, cond)
+        e = grid - vander @ b
+        idx = _pick_candidates(e, K)
         if len(idx) < K + 2:
             raise ConvergenceError(
                 f"error curve shows only {len(idx)} sign segments, need {K + 2}",
                 last_spread=last_spread,
             )
-        # parabolic refinement of interior extrema
-        xs, es = [], []
-        for i in idx:
-            if 0 < i < npts - 1:
-                d2 = e[i - 1] - 2.0 * e[i] + e[i + 1]
-                if d2 != 0.0:
-                    dx = 0.5 * h * (e[i - 1] - e[i + 1]) / d2
-                    dx = float(np.clip(dx, -h, h))
-                    xc = grid[i] + dx
-                    ec = xc - float(chebval(2.0 * xc * xc - 1.0, b))
-                    if abs(ec) >= abs(e[i]):
-                        xs.append(float(xc))
-                        es.append(float(ec))
-                        continue
-            xs.append(float(grid[i]))
-            es.append(float(e[i]))
+        # Newton within the neighbouring grid points; the endpoints stay, and a
+        # candidate keeps its grid point where Newton does not increase |e|
+        ref, es = grid[idx], e[idx]
+        inner = (idx > 0) & (idx < grid.size - 1)
+        lo, x, hi = grid[idx[inner] - 1], ref[inner], grid[idx[inner] + 1]
+        d1, d2 = chebder(b), chebder(b, 2)
+        for _ in range(_NEWTON_STEPS):
+            t = chebvander(2.0 * x * x - 1.0, K)
+            q1 = t[:, :K] @ d1
+            slope = 1.0 - 4.0 * x * q1                                  # e'(x)
+            curve = 4.0 * q1 + 16.0 * x * x * (t[:, : d2.size] @ d2)    # -e''(x)
+            x = np.clip(x + np.divide(slope, curve, out=np.zeros_like(x), where=curve != 0.0), lo, hi)
+        ex = x - chebvander(2.0 * x * x - 1.0, K) @ b
+        better = np.abs(ex) >= np.abs(es[inner])
+        ref[inner] = np.where(better, x, ref[inner])
+        es[inner] = np.where(better, ex, es[inner])
         vals = np.abs(es)
         delta = float(vals.max())
         last_spread = float(vals.max() - vals.min())
-        ref = np.asarray(xs)
         if last_spread <= tol * max(delta, 1e-300):
-            signs = [1 if val > 0 else -1 for val in es]
-            half_pos = list(zip(xs, signs))
-            mirrored = [(-x, s) for x, s in half_pos if x > 0.0][::-1]
-            full = mirrored + half_pos
-            points = tuple(p for p, _ in full)
-            full_signs = tuple(s for _, s in full)
-            for a, bsign in zip(full_signs, full_signs[1:]):
-                if a == bsign:
-                    raise ConvergenceError("alternation signs failed to alternate", last_spread=last_spread)
+            mirror = ref > 0.0
+            points = np.concatenate([-ref[mirror][::-1], ref])
+            signs = np.where(np.concatenate([es[mirror][::-1], es]) > 0, 1, -1)
+            if np.any(signs[1:] == signs[:-1]):
+                raise ConvergenceError("alternation signs failed to alternate", last_spread=last_spread)
             poly = EvenPolynomial(_half_coeffs(b), tuple(float(c) for c in b))
-            return BestApproxSolution(poly, delta, points, full_signs)
+            return BestApproxSolution(
+                poly, delta, tuple(points.tolist()), tuple(signs.tolist()),
+                iterations=iteration, spread=last_spread, max_condition=max_cond,
+            )
 
     raise ConvergenceError(
         f"Remez exchange did not level within {_REMEZ_MAX_ITER} iterations",

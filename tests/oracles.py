@@ -4,7 +4,8 @@ Everything here is deliberately implemented differently from the package:
 exact rational arithmetic for Hermite quantities, brute-force linear
 programming for minimax fits, closed-form moment sums for estimator risk,
 tensor-grid Gauss-Hermite quadrature for multi-dimensional chi-square
-integrals, and scipy's adaptive quadrature for one-dimensional ones.  Slow
+integrals, scipy's adaptive quadrature for one-dimensional ones, and a dict
+over rounded atoms for prior symmetry.  Slow
 and simple on purpose.
 """
 
@@ -121,6 +122,22 @@ def exact_series_risk(atoms, weights, scaled_coeffs, n: int):
     err_variance = (e_var + noise_var) / n
     mse = bias * bias + err_variance
     return float(bias), float(err_variance), float(mse)
+
+
+# ---------------------------------------------------------------------------
+# prior symmetry, by a dict over rounded atoms
+
+def prior_asymmetry(positions, weights):
+    """First atom (rounded to 12 decimals, in insertion order) whose mass
+    differs from its mirror's by more than 1e-9, or None: the dict-loop rule
+    that ``SymmetricDiscretePrior`` validates."""
+    atlas = {}
+    for t, w in zip(positions, weights):
+        atlas[round(t, 12)] = atlas.get(round(t, 12), 0.0) + w
+    for t, w in atlas.items():
+        if abs(atlas.get(-t, 0.0) - w) > 1e-9:
+            return t
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -295,6 +295,14 @@ def test_lowerbound_explicit_kn(capsys):
     assert math.isclose(rec["m_gap"], 2.0 * 0.5 * rec["delta_k"], rel_tol=1e-9)
 
 
+def test_lowerbound_past_the_double_range(capsys):
+    # at M = 100 the distance and its tail bound leave the double range: the
+    # record says I = inf and bound 0 instead of failing
+    assert main(["lowerbound", "--n", "10000", "--M", "100"]) == 0
+    rec = json.loads(capsys.readouterr().out)
+    assert rec["k_n"] == 8 and rec["I"] == math.inf and rec["bound_value"] == 0.0
+
+
 def test_lowerbound_bad_kn(capsys):
     assert main(["lowerbound", "--n", "10000", "--M", "1.0", "--kn", "3"]) == 2
     assert "error:" in capsys.readouterr().err

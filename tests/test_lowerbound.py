@@ -1,9 +1,11 @@
 """Prior pairs, chi-square distances, and the constrained risk inequality."""
 
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from absmean import lowerbound
 from absmean.errors import (
@@ -35,7 +37,7 @@ from absmean.lowerbound import (
 )
 from absmean.polyapprox import remez_best_approx
 from absmean.rng import stream
-from oracles import chi2_center_vs_pair, chi2_direct_nd, chi2_quad_1d
+from oracles import chi2_center_vs_pair, chi2_direct_nd, chi2_quad_1d, prior_asymmetry
 
 # frozen best-approximation errors, half the functional gap of each pair
 DELTAS = {
@@ -61,7 +63,7 @@ def test_prior_pair_order_two_closed_form():
     assert math.isclose(w1[-0.5], 0.5, abs_tol=1e-12)
 
 
-@pytest.mark.parametrize("k", [2, 4, 6, 10, 20, 40, 80])
+@pytest.mark.parametrize("k", range(2, 81, 2))
 def test_prior_pair_moment_matching_and_gap(k):
     nu0, nu1, delta = construct_prior_pair(k)
     for order in range(k + 1):
@@ -105,6 +107,47 @@ def test_prior_validation():
         SymmetricDiscretePrior((-0.5, 0.5), (1.5, -0.5))  # negative weight
     with pytest.raises(ConstructionError):
         SymmetricDiscretePrior((), ())
+    with pytest.raises(ConstructionError):
+        SymmetricDiscretePrior((0.0,), (math.nan,))       # NaN mass
+
+
+def test_prior_validation_merges_atoms_at_12_decimals():
+    # duplicate and 1e-14-apart atoms merge before the mirror comparison
+    SymmetricDiscretePrior((0.5, 0.5, -0.5), (0.25, 0.25, 0.5))
+    SymmetricDiscretePrior((0.5 + 1e-14, -0.5, 0.0), (0.4, 0.4, 0.2))
+    SymmetricDiscretePrior((-0.25, 0.25), (0.5 + 4e-10, 0.5 - 4e-10))
+    SymmetricDiscretePrior((0.0, -1.8e296, 1.8e296), (0.75, 0.125, 0.125))
+    with pytest.raises(ConstructionError, match="not symmetric at t = -0.25$"):
+        SymmetricDiscretePrior((0.0, -0.25, 0.25), (0.2, 0.4 + 2e-9, 0.4 - 2e-9))
+
+
+@given(st.lists(st.tuples(st.sampled_from([0.0, 0.125, 0.5, 0.5 + 1e-13, 0.75, 1.0]),
+                          st.floats(0.0, 1.0),
+                          st.sampled_from([0.0, 4e-10, -3e-9, 1.0]),
+                          st.booleans()),
+                min_size=1, max_size=8))
+@settings(max_examples=300, deadline=None)
+def test_prior_symmetry_check_matches_the_dict_loop(atoms):
+    # each entry: an atom t, a weight w, a mirror-weight perturbation, and
+    # whether +t or -t comes first; a perturbation of 1.0 drops the mirror
+    positions, weights = [], []
+    for t, w, eps, flip in atoms:
+        pair = [(t, w), (-t, w + eps)] if eps != 1.0 else [(t, w)]
+        for pos, wt in (pair[::-1] if flip else pair):
+            positions.append(pos)
+            weights.append(max(wt, 0.0))
+    total = sum(weights)
+    if total == 0.0:
+        return
+    weights = [w / total for w in weights]
+    if abs(sum(weights) - 1.0) > 1e-9:
+        return
+    expected = prior_asymmetry(positions, weights)
+    if expected is None:
+        SymmetricDiscretePrior(tuple(positions), tuple(weights))
+    else:
+        with pytest.raises(ConstructionError, match=f"not symmetric at t = {re.escape(str(expected))}$"):
+            SymmetricDiscretePrior(tuple(positions), tuple(weights))
 
 
 def test_scale_prior_scales_moments():
@@ -159,6 +202,8 @@ def test_chi_square_refuses_a_window_it_cannot_cover():
         chi_square_gaussian_mixtures([0.0], [1.0], [1e6], [1.0])
     with pytest.raises(DomainError):
         chi_square_gaussian_mixtures([0.0, math.inf], [0.5, 0.5], [0.0], [1.0])
+    with pytest.raises(DomainError):
+        chi_square_gaussian_mixtures([0.0], [math.nan], [1.0], [1.0])
 
 
 def test_chi_square_zero_for_identical_mixtures():
@@ -198,6 +243,29 @@ def test_tail_bound_dominates_matched_pair_distance(k_n, M):
     nu0, nu1, _ = construct_prior_pair(k_n)
     I1_sq = chi_square_mixture_1d(scale_prior(nu0, M), scale_prior(nu1, M))
     assert I1_sq <= chi_square_tail_bound_1d(M, k_n) * (1.0 + 1e-9)
+
+
+@pytest.mark.parametrize(("M", "k_n"), [(0.5, 2), (1.0, 2), (3.0, 4), (5.0, 20), (10.0, 90)])
+def test_tail_bound_matches_the_closed_form(M, k_n):
+    # sum_{k > k_n} M^{2k}/k! = e^{M^2} - sum_{k <= k_n} M^{2k}/k!, no cancellation here
+    m2 = M * M
+    head = math.fsum(math.exp(k * math.log(m2) - math.lgamma(k + 1)) for k in range(k_n + 1))
+    expected = math.exp(0.5 * m2) * (math.exp(m2) - head)
+    assert math.isclose(chi_square_tail_bound_1d(M, k_n), expected, rel_tol=1e-10)
+
+
+@pytest.mark.parametrize("M", [38.0, 100.0])
+@pytest.mark.parametrize("k_n", [2, 8, 80])
+def test_tail_bound_past_the_double_range_is_inf(M, k_n):
+    # e^{M^2/2} alone leaves the double range at M = 38
+    assert chi_square_tail_bound_1d(M, k_n) == math.inf
+    assert chi_square_product_n(chi_square_tail_bound_1d(M, k_n), 10) == math.inf
+
+
+def test_tail_bound_at_the_ends_of_the_double_range():
+    assert chi_square_tail_bound_1d(1e-200, 2) == 0.0    # M * M underflows
+    # e^722 times a tail near e^-324000: zero, not an overflow
+    assert chi_square_tail_bound_1d(38.0, 100_000) == 0.0
 
 
 @pytest.mark.parametrize("k_n", [2, 4, 6, 10, 14])

@@ -1,5 +1,6 @@
 """Polynomial approximation of |x|: series construction and the exchange solve."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -9,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from absmean.errors import ConvergenceError, DomainError
 from absmean.polyapprox import (
+    _COND_LIMIT,
+    _REMEZ_MAX_ITER,
     BERNSTEIN_CONSTANT,
     EvenPolynomial,
     bernstein_estimate,
@@ -97,7 +100,7 @@ def test_remez_matches_lp_oracle(K):
     assert abs(sol.delta - lp_minimax_delta(K)) < 1e-5
 
 
-@pytest.mark.parametrize("K", [1, 2, 5, 10, 20])
+@pytest.mark.parametrize("K", range(1, 41))
 def test_equioscillation(K):
     sol = remez_best_approx(K)
     pts = np.asarray(sol.alternation_points)
@@ -108,6 +111,28 @@ def test_equioscillation(K):
     order = np.argsort(pts)
     steps = np.diff(np.asarray(sol.alternation_signs)[order])
     assert np.all(np.abs(steps) == 2)   # strict alternation
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 4, 5, 6, 8, 10, 13, 16, 20, 25, 30, 35, 40])
+def test_de_la_vallee_poussin_bracket_on_a_dense_grid(K):
+    # |e| reaches delta at the alternation points and nowhere exceeds it,
+    # checked on 2e6 + 1 points of [0, 1] (the error is even)
+    x = np.linspace(0.0, 1.0, 2_000_001)
+    sol = remez_best_approx(K)
+    pts = np.asarray(sol.alternation_points)
+    assert np.max(np.abs(x - sol.poly(x))) <= sol.delta * (1.0 + 1e-10)
+    assert np.min(np.abs(np.abs(pts) - sol.poly(pts))) >= sol.delta * (1.0 - 1e-10)
+
+
+@pytest.mark.parametrize("K", [1, 2, 10, 40])
+def test_exchange_diagnostics_are_filled(K):
+    tol = 1e-12
+    sol = remez_best_approx(K, tol=tol)
+    assert 1 <= sol.iterations <= _REMEZ_MAX_ITER
+    assert 0.0 <= sol.spread <= tol * sol.delta
+    assert 1.0 <= sol.max_condition <= _COND_LIMIT
+    # diagnostics take no part in equality
+    assert sol == dataclasses.replace(sol, iterations=0, spread=1.0, max_condition=0.0)
 
 
 def test_best_never_worse_than_truncation():
