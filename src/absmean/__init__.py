@@ -12,6 +12,10 @@ T(theta) = n^{-1} sum_i |theta_i|.  The package provides:
   chi-square distances between Gaussian mixtures, and the constrained
   risk inequality verified by exact enumeration.
 * A reproducible Monte Carlo risk harness and CLI (`harness`).
+
+The package level holds the estimators, the lower-bound pipeline and the
+rules both run on, and the errors; everything else is imported from its
+module (`absmean.lowerbound`, `absmean.polyapprox`, ...).
 """
 
 __version__ = "0.1.0"
@@ -31,105 +35,41 @@ from .errors import (
 from .estimators import (
     EstimatorSpec,
     approx_coefficients,
-    delta_component,
     estimate_bounded,
     estimate_growing,
     estimate_sparse,
     estimate_unbounded,
     growing_radius,
-    hybrid_component,
     run_estimator,
     select_K_growing,
     select_K_star,
-    split_samples,
-    unbounded_params,
 )
-from .hermite import hermite_eval, hermite_eval_batch, hermite_second_moment
-from .lowerbound import (
-    DiscreteModel,
-    LowerBoundValue,
-    MixtureDistance,
-    PriorMoments,
-    SymmetricDiscretePrior,
-    chi_square_bound_n,
-    chi_square_gaussian_mixtures,
-    chi_square_mixture_1d,
-    chi_square_product_n,
-    chi_square_single_term_bound_1d,
-    chi_square_tail_bound_1d,
-    construct_prior_pair,
-    lower_bound_pipeline,
-    minimax_lower_bound,
-    prior_moments,
-    scale_prior,
-    select_kn_bounded,
-    verify_constrained_risk,
-)
-from .polyapprox import (
-    BERNSTEIN_CONSTANT,
-    BestApproxSolution,
-    EvenPolynomial,
-    bernstein_estimate,
-    build_G_K,
-    remez_best_approx,
-    uniform_error,
-)
-from .rng import derive_seed, stream
+from .lowerbound import construct_prior_pair, lower_bound_pipeline, scale_prior, select_kn_bounded
 
 __all__ = [
     "AbsmeanError",
-    "BERNSTEIN_CONSTANT",
-    "BestApproxSolution",
     "ConditioningError",
     "ConstructionError",
     "ConvergenceError",
     "DataError",
     "DegreeOverflowError",
-    "DiscreteModel",
     "DomainError",
     "EstimatorSpec",
-    "EvenPolynomial",
     "IntegrationError",
-    "LowerBoundValue",
-    "MixtureDistance",
     "PreconditionError",
-    "PriorMoments",
     "RangeError",
-    "SymmetricDiscretePrior",
     "approx_coefficients",
-    "bernstein_estimate",
-    "build_G_K",
-    "chi_square_bound_n",
-    "chi_square_gaussian_mixtures",
-    "chi_square_mixture_1d",
-    "chi_square_product_n",
-    "chi_square_single_term_bound_1d",
-    "chi_square_tail_bound_1d",
     "construct_prior_pair",
-    "delta_component",
-    "derive_seed",
     "estimate_bounded",
     "estimate_growing",
     "estimate_sparse",
     "estimate_unbounded",
     "growing_radius",
-    "hermite_eval",
-    "hermite_eval_batch",
-    "hermite_second_moment",
-    "hybrid_component",
     "lower_bound_pipeline",
-    "minimax_lower_bound",
-    "prior_moments",
-    "remez_best_approx",
     "run_estimator",
     "scale_prior",
     "select_K_growing",
     "select_K_star",
     "select_kn_bounded",
-    "split_samples",
-    "stream",
-    "uniform_error",
-    "unbounded_params",
-    "verify_constrained_risk",
     "__version__",
 ]

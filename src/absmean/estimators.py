@@ -29,8 +29,13 @@ summation in u = y^2, K steps where a Hermite evaluation in y takes 2K (see
 its work arrays stay in cache.  The bounded and growing estimates are the
 mean of S over the coordinates; the hybrids cap S and branch per coordinate
 in the same chunk pass.
-`resolve_parameters` is the one place that turns an EstimatorSpec and n into
-the (K, M) the estimator runs with.
+
+There is one estimator body, `run_estimator`, and every `estimate_*` is a
+call to it with an EstimatorSpec.  `resolve_parameters` is the one place
+that turns a spec and n into the (K, M) the estimator runs with, and
+`_scaled_coefficients` the one place that turns them into the scaled
+coefficients g_{2k} M^{1-2k} (without the constant term for the sparse
+variant); the hybrid components use it with the unbounded spec.
 """
 
 from __future__ import annotations
@@ -149,11 +154,6 @@ def _even_series(x: np.ndarray, scaled: np.ndarray) -> np.ndarray:
     return out
 
 
-def _scaled_coeffs(g: tuple[float, ...], M: float) -> np.ndarray:
-    k = np.arange(len(g))
-    return np.asarray(g) * M ** (1.0 - 2.0 * k)
-
-
 # ---------------------------------------------------------------------------
 # estimators
 
@@ -165,26 +165,15 @@ def estimate_bounded(y, M: float, K: int, basis: str = "best") -> float:
     "chebyshev" from the truncated Chebyshev expansion.  Raises RangeError
     when the series overflows the double range on the data.
     """
-    return _bounded(_as_data(y), check_real("M", M, above=0.0), check_int("K", K, low=1), basis)
-
-
-def _bounded(arr: np.ndarray, M: float, K: int, basis: str) -> float:
-    scaled = _scaled_coeffs(approx_coefficients(K, basis), M)
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = float(np.mean(_even_series(arr, scaled)))
-    if not math.isfinite(value):
-        peak = float(np.max(np.abs(arr)))
-        raise RangeError(f"the degree-{2 * K} series overflows the double range at |y| up to {peak:.6g}")
-    return value
+    # K and basis are required here: EstimatorSpec reads None as the K* rule and the best basis
+    if basis is None:
+        raise DomainError(f"basis must be one of {BASES}, got None")
+    return run_estimator(EstimatorSpec("bounded", M=M, K_override=check_int("K", K, low=1), basis=basis), y)
 
 
 def estimate_growing(y, c: float = 2.0, K: int | None = None) -> float:
     """Bounded-variant series on the slowly growing interval M_n = sqrt(c ln n)."""
-    arr = _as_data(y)
-    n = arr.size
-    M = growing_radius(n, c)
-    K = select_K_growing(n) if K is None else check_int("K", K, low=1)
-    return _bounded(arr, M, K, "chebyshev")
+    return run_estimator(EstimatorSpec("growing", K_override=K, c=c), y)
 
 
 def split_samples(y, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -205,12 +194,6 @@ def _split(arr: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray]:
     np.subtract(arr, z, out=z)   # x2 takes over the noise buffer
     z /= _SQRT2
     return x1, z
-
-
-def _hybrid_coeffs(n: int) -> np.ndarray:
-    """Scaled Chebyshev coefficients g_{2k} M_n^{1-2k} of the hybrid series at n."""
-    M_n, K, _ = unbounded_params(n)
-    return _scaled_coeffs(approx_coefficients(K, "chebyshev"), M_n)
 
 
 def _hybrid_terms(x1: np.ndarray, x2: np.ndarray, n: int, scaled: np.ndarray, cap: float) -> np.ndarray:
@@ -259,7 +242,7 @@ def delta_component(x, n: int):
         raise DataError("non-finite value passed to the series component")
     x1 = np.atleast_1d(arr)
     # a zero companion coordinate always passes the small-signal test
-    out = _hybrid_terms(x1, np.zeros_like(x1), n, _hybrid_coeffs(n), float(n))
+    out = _hybrid_terms(x1, np.zeros_like(x1), n, _scaled_coefficients(_UNBOUNDED, n), float(n))
     return float(out[0]) if arr.ndim == 0 else out
 
 
@@ -277,7 +260,8 @@ def hybrid_component(x1, x2, n: int):
         raise DataError("the two sample halves must have matching shapes")
     if not (np.all(np.isfinite(a1)) and np.all(np.isfinite(a2))):
         raise DataError("non-finite value passed to the hybrid component")
-    out = _hybrid_terms(np.atleast_1d(a1), np.atleast_1d(a2), n, _hybrid_coeffs(n), float(n))
+    scaled = _scaled_coefficients(_UNBOUNDED, n)
+    out = _hybrid_terms(np.atleast_1d(a1), np.atleast_1d(a2), n, scaled, float(n))
     return float(out[0]) if a1.ndim == 0 else out
 
 
@@ -288,13 +272,7 @@ def estimate_unbounded(y, seed: int) -> float:
     when |x2| <= 2 sqrt(2 ln n) and |x1| itself otherwise; the sqrt(2)
     factor undoes the split's rescaling of the means.
     """
-    return _unbounded(_as_data(y), seed)
-
-
-def _unbounded(arr: np.ndarray, seed: int) -> float:
-    n = arr.size
-    x1, x2 = _split(arr, seed)
-    return float(_SQRT2 * np.mean(_hybrid_terms(x1, x2, n, _hybrid_coeffs(n), float(n))))
+    return run_estimator(EstimatorSpec("unbounded", seed=seed), y)
 
 
 def estimate_sparse(y, k_n: int, seed: int) -> float:
@@ -305,17 +283,7 @@ def estimate_sparse(y, k_n: int, seed: int) -> float:
     in expectation), truncates at n^2 instead of n, and the sum is
     normalized by the known support size k_n.
     """
-    return _sparse(_as_data(y), k_n, seed)
-
-
-def _sparse(arr: np.ndarray, k_n: int, seed: int) -> float:
-    n = arr.size
-    k_n = check_int("k_n", k_n, 1, n)
-    x1, x2 = _split(arr, seed)
-    scaled = _hybrid_coeffs(n)
-    scaled[0] = 0.0   # constant term omitted
-    xi = _hybrid_terms(x1, x2, n, scaled, float(n) ** 2)
-    return float(_SQRT2 * xi.sum() / k_n)
+    return run_estimator(EstimatorSpec("sparse", k_n=k_n, seed=seed), y)
 
 
 # ---------------------------------------------------------------------------
@@ -391,13 +359,41 @@ def resolve_parameters(spec: EstimatorSpec, n: int) -> tuple[int, float]:
     return K, M
 
 
+def _scaled_coefficients(spec: EstimatorSpec, n: int) -> np.ndarray:
+    """Coefficients g_{2k} M^{1-2k}, k = 0..K, of the series `spec` runs on n coordinates.
+
+    The one place they are built: (K, M) from resolve_parameters, g_{2k} in
+    the spec's basis, and for the sparse variant no constant term.
+    """
+    K, M = resolve_parameters(spec, n)
+    scaled = np.asarray(approx_coefficients(K, spec.resolved_basis)) * M ** (1.0 - 2.0 * np.arange(K + 1))
+    if spec.variant == "sparse":
+        scaled[0] = 0.0   # constant term omitted
+    return scaled
+
+
+_UNBOUNDED = EstimatorSpec("unbounded")
+
+
 def run_estimator(spec: EstimatorSpec, y, seed: int | None = None) -> float:
-    """Apply the estimator described by `spec` to the data vector."""
+    """Apply the estimator described by `spec` to the data vector.
+
+    The bounded and growing variants average the even series over the
+    coordinates; the hybrids split the sample and combine the capped terms.
+    `seed`, when given, replaces the spec's seed for the split.  Every public
+    estimator runs through here.
+    """
     arr = _as_data(y)
-    use_seed = spec.seed if seed is None else seed
+    n = arr.size
+    scaled = _scaled_coefficients(spec, n)
     if spec.variant in ("bounded", "growing"):
-        K, M = resolve_parameters(spec, arr.size)
-        return _bounded(arr, M, K, spec.resolved_basis)
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = float(np.mean(_even_series(arr, scaled)))
+        if not math.isfinite(value):
+            peak, degree = float(np.max(np.abs(arr))), 2 * (scaled.size - 1)
+            raise RangeError(f"the degree-{degree} series overflows the double range at |y| up to {peak:.6g}")
+        return value
+    x1, x2 = _split(arr, spec.seed if seed is None else seed)
     if spec.variant == "unbounded":
-        return _unbounded(arr, use_seed)
-    return _sparse(arr, spec.k_n, use_seed)
+        return float(_SQRT2 * np.mean(_hybrid_terms(x1, x2, n, scaled, float(n))))
+    return float(_SQRT2 * _hybrid_terms(x1, x2, n, scaled, float(n) ** 2).sum() / spec.k_n)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -142,7 +143,9 @@ def _cmd_risk(args) -> int:
 
 def _cmd_lowerbound(args) -> int:
     record = lower_bound_pipeline(args.n, args.M, k_n=args.kn)
-    print(json.dumps(record, indent=2))
+    # JSON has no inf: a saturated field (I past the double range) prints as null
+    shown = {key: value if math.isfinite(value) else None for key, value in record.items()}
+    print(json.dumps(shown, indent=2, allow_nan=False))
     return 0
 
 

@@ -84,6 +84,10 @@ class SymmetricDiscretePrior:
     def __post_init__(self):
         if len(self.positions) != len(self.weights) or len(self.positions) == 0:
             raise ConstructionError("positions and weights must be nonempty and aligned")
+        p = np.asarray(self.positions, dtype=float)
+        finite = np.isfinite(p)
+        if not finite.all():
+            raise ConstructionError(f"prior positions must be finite, got {p[np.argmin(finite)]}")
         w = np.asarray(self.weights, dtype=float)
         if not (w >= 0).all():   # NaN included
             raise ConstructionError("prior weights must be nonnegative")
@@ -93,7 +97,6 @@ class SymmetricDiscretePrior:
         # atoms merged at 12 decimals (a no-op from 2^13 on, where doubles lie
         # more than 1e-12 apart, and there t * 1e12 could overflow); entered
         # once more at -t with weight -w, each merged atom sums to mass(t) - mass(-t)
-        p = np.asarray(self.positions, dtype=float)
         small = np.abs(p) < 8192.0
         keys = np.where(small, np.where(small, p, 0.0).round(12), p)
         both = np.concatenate((keys, -keys))
@@ -350,7 +353,7 @@ def chi_square_product_n(I1_sq: float, n: int) -> float:
     if math.isinf(I1_sq):
         return math.inf
     log_total = n * math.log1p(I1_sq)
-    if log_total > math.log(np.finfo(float).max):
+    if log_total > _LOG_MAX:
         return math.inf
     return float(math.expm1(log_total))
 
@@ -385,7 +388,7 @@ def chi_square_single_term_bound_1d(M: float, k_n: int) -> float:
     M = check_real("M", M, above=0.0)
     k_n = check_int("k_n", k_n, 1, MAX_COUNT)
     log_val = 1.5 * M * M + k_n * (1.0 + 2.0 * math.log(M) - math.log(k_n))
-    if log_val > math.log(np.finfo(float).max):
+    if log_val > _LOG_MAX:
         return math.inf
     return math.exp(log_val)
 
@@ -393,13 +396,7 @@ def chi_square_single_term_bound_1d(M: float, k_n: int) -> float:
 def chi_square_bound_n(M: float, k_n: int, n: int) -> float:
     """(1 + e^{3M^2/2}(e M^2/k_n)^{k_n})^n - 1, saturating to inf, in log space."""
     n = check_int("n", n, 1, MAX_N)
-    x = chi_square_single_term_bound_1d(M, k_n)
-    if math.isinf(x):
-        return math.inf
-    log1p_x = math.log1p(x)
-    if n * log1p_x > math.log(np.finfo(float).max):
-        return math.inf
-    return float(math.expm1(n * log1p_x))
+    return chi_square_product_n(chi_square_single_term_bound_1d(M, k_n), n)
 
 
 def select_kn_bounded(n: int) -> int:

@@ -1,8 +1,10 @@
 """Command-line interface: outputs, exit codes, and end-to-end runs."""
 
+import ast
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -295,12 +297,17 @@ def test_lowerbound_explicit_kn(capsys):
     assert math.isclose(rec["m_gap"], 2.0 * 0.5 * rec["delta_k"], rel_tol=1e-9)
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 def test_lowerbound_past_the_double_range(capsys):
     # at M = 100 the distance and its tail bound leave the double range: the
-    # record says I = inf and bound 0 instead of failing
+    # record says I = null (inf in the library) and bound 0 instead of failing,
+    # and stays strict JSON
     assert main(["lowerbound", "--n", "10000", "--M", "100"]) == 0
-    rec = json.loads(capsys.readouterr().out)
-    assert rec["k_n"] == 8 and rec["I"] == math.inf and rec["bound_value"] == 0.0
+    rec = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert rec["k_n"] == 8 and rec["I"] is None and rec["bound_value"] == 0.0
 
 
 def test_lowerbound_bad_kn(capsys):
@@ -327,3 +334,18 @@ def test_library_and_cli_load_without_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
     assert out.stdout.strip() == "False"
+
+
+def test_readme_quick_start_runs_on_the_package_surface(capsys):
+    # the README's library example runs as written, importing only names in absmean.__all__
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+    with open(readme, encoding="utf-8") as f:
+        block = re.search(r"## Library quick start\s+```python\n(.*?)```", f.read(), re.S)
+    assert block is not None
+    tree = ast.parse(block.group(1))
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "absmean" for alias in node.names}
+    assert imported and imported <= set(absmean.__all__)
+    exec(compile(tree, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.split()
+    assert len(printed) == 4 and all(math.isfinite(float(v)) for v in printed)

@@ -44,6 +44,24 @@ def test_bounded_on_zero_vector_chebyshev_basis():
     assert math.isclose(got, -2.0 / math.pi, rel_tol=1e-15)
 
 
+def test_direct_estimator_outputs_are_pinned_bit_for_bit():
+    # every public estimator runs through run_estimator; these are the bits
+    # each returned when it still had its own body
+    y = stream(11).standard_normal(5000) * 0.7
+    pinned = [
+        (estimate_bounded(y, 1.0, 3), "-0x1.2a6ff9c0a5600p+3"),
+        (estimate_bounded(y, 2.0, 5, "chebyshev"), "-0x1.3277d2e1def40p+2"),
+        (estimate_growing(y), "0x1.8aacd0eaf784bp-1"),
+        (estimate_growing(y, 3.0, 2), "0x1.f0dca00094564p-2"),
+        (estimate_unbounded(y, 4), "0x1.bfb05bd58f9efp+2"),
+        (estimate_sparse(y, 10, 4), "-0x1.71373f09db75dp+2"),
+        (delta_component(0.3, 1000), "0x1.1b3573918f27ep+2"),
+        (hybrid_component(0.3, 9.0, 1000), "0x1.3333333333333p-2"),
+    ]
+    for got, want in pinned:
+        assert got.hex() == want
+
+
 def test_series_component_at_origin():
     # K = 1 at n = 1e6: g0 M_n + g2 / M_n * H_2(0)
     M_n, K, _ = unbounded_params(10**6)
@@ -239,6 +257,11 @@ def test_parameter_validation_errors():
         estimate_bounded(z, 1.0, 0)
     with pytest.raises(DomainError):
         estimate_bounded(z, 1.0, 1, basis="legendre")
+    # K and basis are required: None does not fall back to the spec's defaults
+    with pytest.raises(DomainError):
+        estimate_bounded(z, 1.0, None)
+    with pytest.raises(DomainError):
+        estimate_bounded(z, 1.0, 1, basis=None)
     with pytest.raises(DomainError):
         estimate_sparse(z, k_n=33, seed=0)
     with pytest.raises(DomainError):

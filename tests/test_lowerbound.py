@@ -121,6 +121,18 @@ def test_prior_validation_merges_atoms_at_12_decimals():
         SymmetricDiscretePrior((0.0, -0.25, 0.25), (0.2, 0.4 + 2e-9, 0.4 - 2e-9))
 
 
+def test_prior_positions_must_be_finite():
+    # -inf mirrors +inf under the symmetry check, so finiteness is its own rule
+    for positions in ((-math.inf, math.inf), (0.0, math.nan), (-1.0, 1.0, math.inf, -math.inf)):
+        weights = (1.0 / len(positions),) * len(positions)
+        with pytest.raises(ConstructionError, match="prior positions must be finite"):
+            SymmetricDiscretePrior(positions, weights)
+    # two scalings by 1e300 push every nonzero atom past the double range
+    nu1 = scale_prior(construct_prior_pair(4)[1], 1e300)
+    with pytest.raises(ConstructionError, match="prior positions must be finite, got -?inf$"):
+        scale_prior(nu1, 1e300)
+
+
 @given(st.lists(st.tuples(st.sampled_from([0.0, 0.125, 0.5, 0.5 + 1e-13, 0.75, 1.0]),
                           st.floats(0.0, 1.0),
                           st.sampled_from([0.0, 4e-10, -3e-9, 1.0]),
