@@ -35,7 +35,9 @@ call to it with an EstimatorSpec.  `resolve_parameters` is the one place
 that turns a spec and n into the (K, M) the estimator runs with, and
 `_scaled_coefficients` the one place that turns them into the scaled
 coefficients g_{2k} M^{1-2k} (without the constant term for the sparse
-variant); the hybrid components use it with the unbounded spec.
+variant); the hybrid components use it with the unbounded spec.  The
+parameters are resolved, and so validated, on every call; the scaled
+array is built once per (K, M, basis, constant term) and shared read-only.
 """
 
 from __future__ import annotations
@@ -196,8 +198,9 @@ def _split(arr: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray]:
     return x1, z
 
 
-def _hybrid_terms(x1: np.ndarray, x2: np.ndarray, n: int, scaled: np.ndarray, cap: float) -> np.ndarray:
-    """Per coordinate: min(S(x1), cap) where |x2| <= 2 sqrt(2 ln n), |x1| elsewhere.
+def _hybrid_terms(x1: np.ndarray, x2: np.ndarray, scaled: np.ndarray, threshold: float,
+                  cap: float) -> np.ndarray:
+    """Per coordinate: min(S(x1), cap) where |x2| <= threshold, |x1| elsewhere.
 
     One pass of _CHUNK coordinates at a time runs the series, the cap and
     the branch.  The series may overflow on coordinates that take the |x1|
@@ -205,7 +208,6 @@ def _hybrid_terms(x1: np.ndarray, x2: np.ndarray, n: int, scaled: np.ndarray, ca
     are checked; a non-finite one can only come from the series branch and
     raises RangeError.
     """
-    _, _, threshold = unbounded_params(n)
     out = np.empty(x1.size)
     scratch = np.empty((3, min(x1.size, _CHUNK)))
     large = np.empty(scratch.shape[1], dtype=bool)
@@ -242,7 +244,8 @@ def delta_component(x, n: int):
         raise DataError("non-finite value passed to the series component")
     x1 = np.atleast_1d(arr)
     # a zero companion coordinate always passes the small-signal test
-    out = _hybrid_terms(x1, np.zeros_like(x1), n, _scaled_coefficients(_UNBOUNDED, n), float(n))
+    scaled, threshold = _scaled_coefficients(_UNBOUNDED, n)
+    out = _hybrid_terms(x1, np.zeros_like(x1), scaled, threshold, float(n))
     return float(out[0]) if arr.ndim == 0 else out
 
 
@@ -260,8 +263,8 @@ def hybrid_component(x1, x2, n: int):
         raise DataError("the two sample halves must have matching shapes")
     if not (np.all(np.isfinite(a1)) and np.all(np.isfinite(a2))):
         raise DataError("non-finite value passed to the hybrid component")
-    scaled = _scaled_coefficients(_UNBOUNDED, n)
-    out = _hybrid_terms(np.atleast_1d(a1), np.atleast_1d(a2), n, scaled, float(n))
+    scaled, threshold = _scaled_coefficients(_UNBOUNDED, n)
+    out = _hybrid_terms(np.atleast_1d(a1), np.atleast_1d(a2), scaled, threshold, float(n))
     return float(out[0]) if a1.ndim == 0 else out
 
 
@@ -311,19 +314,16 @@ class EstimatorSpec:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise DomainError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        # the checked values are stored back as Python ints and floats
-        checked = {"c": check_real("c", self.c, above=1.0),
-                   "seed": check_int("seed", self.seed, 0, MAX_SEED)}
+        _store_checked(self, "c", check_real("c", self.c, above=1.0))
+        _store_checked(self, "seed", check_int("seed", self.seed, 0, MAX_SEED))
         if self.M is not None or self.variant == "bounded":
-            checked["M"] = check_real("M", self.M, above=0.0)
+            _store_checked(self, "M", check_real("M", self.M, above=0.0))
         if self.k_n is not None or self.variant == "sparse":
-            checked["k_n"] = check_int("k_n", self.k_n, 1, MAX_COUNT)
+            _store_checked(self, "k_n", check_int("k_n", self.k_n, 1, MAX_COUNT))
         if self.K_override is not None:
-            checked["K_override"] = check_int("K_override", self.K_override, 1, MAX_COUNT)
+            _store_checked(self, "K_override", check_int("K_override", self.K_override, 1, MAX_COUNT))
             if self.variant in ("unbounded", "sparse"):
                 raise DomainError(f"the {self.variant!r} variant fixes its own cutoff from n")
-        for name, value in checked.items():
-            object.__setattr__(self, name, value)
         if self.basis is not None:
             if self.basis not in BASES:
                 raise DomainError(f"basis must be one of {BASES}, got {self.basis!r}")
@@ -337,6 +337,13 @@ class EstimatorSpec:
         return "chebyshev"
 
 
+def _store_checked(spec: EstimatorSpec, name: str, value) -> None:
+    """Store a checked field back on the frozen spec as the Python int or float
+    the check returned, unless that is the argument itself (the common case)."""
+    if value is not getattr(spec, name):
+        object.__setattr__(spec, name, value)
+
+
 def resolve_parameters(spec: EstimatorSpec, n: int) -> tuple[int, float]:
     """Effective (K, M) the estimator described by `spec` uses on data of length n.
 
@@ -344,11 +351,17 @@ def resolve_parameters(spec: EstimatorSpec, n: int) -> tuple[int, float]:
     rule's minimum, K past its basis' limit, or k_n > n.  Arithmetic only, so
     a whole config is checked before any coefficients are built.
     """
+    return _resolve(spec, n)[:2]
+
+
+def _resolve(spec: EstimatorSpec, n: int) -> tuple[int, float, float]:
+    """resolve_parameters' (K, M) plus the hybrids' small-signal threshold
+    2 sqrt(2 ln n); the bounded and growing variants have none (inf)."""
     if spec.variant in ("unbounded", "sparse"):
-        M_n, K, _ = unbounded_params(n)
+        M_n, K, threshold = unbounded_params(n)
         if spec.variant == "sparse":
             check_int("k_n", spec.k_n, 1, n)
-        return K, M_n
+        return K, M_n, threshold
     if spec.variant == "bounded":
         K, M = spec.K_override or select_K_star(n), spec.M
     else:
@@ -356,19 +369,29 @@ def resolve_parameters(spec: EstimatorSpec, n: int) -> tuple[int, float]:
     limit = _MAX_REMEZ_K if spec.resolved_basis == "best" else _MAX_GK
     if K > limit:
         raise DegreeOverflowError(f"K = {K} exceeds the supported maximum {limit}")
-    return K, M
+    return K, M, math.inf
 
 
-def _scaled_coefficients(spec: EstimatorSpec, n: int) -> np.ndarray:
-    """Coefficients g_{2k} M^{1-2k}, k = 0..K, of the series `spec` runs on n coordinates.
+def _scaled_coefficients(spec: EstimatorSpec, n: int) -> tuple[np.ndarray, float]:
+    """(g_{2k} M^{1-2k} for k = 0..K, threshold) of the series `spec` runs on n coordinates.
 
-    The one place they are built: (K, M) from resolve_parameters, g_{2k} in
-    the spec's basis, and for the sparse variant no constant term.
+    The one place the coefficients are built: (K, M) and the threshold from
+    _resolve on every call, so every check runs, then the scaled array in
+    the spec's basis, without the constant term for the sparse variant.
     """
-    K, M = resolve_parameters(spec, n)
-    scaled = np.asarray(approx_coefficients(K, spec.resolved_basis)) * M ** (1.0 - 2.0 * np.arange(K + 1))
-    if spec.variant == "sparse":
+    K, M, threshold = _resolve(spec, n)
+    return _coefficient_table(K, M, spec.resolved_basis, spec.variant == "sparse"), threshold
+
+
+@lru_cache(maxsize=256)
+def _coefficient_table(K: int, M: float, basis: str, sparse: bool) -> np.ndarray:
+    """The scaled coefficients for (K, M, basis), read-only, since every
+    estimate with these parameters shares the array.  Keyed on the
+    parameters, never on a spec: a spec carries the split seed."""
+    scaled = np.asarray(approx_coefficients(K, basis)) * M ** (1.0 - 2.0 * np.arange(K + 1))
+    if sparse:
         scaled[0] = 0.0   # constant term omitted
+    scaled.flags.writeable = False
     return scaled
 
 
@@ -385,7 +408,7 @@ def run_estimator(spec: EstimatorSpec, y, seed: int | None = None) -> float:
     """
     arr = _as_data(y)
     n = arr.size
-    scaled = _scaled_coefficients(spec, n)
+    scaled, threshold = _scaled_coefficients(spec, n)
     if spec.variant in ("bounded", "growing"):
         with np.errstate(over="ignore", invalid="ignore"):
             value = float(np.mean(_even_series(arr, scaled)))
@@ -395,5 +418,5 @@ def run_estimator(spec: EstimatorSpec, y, seed: int | None = None) -> float:
         return value
     x1, x2 = _split(arr, spec.seed if seed is None else seed)
     if spec.variant == "unbounded":
-        return float(_SQRT2 * np.mean(_hybrid_terms(x1, x2, n, scaled, float(n))))
-    return float(_SQRT2 * _hybrid_terms(x1, x2, n, scaled, float(n) ** 2).sum() / spec.k_n)
+        return float(_SQRT2 * np.mean(_hybrid_terms(x1, x2, scaled, threshold, float(n))))
+    return float(_SQRT2 * _hybrid_terms(x1, x2, scaled, threshold, float(n) ** 2).sum() / spec.k_n)

@@ -11,6 +11,14 @@ its (scenario, block) tasks; aggregation takes each scenario's blocks in
 order and reduces with numpy's fixed-order pairwise summation.
 Consequence: a run is byte-identical for any worker count.
 
+Dispatch order is scenarios by decreasing n (ties in config order), each
+scenario's blocks contiguous and in block order.  The pool receives that
+list in about C chunks per worker, so the per-task costs (pickling the
+scenario, a round trip to a worker) are paid per chunk, and the costly
+large-n blocks start first while cheap small-n chunks fill the tail.  The
+serial path runs the same list, so a failing run reports the first failure
+in dispatch order, whatever the worker count.
+
 Per replication: theta is realized from the scenario family (random families
 redraw it each time), y = theta + standard normal noise, the estimator runs
 on y, and the error is estimate - mean(|theta|).  Aggregates are
@@ -44,6 +52,7 @@ from .scenarios import ConstantAt, RunConfig, Scenario, ZeroVector, draw_theta
 WORKERS_ENV_VAR = "ABSMEAN_WORKERS"
 
 B = 16   # replications per block; the block index keys the streams
+C = 16   # pool chunks per worker: more pay more per-task overhead, fewer leave one worker a long tail
 
 CSV_HEADER = "scenario_id,n,variant,K,M,replications,bias,variance,mse,mc_stderr,bias_bound,var_bound"
 
@@ -158,16 +167,21 @@ def _report(s: Scenario, rows: list[tuple[float, float]]) -> RiskReport:
 def _run(indexed: list[tuple[int, Scenario]], seed: int, workers: int) -> list[RiskReport]:
     """Run every block of the (scenario index, scenario) pairs, then aggregate.
 
-    One pool of at most min(workers, blocks, os.cpu_count()) processes
-    serves all blocks; with one process the blocks run here.
+    Tasks go out largest n first (a stable sort, so equal n keep their
+    order), each scenario's blocks together and in order.  One pool of at
+    most min(workers, blocks, os.cpu_count()) processes takes them in
+    chunks of ceil(tasks / (C * workers)); with one process the same list
+    runs here.  Either way the first failing task in that order raises.
     """
-    tasks = [(s, seed, i, b) for i, s in indexed for b in range(-(-s.replications // B))]
+    order = sorted(indexed, key=lambda pair: pair[1].n, reverse=True)
+    tasks = [(s, seed, i, b) for i, s in order for b in range(-(-s.replications // B))]
     workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers <= 1:
         blocks = list(map(_run_block, tasks))
     else:
+        chunksize = -(-len(tasks) // (C * workers))
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(_run_block, tasks))
+            blocks = list(pool.map(_run_block, tasks, chunksize=chunksize))
     rows = {i: [] for i, _ in indexed}
     for (_, _, i, _), block in zip(tasks, blocks):
         rows[i].extend(block)   # pool.map keeps task order, so replication order

@@ -302,6 +302,36 @@ def test_run_estimator_dispatch_matches_direct_calls():
     assert run_estimator(EstimatorSpec(variant="unbounded", seed=4), y, seed=9) == estimate_unbounded(y, 9)
 
 
+def test_scaled_coefficients_are_shared_read_only():
+    scaled, threshold = estimators._scaled_coefficients(EstimatorSpec(variant="bounded", M=1.0), 64)
+    assert threshold == math.inf
+    assert not scaled.flags.writeable
+    with pytest.raises(ValueError):
+        scaled[0] = 1.0
+    again, _ = estimators._scaled_coefficients(EstimatorSpec(variant="bounded", M=1.0, seed=7), 64)
+    assert again is scaled
+
+
+def test_coefficient_cache_is_not_keyed_on_the_seed():
+    y = stream(3).standard_normal(64)
+    estimate_unbounded(y, 0)
+    before = estimators._coefficient_table.cache_info()
+    for seed in range(1, 51):
+        estimate_unbounded(y, seed)
+    after = estimators._coefficient_table.cache_info()
+    assert after.currsize == before.currsize
+    assert after.hits == before.hits + 50
+
+
+def test_sparse_and_unbounded_keep_their_own_constant_terms():
+    n = 5000
+    sparse, thr_sparse = estimators._scaled_coefficients(EstimatorSpec(variant="sparse", k_n=4), n)
+    unbounded, thr_unbounded = estimators._scaled_coefficients(EstimatorSpec(variant="unbounded"), n)
+    assert sparse[0] == 0.0 and unbounded[0] != 0.0
+    assert np.array_equal(sparse[1:], unbounded[1:])
+    assert thr_sparse == thr_unbounded == unbounded_params(n)[2]
+
+
 # ---------------------------------------------------------------------------
 # structural properties
 

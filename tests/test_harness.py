@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from absmean.errors import MAX_COUNT, AbsmeanError, DomainError
+from absmean.errors import MAX_COUNT, AbsmeanError, DomainError, RangeError
 from absmean.estimators import EstimatorSpec, approx_coefficients, estimate_unbounded, unbounded_params
 from absmean.harness import (
     CSV_HEADER,
@@ -442,7 +442,7 @@ def test_pool_is_capped_by_cpu_count(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
+        def map(self, fn, items, chunksize=1):
             return map(fn, items)
 
     monkeypatch.setattr("os.cpu_count", lambda: 2)
@@ -470,7 +470,7 @@ def fake_pool(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
+        def map(self, fn, items, chunksize=1):
             return reversed([fn(x) for x in reversed(list(items))])
 
     monkeypatch.delenv("ABSMEAN_WORKERS", raising=False)
@@ -502,6 +502,59 @@ def test_run_config_opens_one_pool_for_all_scenarios(fake_pool, monkeypatch):
     monkeypatch.setattr("os.cpu_count", lambda: 3)
     run_config(RunConfig(_three_scenarios(20), seed=3, output_path="r.csv", workers=64))
     assert len(fake_pool) == 1 and fake_pool[0] <= os.cpu_count()
+
+
+def test_pool_dispatch_is_chunked_and_largest_n_first(monkeypatch):
+    calls = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            items = list(items)
+            calls.append((chunksize, [(s.n, b) for s, _, _, b in items]))
+            return map(fn, items)
+
+    monkeypatch.delenv("ABSMEAN_WORKERS", raising=False)
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    monkeypatch.setattr("absmean.harness.engine.concurrent.futures.ProcessPoolExecutor", RecordingPool)
+    many = (_scenario(ZeroVector(), n=32, reps=800, sid="small"),
+            _scenario(ZeroVector(), n=64, reps=800, sid="large"))
+    reports = run_config(RunConfig(many, seed=3, output_path="r.csv", workers=2))
+    assert [r.scenario_id for r in reports] == ["small", "large"]   # reports keep config order
+    chunksize, order = calls[0]
+    blocks = 800 // engine.B
+    assert chunksize == -(-2 * blocks // (engine.C * 2)) and chunksize > 1
+    assert order == [(64, b) for b in range(blocks)] + [(32, b) for b in range(blocks)]
+    few = (_scenario(ZeroVector(), n=32, reps=40, sid="small"),
+           _scenario(ZeroVector(), n=64, reps=40, sid="large"))
+    run_config(RunConfig(few, seed=3, output_path="r.csv", workers=2))
+    chunksize, order = calls[1]
+    assert chunksize == 1
+    assert order == [(64, 0), (64, 1), (64, 2), (32, 0), (32, 1), (32, 2)]
+
+
+def test_a_failing_run_reports_the_same_first_failure_for_any_worker_count(monkeypatch):
+    # both scenarios overflow the degree-2 series on every replication; the
+    # larger n is dispatched first, so its replication 0 is the first failure
+    monkeypatch.delenv("ABSMEAN_WORKERS", raising=False)
+    monkeypatch.setattr("os.cpu_count", lambda: 3)
+    failing = (_scenario(ConstantAt(1e200), n=32, reps=40, sid="small", K_override=1),
+               _scenario(ConstantAt(1e200), n=64, reps=40, sid="large", K_override=1))
+    messages = set()
+    for workers in (1, 2, 3):
+        with pytest.raises(RangeError) as exc_info:
+            run_config(RunConfig(failing, seed=3, output_path="r.csv", workers=workers))
+        messages.add(str(exc_info.value))
+    assert len(messages) == 1
+    assert messages.pop().startswith("scenario 'large', replication 0: ")
 
 
 def test_block_streams_pin_the_draws(monkeypatch):
