@@ -14,8 +14,9 @@ Three ingredients:
   rather than returning untrusted weights.
 
 * Chi-square distances between the induced Gaussian mixtures: a fixed
-  composite Gauss-Legendre rule with a two-resolution error estimate for
-  one coordinate, evaluated in log space so that tails and far-apart atoms
+  composite Gauss-Legendre rule on equal panels across the window, whatever
+  the number of atoms, with a two-resolution error estimate for one
+  coordinate, evaluated in log space so that tails and far-apart atoms
   keep their value (+inf past the double range), the exact product identity
   I_n^2 = (1 + I_1^2)^n - 1 for n independent coordinates, and closed-form
   upper bounds driven by the number of matched moments.
@@ -54,11 +55,13 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _LOG_MAX = math.log(np.finfo(float).max)
 _LOG_TINY = math.log(1e-30)
 
-# Chi-square quadrature: panels at most _PANEL_WIDTH wide and at most
-# _MAX_PANELS of them, each summed by the 32-point and by the 16-point
-# Gauss-Legendre rule (nodes side by side, the 32-point ones first).  Nodes
-# are evaluated _BLOCK node-atom pairs at a time, which bounds the working
-# memory on wide windows.
+# Chi-square quadrature: the window tiled by equal panels, at most
+# _PANEL_WIDTH wide and at most _MAX_PANELS of them, with no break at the
+# atoms (the integrand is entire, a sum of unit-variance Gaussians, which a
+# 32-point panel of width 1 resolves wherever the atoms fall).  Each panel is
+# summed by the 32-point and by the 16-point Gauss-Legendre rule (nodes side
+# by side, the 32-point ones first).  Nodes are evaluated _BLOCK node-atom
+# pairs at a time, which bounds the working memory on wide windows.
 _PANEL_WIDTH = 1.0
 _MAX_PANELS = 1 << 14
 _GL_FINE = 32
@@ -241,9 +244,10 @@ def chi_square_gaussian_mixtures(
     Integrates (f1 - f0)^2 / f0 over the real line, where
     f_i(y) = sum_j w_ij phi(y - t_ij), by a fixed composite Gauss-Legendre
     rule.  The window reaches 10 past every atom and past every bump
-    2a - b of the integrand (a an atom of f1, b an atom of f0); its panels
-    break at every atom and are at most 1 wide, narrower where atoms of f0
-    lie more than 4 apart.  Each node's densities are scaled by their
+    2a - b of the integrand (a an atom of f1, b an atom of f0).  Equal
+    panels tile it, at most 1 wide, narrower where atoms of f0 lie more
+    than 4 apart, so the node count depends on the window alone and not
+    on the number of atoms.  Each node's densities are scaled by their
     largest exponent, so f0 does not underflow in the tails.  The same
     panels are summed with 32 and with 16 nodes, and the difference is the
     error estimate: IntegrationError when it exceeds
@@ -266,27 +270,23 @@ def chi_square_gaussian_mixtures(
     lo = min(p0.min(), p1.min(), 2.0 * p1.min() - p0.max()) - 10.0
     hi = max(p0.max(), p1.max(), 2.0 * p1.max() - p0.min()) + 10.0
 
-    # Panels: each gap between breakpoints cut into equal pieces.  Between
-    # two atoms of f0 a distance D apart, 1/f0 peaks over a width of about
-    # 1/D, so the pieces narrow to 4/D for the widest such gap.
-    breaks = np.unique(np.concatenate([p0, p1, [lo, hi]]))
-    gaps = np.diff(breaks)
-    width = _PANEL_WIDTH / max(1.0, float(np.diff(np.sort(p0)).max(initial=0.0)) / 4.0)
-    pieces = np.ceil(gaps / width)
-    if pieces.sum() > _MAX_PANELS:
+    # Between two atoms of f0 a distance D apart, 1/f0 peaks over a width of
+    # about 1/D, so the panels narrow to 4/D for the widest such gap.
+    sorted0, sorted1 = np.sort(p0), np.sort(p1)
+    width = _PANEL_WIDTH / max(1.0, float(np.diff(sorted0).max(initial=0.0)) / 4.0)
+    panels = (hi - lo) / width   # +inf when the window overflows
+    if panels > _MAX_PANELS:
         raise IntegrationError(
             f"the mixtures' atoms span {hi - lo:.3g}: more than {_MAX_PANELS} quadrature panels"
         )
-    pieces = pieces.astype(np.intp)
-    half = np.repeat(gaps / (2 * pieces), pieces)
-    index = np.arange(half.size) - np.repeat(np.cumsum(pieces) - pieces, pieces)
-    mid = np.repeat(breaks[:-1], pieces) + (2 * index + 1) * half
-    nodes = (mid[:, None] + half[:, None] * _GL_NODES).ravel()
+    panels = math.ceil(panels)
+    half = (hi - lo) / (2 * panels)
+    mid = lo + (2 * np.arange(panels) + 1) * half
+    nodes = (mid[:, None] + half * _GL_NODES).ravel()
 
     # per node: log scale t and scaled integrand q, (f1 - f0)^2 / f0 = q e^t
     atoms = np.concatenate([p0, p1])
     n0 = p0.size
-    sorted0, sorted1 = np.sort(p0), np.sort(p1)
     t = np.empty(nodes.size)
     q = np.empty(nodes.size)
     step = max(1, _BLOCK // atoms.size)
@@ -311,7 +311,7 @@ def chi_square_gaussian_mixtures(
         q[start:start + step] = diff * diff / f0
         t[start:start + step] = s0 + 2.0 * c
     top = float(t.max())
-    terms = ((half / _SQRT_2PI)[:, None] * _GL_WEIGHTS) * (q * np.exp(t - top)).reshape(half.size, -1)
+    terms = (half / _SQRT_2PI * _GL_WEIGHTS) * (q * np.exp(t - top)).reshape(panels, -1)
     fine = float(terms[:, :_GL_FINE].sum())
     err = abs(fine - float(terms[:, _GL_FINE:].sum()))
     achieved = _unscale(err, top)

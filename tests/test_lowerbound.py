@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad
 
 from absmean import lowerbound
 from absmean.errors import (
@@ -218,6 +219,51 @@ def test_chi_square_refuses_a_window_it_cannot_cover():
         chi_square_gaussian_mixtures([0.0], [math.nan], [1.0], [1.0])
 
 
+def test_chi_square_asymmetric_atoms_off_the_panel_grid():
+    # no panel edge falls on an atom, and neither mixture is symmetric
+    a = ([-0.3, 0.9, 2.2], [0.2, 0.5, 0.3])
+    b = ([0.1, 1.7], [0.6, 0.4])
+    for (p0, w0), (p1, w1) in ((a, b), (b, a)):
+        got = chi_square_gaussian_mixtures(p0, w0, p1, w1)
+        assert math.isclose(got, chi2_quad_1d(p0, w0, p1, w1), rel_tol=1e-9)
+
+
+@pytest.mark.parametrize("mu", [0.37, 3.3, 7.77, 12.5])
+def test_chi_square_point_mass_off_the_panel_grid(mu):
+    got = chi_square_gaussian_mixtures([0.0], [1.0], [mu], [1.0])
+    assert math.isclose(got, math.expm1(mu * mu), rel_tol=1e-8)
+
+
+def test_chi_square_deep_valley_off_the_panel_grid():
+    got = chi_square_gaussian_mixtures([-7.3, 7.3], [0.5, 0.5], [0.0], [1.0])
+    assert math.isclose(got, chi2_center_vs_pair(7.3), rel_tol=1e-9)
+
+
+def test_chi_square_node_count_does_not_grow_with_the_atoms():
+    # 16501 atoms in [-1, 1]: a panel break at every atom would need more
+    # than _MAX_PANELS panels; equal panels tile the window with 26 or fewer
+    x = np.linspace(-1.0, 1.0, 16501)
+    w = np.full(x.size, 1.0 / x.size)
+    assert x.size > lowerbound._MAX_PANELS
+    assert chi_square_gaussian_mixtures(x, w, x, w) < 1e-12
+    got = chi_square_gaussian_mixtures(x, w, [0.0], [1.0])
+
+    def integrand(y):
+        f0 = float(np.dot(w, np.exp(-0.5 * (y - x) ** 2)))
+        f1 = math.exp(-0.5 * y * y)
+        return (f1 - f0) ** 2 / f0 / math.sqrt(2.0 * math.pi)
+
+    # f0 stays above the double range's floor on [-30, 30]; the tails past it are below 1e-180
+    want, _ = quad(integrand, -30.0, 30.0, epsabs=0.0, epsrel=1e-12, limit=500)
+    assert math.isclose(got, want, rel_tol=1e-9)
+
+
+def test_chi_square_refuses_a_window_past_the_double_range():
+    # 2 * 1e308 overflows, so the window is infinite: refused, not an OverflowError
+    with np.errstate(over="ignore"), pytest.raises(IntegrationError):
+        chi_square_gaussian_mixtures([0.0], [1.0], [1e308], [1.0])
+
+
 def test_chi_square_zero_for_identical_mixtures():
     nu0, _, _ = construct_prior_pair(2)
     assert chi_square_mixture_1d(nu0, nu0) < 1e-12
@@ -350,6 +396,17 @@ def test_pipeline_bound_shrinks_with_n():
     vals = [lower_bound_pipeline(n, 1.0, k_n=8)["bound_value"] for n in (10**4, 10**5, 10**6)]
     assert vals[0] >= vals[1] >= vals[2] >= 0.0
 
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=ConstructionError,
+    reason="ROADMAP item 3: I_1^2 at k = 40, M = 0.5 is quadrature roundoff (about 5e-32, "
+    "the tail bound 7e-75), and n times it passes MixtureDistance's 1e-12 slack from "
+    "about n = 1e19; the pipeline should fall back to the tail bound there",
+)
+def test_pipeline_survives_roundoff_in_the_distance_at_huge_n():
+    rec = lower_bound_pipeline(10**22, 0.5, k_n=40)
+    assert rec["I"] >= 0.0 and rec["bound_value"] >= 0.0
 
 # ---------------------------------------------------------------------------
 # constrained risk inequality by exact enumeration
