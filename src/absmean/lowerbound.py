@@ -25,6 +25,14 @@ Three ingredients:
   one prior, it must pay under another, quantitatively in terms of the
   chi-square distance.  ``verify_constrained_risk`` checks all three forms
   of the inequality by exact enumeration on finite discrete models.
+
+``lower_bound_pipeline`` assembles the three.  Everything but n depends on
+the pair (k, M) alone: the scaled priors, their moments, delta_k, I_1^2 and
+its tail bound are computed once per pair (a bounded cache) and reused for
+every n, which enters only through v0^2 = Var / n and the product identity.
+Where I_1^2 may be cancellation roundoff in f1 - f0 (at most
+_ROUNDOFF_FLOOR), the pipeline uses the smaller of it and the proven tail
+bound, which keeps the lower bound valid at any n.
 """
 
 from __future__ import annotations
@@ -67,6 +75,18 @@ _MAX_PANELS = 1 << 14
 _GL_FINE = 32
 _GL_NODES, _GL_WEIGHTS = np.hstack([leggauss(_GL_FINE), leggauss(_GL_FINE // 2)])
 _BLOCK = 1 << 16
+
+# Roundoff floor of the one-coordinate distance.  f0 and f1 are sums of
+# unit-variance bumps, each computed to a relative error of a few eps
+# (2.2e-16), so (f1 - f0)^2 / f0 integrates to noise of order (c eps)^2
+# once the moments match well: 1.7e-32 to 8.5e-31 (0.3 to 17 eps^2) over
+# k = 2..80 and M = 0.25..3, where the proven tail bound can be 1e-170.
+# A value at or below the floor (2000 eps^2) may be that noise, so the
+# pipeline takes min(quadrature, tail bound) there; above it the quadrature
+# stands, and MixtureDistance still checks it against the bound.
+_ROUNDOFF_FLOOR = 1e-28
+# (k, M) pairs whose distance terms are kept: every even k in 2..80 at 25 radii
+_PAIR_CACHE = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -200,10 +220,15 @@ def construct_prior_pair(k: int) -> tuple[SymmetricDiscretePrior, SymmetricDiscr
     points where the best-approximation error is +delta, nu0 where it is
     -delta (always including the origin).
     """
+    return _prior_pair_data(_check_k(k))
+
+
+def _check_k(k) -> int:
+    """The prior order as an int, or DomainError unless it is even and in 2..80."""
     k = check_int("k", k, 2, 80)
     if k % 2 != 0:
         raise DomainError(f"k must be even, got {k}")
-    return _prior_pair_data(k)
+    return k
 
 
 # ---------------------------------------------------------------------------
@@ -574,27 +599,44 @@ def lower_bound_pipeline(n: int, M: float, k_n: int | None = None) -> dict:
     """Construct priors at scale M, compute distances, and evaluate the bound.
 
     Returns the record emitted by the command-line `lowerbound` subcommand:
-    keys k_n, delta_k, m_gap, v0_sq, I, bound_value.
+    keys k_n, delta_k, m_gap, v0_sq, I, bound_value.  The arguments are
+    checked first (k_n even in 2..80, default select_kn_bounded(n); M a
+    finite real > 0; n an integer in 1..MAX_N).  The priors, their moments,
+    delta_k, I_1^2 and its tail bound depend on (k_n, M) alone and are
+    computed once per pair; n enters through v0^2 = Var / n and the product
+    identity.  Where I_1^2 is at the roundoff floor, the smaller of it and
+    the tail bound is used, so the bound stays valid at any n.
     """
     if k_n is None:
         k_n = select_kn_bounded(n)
-    nu0, nu1, delta = construct_prior_pair(k_n)
-    mu0 = scale_prior(nu0, M)
-    mu1 = scale_prior(nu1, M)
-    pm = prior_moments(mu0, mu1, n)
-    I1_sq = chi_square_mixture_1d(mu0, mu1)
-    In_sq = chi_square_product_n(I1_sq, n)
-    I_n = math.sqrt(In_sq)
+    k_n = _check_k(k_n)
+    M = check_real("M", M, above=0.0)
+    n = check_int("n", n, 1, MAX_N)
+    delta, pm, I1_sq, tail = _pair_terms(k_n, M)
+    pm = PriorMoments(m0=pm.m0, m1=pm.m1, v0_sq=pm.v0_sq / n)
+    I_n = math.sqrt(chi_square_product_n(I1_sq, n))
     # tail-sum bound per coordinate is valid whenever moments match to k_n;
     # the dataclass check below ties the quadrature back to the analytics
-    tail = chi_square_tail_bound_1d(M, k_n)
     MixtureDistance(I=I_n, I_squared_bound=chi_square_product_n(tail, n), n=n)
     bound = minimax_lower_bound(pm, I_n)
     return {
-        "k_n": int(k_n),
+        "k_n": k_n,
         "delta_k": float(delta),
         "m_gap": pm.gap,
         "v0_sq": pm.v0_sq,
         "I": I_n,
         "bound_value": bound.value,
     }
+
+
+@lru_cache(maxsize=_PAIR_CACHE)
+def _pair_terms(k: int, M: float) -> tuple[float, PriorMoments, float, float]:
+    """(delta_k, moments with v0_sq = Var_{mu0}|theta|, I_1^2, tail bound) for checked (k, M)."""
+    nu0, nu1, delta = construct_prior_pair(k)
+    mu0 = scale_prior(nu0, M)
+    mu1 = scale_prior(nu1, M)
+    tail = chi_square_tail_bound_1d(M, k)
+    I1_sq = chi_square_mixture_1d(mu0, mu1)
+    if I1_sq <= _ROUNDOFF_FLOOR:
+        I1_sq = min(I1_sq, tail)
+    return delta, prior_moments(mu0, mu1, 1), I1_sq, tail

@@ -310,6 +310,14 @@ def test_lowerbound_past_the_double_range(capsys):
     assert rec["k_n"] == 8 and rec["I"] is None and rec["bound_value"] == 0.0
 
 
+def test_lowerbound_at_huge_n_where_the_distance_is_roundoff(capsys):
+    # I_1^2 at k = 40, M = 0.5 is cancellation roundoff far above its tail
+    # bound; n = 1e22 times it would fail the bound check without the fallback
+    assert main(["lowerbound", "--n", "10000000000000000000000", "--M", "0.5", "--kn", "40"]) == 0
+    rec = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert rec["k_n"] == 40 and rec["I"] >= 0.0 and rec["bound_value"] > 0.0
+
+
 def test_lowerbound_bad_kn(capsys):
     assert main(["lowerbound", "--n", "10000", "--M", "1.0", "--kn", "3"]) == 2
     assert "error:" in capsys.readouterr().err

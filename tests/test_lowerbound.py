@@ -397,16 +397,72 @@ def test_pipeline_bound_shrinks_with_n():
     assert vals[0] >= vals[1] >= vals[2] >= 0.0
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=ConstructionError,
-    reason="ROADMAP item 3: I_1^2 at k = 40, M = 0.5 is quadrature roundoff (about 5e-32, "
-    "the tail bound 7e-75), and n times it passes MixtureDistance's 1e-12 slack from "
-    "about n = 1e19; the pipeline should fall back to the tail bound there",
-)
 def test_pipeline_survives_roundoff_in_the_distance_at_huge_n():
     rec = lower_bound_pipeline(10**22, 0.5, k_n=40)
     assert rec["I"] >= 0.0 and rec["bound_value"] >= 0.0
+
+
+@pytest.fixture
+def fresh_pair_cache():
+    # the per-(k, M) terms are cached for the whole process: start and leave it empty
+    lowerbound._pair_terms.cache_clear()
+    yield
+    lowerbound._pair_terms.cache_clear()
+
+
+def test_pipeline_falls_back_to_the_tail_bound_only_at_the_roundoff_floor(monkeypatch, fresh_pair_cache):
+    # k = 40, M = 0.5: the tail bound is about 7e-75
+    tail = chi_square_tail_bound_1d(0.5, 40)
+    monkeypatch.setattr(lowerbound, "chi_square_mixture_1d", lambda mu0, mu1: 1e-30)
+    rec = lower_bound_pipeline(10**22, 0.5, k_n=40)
+    assert rec["I"] == math.sqrt(chi_square_product_n(tail, 10**22))
+    # above the floor a value past the bound is not roundoff, and the guard still refuses it
+    lowerbound._pair_terms.cache_clear()
+    monkeypatch.setattr(lowerbound, "chi_square_mixture_1d", lambda mu0, mu1: 1e-20)
+    with pytest.raises(ConstructionError, match="exceeds its analytic bound"):
+        lower_bound_pipeline(10**10, 0.5, k_n=40)
+
+
+@pytest.mark.parametrize(
+    "n, M, k_n",
+    [(100, [1.0], 4), (100, math.nan, 4), (100, math.inf, 4), (100, True, 4), (100, 0.0, 4),
+     (100, -1.0, 4), (100, 1.0, 5), (100, 1.0, 82), (100, 1.0, True), (0, 1.0, 4),
+     (10**4, 1.0, [4]), ([100], 1.0, 4), (math.nan, 1.0, None)],
+)
+def test_pipeline_rejects_bad_arguments_before_the_pair_cache(n, M, k_n):
+    with pytest.raises(DomainError):
+        lower_bound_pipeline(n, M, k_n=k_n)
+
+
+def test_pipeline_records_do_not_depend_on_the_pair_cache(fresh_pair_cache):
+    calls = [(n, M, k) for k in (4, 10, 40) for M in (0.5, 2.0) for n in (100, 10**6, 10**22)]
+    before = [lower_bound_pipeline(n, M, k_n=k) for n, M, k in calls]
+    lowerbound._pair_terms.cache_clear()
+    after = [lower_bound_pipeline(n, M, k_n=k) for n, M, k in reversed(calls)][::-1]
+    for cold, warm in zip(before, after):
+        assert cold.keys() == warm.keys()
+        for key in cold:
+            assert float(cold[key]).hex() == float(warm[key]).hex(), key
+
+
+def test_pipeline_computes_the_distance_once_per_pair(monkeypatch, fresh_pair_cache):
+    seen = []
+    distance = lowerbound.chi_square_mixture_1d
+
+    def counted(mu0, mu1):
+        seen.append(mu0.M)
+        return distance(mu0, mu1)
+
+    monkeypatch.setattr(lowerbound, "chi_square_mixture_1d", counted)
+    pairs = [(4, 0.5), (4, 1.0), (10, 1.0)]
+    for n in (100, 10**6, 10**12):
+        for k, M in pairs:
+            lower_bound_pipeline(n, M, k_n=k)
+    assert sorted(seen) == sorted(M for _, M in pairs)
+    # the same pair given as an int radius, a numpy radius or a numpy k is the same key
+    lower_bound_pipeline(100, np.float64(0.5), k_n=np.int64(4))
+    lower_bound_pipeline(100, 1, k_n=4)
+    assert len(seen) == len(pairs)
 
 # ---------------------------------------------------------------------------
 # constrained risk inequality by exact enumeration
