@@ -25,10 +25,16 @@ how coordinates that may fall outside the interval are handled:
 Every variant evaluates the same object, the per-coordinate even series
 S(y_i) = sum_k g_{2k} M^{1-2k} H_{2k}(y_i), with one kernel: Clenshaw
 summation in u = y^2, K steps where a Hermite evaluation in y takes 2K (see
-`_clenshaw`).  It runs _CHUNK coordinates at a time with in-place ufuncs, so
-its work arrays stay in cache.  The bounded and growing estimates are the
-mean of S over the coordinates; the hybrids cap S and branch per coordinate
-in the same chunk pass.
+`_clenshaw`).  `run_estimator` makes one pass over the data, _CHUNK
+coordinates at a time, with in-place ufuncs on work arrays of chunk length
+that stay in cache: the hybrids draw the chunk's split noise and form its
+two halves, the kernel sums S, the hybrids cap S and branch per coordinate,
+and the chunk is reduced to its sum.  The estimate is the sum of the chunk
+sums over n (times sqrt(2) for the hybrids, over k_n for the sparse one).
+So an estimate allocates nothing of length n beyond a boolean finiteness
+mask of the data, and with a single chunk (n <= _CHUNK) its arithmetic is
+that of one pass over the whole vector.  `split_samples` and the hybrid
+components run the same per-chunk helpers into full-length arrays.
 
 There is one estimator body, `run_estimator`, and every `estimate_*` is a
 call to it with an EstimatorSpec.  `resolve_parameters` is the one place
@@ -56,8 +62,8 @@ VARIANTS = ("bounded", "growing", "unbounded", "sparse")
 BASES = ("best", "chebyshev")
 
 _SQRT2 = math.sqrt(2.0)
-# coordinates per pass of the series kernel: its four work arrays of this
-# length (128 KiB each) stay in cache
+# coordinates per pass of the estimator: its work arrays of this length
+# (128 KiB each; four, or six with the split halves) stay in cache
 _CHUNK = 1 << 14
 
 
@@ -146,16 +152,6 @@ def _clenshaw(x: np.ndarray, scaled: np.ndarray, out: np.ndarray, u: np.ndarray,
         out += scaled[k]
 
 
-def _even_series(x: np.ndarray, scaled: np.ndarray) -> np.ndarray:
-    """sum_k scaled[k] * H_{2k}(x_i) for every coordinate, _CHUNK coordinates at a time."""
-    out = np.empty(x.size)
-    scratch = np.empty((3, min(x.size, _CHUNK)))
-    for lo in range(0, x.size, _CHUNK):
-        part = out[lo:lo + _CHUNK]
-        _clenshaw(x[lo:lo + _CHUNK], scaled, part, *scratch[:, :part.size])
-    return out
-
-
 # ---------------------------------------------------------------------------
 # estimators
 
@@ -186,48 +182,73 @@ def split_samples(y, seed: int) -> tuple[np.ndarray, np.ndarray]:
     N(theta_i/sqrt(2), 1).  The same seed reproduces the same split
     bit-for-bit.
     """
-    return _split(_as_data(y), seed)
+    arr = _as_data(y)
+    x1, x2 = np.empty(arr.size), np.empty(arr.size)
+    gen = stream(seed)
+    for lo in range(0, arr.size, _CHUNK):
+        _split_chunk(arr[lo:lo + _CHUNK], gen, x1[lo:lo + _CHUNK], x2[lo:lo + _CHUNK])
+    return x1, x2
 
 
-def _split(arr: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    z = stream(seed).standard_normal(arr.size)
-    x1 = np.add(arr, z)
+def _split_chunk(a: np.ndarray, gen: np.random.Generator, x1: np.ndarray, x2: np.ndarray) -> None:
+    """x1 = (a + z)/sqrt(2), x2 = (a - z)/sqrt(2) with z the next a.size draws of `gen`.
+
+    Drawn chunk by chunk, z has the bits of one draw of the whole vector.
+    """
+    gen.standard_normal(out=x2)   # z, until x2 takes over its buffer
+    np.add(a, x2, out=x1)
     x1 /= _SQRT2
-    np.subtract(arr, z, out=z)   # x2 takes over the noise buffer
-    z /= _SQRT2
-    return x1, z
+    np.subtract(a, x2, out=x2)
+    x2 /= _SQRT2
+
+
+def _hybrid_chunk(a: np.ndarray, b: np.ndarray, scaled: np.ndarray, threshold: float, cap: float,
+                  out: np.ndarray, u: np.ndarray, o: np.ndarray, t: np.ndarray,
+                  mask: np.ndarray) -> float:
+    """out = min(S(a), cap) where |b| <= threshold, |a| elsewhere, on one chunk.
+
+    u, o, t and the boolean mask are scratch of a's length.  The series may
+    overflow on coordinates that take the |a| branch, so the caller runs
+    this with numpy's overflow and invalid warnings off, and only the terms
+    are checked: returns the largest |a| whose term is not finite (such a
+    term can only come from the series branch), or -inf if every term is.
+    """
+    _clenshaw(a, scaled, out, u, o, t)
+    np.minimum(out, cap, out=out)
+    np.abs(b, out=u)
+    np.greater(u, threshold, out=mask)
+    np.abs(a, out=t)
+    np.copyto(out, t, where=mask)
+    np.isfinite(out, out=mask)
+    if mask.all():
+        return -math.inf
+    return float(np.max(t[~mask]))
+
+
+def _check_hybrid(peak: float) -> None:
+    """Raise RangeError for the largest overflowing |x| the chunks reported."""
+    if peak > -math.inf:
+        raise RangeError(f"the hybrid series overflows the double range at |x| up to {peak:.6g}")
 
 
 def _hybrid_terms(x1: np.ndarray, x2: np.ndarray, scaled: np.ndarray, threshold: float,
                   cap: float) -> np.ndarray:
     """Per coordinate: min(S(x1), cap) where |x2| <= threshold, |x1| elsewhere.
 
-    One pass of _CHUNK coordinates at a time runs the series, the cap and
-    the branch.  The series may overflow on coordinates that take the |x1|
-    branch, so numpy's warnings are suppressed and only the returned terms
-    are checked; a non-finite one can only come from the series branch and
-    raises RangeError.
+    _CHUNK coordinates at a time; raises RangeError when a returned term
+    overflows the double range.
     """
     out = np.empty(x1.size)
-    scratch = np.empty((3, min(x1.size, _CHUNK)))
-    large = np.empty(scratch.shape[1], dtype=bool)
-    finite = True
+    u, o, t = np.empty((3, min(x1.size, _CHUNK)))
+    large = np.empty(u.size, dtype=bool)
+    peak = -math.inf
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, x1.size, _CHUNK):
-            part, a = out[lo:lo + _CHUNK], x1[lo:lo + _CHUNK]
-            u, o, t = scratch[:, :part.size]
-            mask = large[:part.size]
-            _clenshaw(a, scaled, part, u, o, t)
-            np.minimum(part, cap, out=part)
-            np.abs(x2[lo:lo + _CHUNK], out=u)
-            np.greater(u, threshold, out=mask)
-            np.abs(a, out=t)
-            np.copyto(part, t, where=mask)
-            np.isfinite(part, out=mask)
-            finite = finite and bool(mask.all())
-    if not finite:
-        peak = float(np.max(np.abs(x1[~np.isfinite(out)])))
-        raise RangeError(f"the hybrid series overflows the double range at |x| up to {peak:.6g}")
+            part = out[lo:lo + _CHUNK]
+            m = part.size
+            peak = max(peak, _hybrid_chunk(x1[lo:lo + _CHUNK], x2[lo:lo + _CHUNK], scaled, threshold, cap,
+                                           part, u[:m], o[:m], t[:m], large[:m]))
+    _check_hybrid(peak)
     return out
 
 
@@ -409,14 +430,31 @@ def run_estimator(spec: EstimatorSpec, y, seed: int | None = None) -> float:
     arr = _as_data(y)
     n = arr.size
     scaled, threshold = _scaled_coefficients(spec, n)
-    if spec.variant in ("bounded", "growing"):
-        with np.errstate(over="ignore", invalid="ignore"):
-            value = float(np.mean(_even_series(arr, scaled)))
-        if not math.isfinite(value):
-            peak, degree = float(np.max(np.abs(arr))), 2 * (scaled.size - 1)
-            raise RangeError(f"the degree-{degree} series overflows the double range at |y| up to {peak:.6g}")
-        return value
-    x1, x2 = _split(arr, spec.seed if seed is None else seed)
-    if spec.variant == "unbounded":
-        return float(_SQRT2 * np.mean(_hybrid_terms(x1, x2, scaled, threshold, float(n))))
-    return float(_SQRT2 * _hybrid_terms(x1, x2, scaled, threshold, float(n) ** 2).sum() / spec.k_n)
+    hybrid = spec.variant in ("unbounded", "sparse")
+    if hybrid:
+        gen = stream(spec.seed if seed is None else seed)
+        cap = float(n) if spec.variant == "unbounded" else float(n) ** 2
+    part, u, o, t, x1, x2 = np.empty((6, min(n, _CHUNK)))   # x1 and x2 only for the hybrids
+    large = np.empty(u.size, dtype=bool)
+    total, peak = 0.0, -math.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, n, _CHUNK):
+            a = arr[lo:lo + _CHUNK]
+            m = a.size
+            if hybrid:
+                _split_chunk(a, gen, x1[:m], x2[:m])
+                peak = max(peak, _hybrid_chunk(x1[:m], x2[:m], scaled, threshold, cap,
+                                               part[:m], u[:m], o[:m], t[:m], large[:m]))
+            else:
+                _clenshaw(a, scaled, part[:m], u[:m], o[:m], t[:m])
+            total += float(part[:m].sum())
+    if hybrid:
+        _check_hybrid(peak)
+        if spec.variant == "unbounded":
+            return _SQRT2 * (total / n)
+        return _SQRT2 * total / spec.k_n
+    value = total / n
+    if not math.isfinite(value):
+        peak, degree = float(np.max(np.abs(arr))), 2 * (scaled.size - 1)
+        raise RangeError(f"the degree-{degree} series overflows the double range at |y| up to {peak:.6g}")
+    return value

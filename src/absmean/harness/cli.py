@@ -8,12 +8,19 @@ Subcommands:
   lowerbound  construct least-favorable priors and evaluate the risk bound
   selftest    run the invariant suite
 
-Exit codes: 0 success (risk: all bounds met), 1 compliance violations,
-2 bad flags, configuration or any argument errors.check_int / check_real
-reject (for risk, also an output_path whose directory is missing or
-unwritable, or that names a directory; checked before any scenario runs),
-3 data errors (unparseable or non-finite observations, or data on which the
-series overflows the double range), 4 convergence failures.
+Exit codes:
+
+  0  success (risk: all bounds met)
+  1  compliance violations (risk)
+  2  bad flags, configuration errors, and arguments that errors.check_int or
+     check_real reject; an input or config file that is missing or cannot
+     be read (a directory, no read permission, or for risk a config that is
+     not UTF-8); for risk, also an output_path whose directory is missing or
+     unwritable, or that names a directory, checked before any scenario runs
+  3  data errors: unparseable or non-finite observations (an input that is
+     not UTF-8 is unparseable), or data on which the series overflows the
+     double range
+  4  convergence failures
 """
 
 from __future__ import annotations
@@ -103,6 +110,9 @@ def _cmd_estimate(args) -> int:
     except FileNotFoundError:
         print(f"error: input file not found: {args.input}", file=sys.stderr)
         return 2
+    except OSError as e:   # a directory, or no read permission
+        print(f"error: cannot read input file {args.input}: {e.strerror}", file=sys.stderr)
+        return 2
     except ValueError as e:
         print(f"error: could not parse {args.input}: {e}", file=sys.stderr)
         return 3
@@ -124,6 +134,9 @@ def _cmd_risk(args) -> int:
         cfg = load_config(args.config)
     except FileNotFoundError:
         print(f"error: config file not found: {args.config}", file=sys.stderr)
+        return 2
+    except (OSError, UnicodeDecodeError) as e:   # a directory, no read permission, or not UTF-8
+        print(f"error: cannot read config file {args.config}: {e}", file=sys.stderr)
         return 2
     check_output_path(cfg.output_path)
     reports = run_config(cfg)

@@ -21,7 +21,11 @@ in dispatch order, whatever the worker count.
 
 Per replication: theta is realized from the scenario family (random families
 redraw it each time), y = theta + standard normal noise, the estimator runs
-on y, and the error is estimate - mean(|theta|).  Aggregates are
+on y, and the error is estimate - mean(|theta|).  A block draws every y into
+one n-length buffer, |theta| is taken in place, and the estimator keeps no
+float array of length n, so the only n-length arrays a replication
+allocates are theta (none for the zero and constant families) and the
+estimator's boolean finiteness mask.  Aggregates are
 
     bias      mean of errors
     mse       mean of squared errors
@@ -109,14 +113,15 @@ def analytic_bounds(spec: EstimatorSpec, n: int) -> tuple[float, float]:
     return bias_bound, var_bound
 
 
-def run_replication(s: Scenario, theta_rng, obs_rng, est_seed: int) -> tuple[float, float]:
+def run_replication(s: Scenario, theta_rng, obs_rng, est_seed: int, out=None) -> tuple[float, float]:
     """One Monte Carlo cell: returns (estimate, true functional value).
 
-    Takes the next theta draw and noise vector from the block's streams.
-    The zero and constant families draw no theta: their value is added to
-    the noise as a scalar, and the truth is its absolute value.
+    Takes the next theta draw and noise vector from the block's streams; y
+    is built in `out`, a float64 buffer of length n, when one is given.  The
+    zero and constant families draw no theta: their value is added to the
+    noise as a scalar, and the truth is its absolute value.
     """
-    y = obs_rng.standard_normal(s.n)
+    y = obs_rng.standard_normal(s.n, out=out)
     if isinstance(s.family, ZeroVector):
         truth = 0.0
     elif isinstance(s.family, ConstantAt):
@@ -126,21 +131,23 @@ def run_replication(s: Scenario, theta_rng, obs_rng, est_seed: int) -> tuple[flo
     else:
         theta = draw_theta(s.family, s.n, theta_rng)
         y += theta
-        truth = float(np.mean(np.abs(theta)))
+        truth = float(np.mean(np.abs(theta, out=theta)))   # theta is a fresh array
     return run_estimator(s.estimator, y, seed=est_seed), truth
 
 
 def _run_block(task) -> list[tuple[float, float]]:
-    """Replications b*B up to (b+1)*B of scenario i, in order."""
+    """Replications b*B up to (b+1)*B of scenario i, in order, each drawing
+    its y into one buffer of the block."""
     s, seed, i, b = task
     reps = range(b * B, min(b * B + B, s.replications))
     theta_rng = stream(seed, LANE_THETA, i, b)
     obs_rng = stream(seed, LANE_OBS, i, b)
     est_seeds = stream(seed, LANE_EST, i, b).integers(0, 1 << 63, size=len(reps)).tolist()
+    y = np.empty(s.n)
     out = []
     for rep, est_seed in zip(reps, est_seeds):
         try:
-            out.append(run_replication(s, theta_rng, obs_rng, est_seed))
+            out.append(run_replication(s, theta_rng, obs_rng, est_seed, y))
         except AbsmeanError as e:
             e.args = (f"scenario {s.id!r}, replication {rep}: {e.args[0]}",) + e.args[1:]
             raise

@@ -92,7 +92,8 @@ def family_is_random(family) -> bool:
 
 
 def draw_theta(family, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Realize the mean vector; consumes `rng` only for random families."""
+    """Realize the mean vector, a fresh array on every call; consumes `rng`
+    only for random families."""
     n = check_int("n", n, 1, MAX_COUNT)
     if isinstance(family, ZeroVector):
         return np.zeros(n)
@@ -111,7 +112,7 @@ def draw_theta(family, n: int, rng: np.random.Generator) -> np.ndarray:
     if isinstance(family, CustomVector):
         if len(family.values) != n:
             raise DomainError(f"custom vector has length {len(family.values)}, scenario n = {n}")
-        return np.asarray(family.values, dtype=np.float64)
+        return np.array(family.values, dtype=np.float64)
     raise DomainError(f"unknown theta family {family!r}")
 
 

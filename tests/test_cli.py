@@ -80,6 +80,19 @@ def test_estimate_missing_input(tmp_path, capsys):
     assert "input file not found" in capsys.readouterr().err
 
 
+def test_estimate_unreadable_input(tmp_path, capsys):
+    # a directory is not a data file: exit 2 like a missing one, with no traceback
+    assert main(["estimate", "--variant", "bounded", "--input", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read input file {tmp_path}: ")
+
+
+def test_estimate_non_utf8_input_is_unparseable(tmp_path, capsys):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"1.0\n\xff\xfe\n3.0\n")
+    assert main(["estimate", "--variant", "bounded", "--input", str(path)]) == 3
+    assert capsys.readouterr().err.startswith("error: could not parse ")
+
+
 def test_estimate_unparseable_input(tmp_path, capsys):
     path = tmp_path / "bad.txt"
     path.write_text("1.0\ntwo\n3.0\n")
@@ -202,6 +215,16 @@ def test_risk_json_output(tmp_path, capsys):
 def test_risk_missing_config(tmp_path, capsys):
     assert main(["risk", "--config", str(tmp_path / "absent.json")]) == 2
     assert "config file not found" in capsys.readouterr().err
+
+
+def test_risk_unreadable_config(tmp_path, capsys):
+    # exit 1 means compliance violations, so a config that cannot be read must not crash with it
+    assert main(["risk", "--config", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read config file {tmp_path}: ")
+    cfg = tmp_path / "latin1.json"
+    cfg.write_bytes(b'{"seed": 1, "output_path": "caf\xe9.csv", "scenarios": []}')
+    assert main(["risk", "--config", str(cfg)]) == 2
+    assert "can't decode byte 0xe9" in capsys.readouterr().err
 
 
 def test_risk_malformed_config(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Estimator variants: frozen values, selection rules, split mechanics, exact risk."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from absmean import estimators
 from absmean.errors import DataError, DomainError, RangeError
 from absmean.estimators import (
+    VARIANTS,
     EstimatorSpec,
     approx_coefficients,
     delta_component,
@@ -226,17 +228,117 @@ def test_series_overflow_raises_range_error():
 
 def test_kernel_chunks_do_not_change_a_coordinate():
     # the kernel runs 2^14 coordinates at a time; across chunk boundaries and
-    # in the short last chunk every coordinate gets the bits it gets alone
+    # in the short last chunk every coordinate gets the bits it gets alone.
+    # delta_component takes the series branch on every coordinate, and the
+    # cap 2^48 is far above its values here
     rng = stream(11)
     x1 = 4.0 * rng.standard_normal(2 * 2**14 + 3)
     x2 = 8.0 * rng.standard_normal(x1.size)   # both hybrid branches occur
-    scaled = np.asarray(approx_coefficients(7, "best")) * 1.5 ** (1.0 - 2.0 * np.arange(8))
-    series = estimators._even_series(x1, scaled)
+    series = delta_component(x1, 2**48)
     hybrid = hybrid_component(x1, x2, 2**36)
+    assert np.all(np.abs(series) < 2.0**40)
     assert 0 < np.count_nonzero(hybrid == np.abs(x1)) < x1.size
     for i in range(x1.size):
-        assert series[i] == estimators._even_series(x1[i:i + 1], scaled)[0]
+        assert series[i] == delta_component(x1[i], 2**48)
         assert hybrid[i] == hybrid_component(x1[i], x2[i], 2**36)
+
+
+# run_estimator reduces each 2^14-coordinate chunk to its sum; this n has
+# three full chunks and a short fourth
+CHUNKED_N = 3 * 2**14 + 5
+
+
+def _full_array_series(y, spec):
+    """The series on every coordinate in one kernel call over the whole vector."""
+    scaled, _ = estimators._scaled_coefficients(spec, y.size)
+    out, u, o, t = np.empty((4, y.size))
+    estimators._clenshaw(y, scaled, out, u, o, t)
+    return out
+
+
+def test_chunk_pass_matches_full_array_references():
+    y = 0.7 * stream(21).standard_normal(CHUNKED_N)
+    y[::97] += 30.0   # these coordinates take the |x1| branch of the hybrids
+    n, seed = CHUNKED_N, 6
+    x1, x2 = split_samples(y, seed)
+    _, _, threshold = unbounded_params(n)
+    sparse = EstimatorSpec("sparse", k_n=500, seed=seed)
+    sparse_terms = np.minimum(_full_array_series(x1, sparse), float(n) ** 2)
+    sparse_terms = np.where(np.abs(x2) > threshold, np.abs(x1), sparse_terms)
+    assert 0 < np.count_nonzero(sparse_terms == np.abs(x1)) < n
+    bounded, growing = EstimatorSpec("bounded", M=1.0), EstimatorSpec("growing")
+    cases = [
+        (bounded, np.mean(_full_array_series(y, bounded))),
+        (growing, np.mean(_full_array_series(y, growing))),
+        (EstimatorSpec("unbounded", seed=seed), SQRT2 * np.mean(hybrid_component(x1, x2, n))),
+        (sparse, SQRT2 * sparse_terms.sum() / 500),
+    ]
+    for spec, reference in cases:
+        assert run_estimator(spec, y) == pytest.approx(float(reference), rel=1e-14, abs=0)
+
+
+class _EchoStream:
+    """A stand-in split stream whose noise is the data itself, so x1 = sqrt(2) y,
+    x2 = 0, and every coordinate takes the hybrid series branch."""
+
+    def __init__(self, y):
+        self.y, self.lo = y, 0
+
+    def standard_normal(self, out):
+        out[:] = self.y[self.lo:self.lo + out.size]
+        self.lo += out.size
+        return out
+
+
+def test_overflow_in_the_last_chunk_raises_range_error(monkeypatch):
+    y = np.zeros(CHUNKED_N)
+    y[-1] = 1e200
+    with pytest.raises(RangeError, match=r"degree-2 series overflows .* up to 1e\+200$"):
+        estimate_bounded(y, 1.0, 1)
+    # at this n the hybrid cutoff is K = 1, whose series overflows to +inf and
+    # is capped; K = 2 (the cutoff from n = 2^24 on, too long a vector here)
+    # overflows to nan at 1e200, which no cap hides
+    params = estimators.unbounded_params
+    monkeypatch.setattr(estimators, "unbounded_params", lambda n: (params(n)[0], 2, params(n)[2]))
+    monkeypatch.setattr(estimators, "stream", lambda seed: _EchoStream(y))
+    for spec in (EstimatorSpec("unbounded"), EstimatorSpec("sparse", k_n=3)):
+        with pytest.raises(RangeError, match=r"up to 1\.41421e\+200$"):
+            run_estimator(spec, y)
+    # the message names the largest overflowing |x| over all chunks, as on the whole vector
+    y[5] = 2e200
+    with pytest.raises(RangeError, match=r"up to 2\.82843e\+200$") as whole:
+        hybrid_component(SQRT2 * y, np.zeros_like(y), CHUNKED_N)
+    with pytest.raises(RangeError) as chunked:
+        estimate_unbounded(y, seed=0)
+    assert str(chunked.value) == str(whole.value)
+
+
+def test_abs_branch_overflow_in_a_later_chunk_is_silent():
+    y = np.zeros(CHUNKED_N)
+    y[-3:] = 1e200   # their series values overflow, but |x2| is huge, so |x1| is taken
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert estimate_unbounded(y, seed=0) == pytest.approx(3e200 / CHUNKED_N, rel=1e-12)
+        assert estimate_sparse(y, 3, seed=0) == pytest.approx(1e200, rel=1e-12)
+
+
+@pytest.mark.parametrize("spec", [EstimatorSpec("bounded", M=1.0), EstimatorSpec("growing"),
+                                  EstimatorSpec("unbounded", seed=2), EstimatorSpec("sparse", k_n=64, seed=2)],
+                         ids=VARIANTS)
+def test_run_estimator_allocates_no_vector_of_length_n(spec):
+    # beyond the data it is given, an estimate holds O(2^14) doubles of scratch
+    # and one boolean finiteness mask; an n-length float temporary would need n * 8 bytes
+    n = 2**20
+    y = stream(4).standard_normal(n)
+    run_estimator(spec, y)   # builds and caches the coefficients
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        run_estimator(spec, y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * 8 / 2
 
 
 def test_hybrid_overflow_on_the_abs_branch_is_silent():

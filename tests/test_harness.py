@@ -586,6 +586,27 @@ def test_block_streams_pin_the_draws(monkeypatch):
         assert recorded[engine.B * b + j] == expected
 
 
+@pytest.mark.parametrize("family, est", [
+    (ZeroVector(), {"variant": "bounded"}),
+    (ConstantAt(0.6), {"variant": "bounded"}),
+    (AlternationAtoms(k=4, M=1.0), {"variant": "growing"}),
+    (TwoSpike(8, 3.0), {"variant": "sparse", "k_n": 8}),
+], ids=["zero", "constant", "alternation", "two_spike"])
+def test_block_buffer_keeps_every_replication_bit_for_bit(family, est):
+    # a block draws each y into one reused buffer; across a full block at
+    # n > 2^14 the replications are those of fresh arrays, to the bit
+    n = 2**14 + 9
+    s = _scenario(family, n=n, reps=engine.B, **est)
+    seeds = stream(7, LANE_EST, 0, 0).integers(0, 1 << 63, size=engine.B).tolist()
+
+    def block(buffer):
+        theta_rng, obs_rng = stream(7, LANE_THETA, 0, 0), stream(7, LANE_OBS, 0, 0)
+        rows = [engine.run_replication(s, theta_rng, obs_rng, seed, buffer) for seed in seeds]
+        return [(estimate.hex(), truth.hex()) for estimate, truth in rows]
+
+    assert block(np.empty(n)) == block(None)
+
+
 def test_run_config_env_override(tmp_path, monkeypatch):
     cfg = RunConfig(
         scenarios=(_scenario(ZeroVector(), n=32, reps=20, sid="z"),),
