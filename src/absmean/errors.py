@@ -7,7 +7,8 @@ TypeError, ValueError or OverflowError), which the command line maps to
 exit 2.  A sample size n that only enters formulas is at most MAX_N, the
 largest integer a double holds; a count that sizes an array or a loop is at
 most MAX_COUNT, numpy's largest index.  Observation vectors are data, not
-arguments: they raise DataError with the offending index.
+arguments: non-numeric, complex, ragged, 2-d or empty observations raise
+DataError, and a non-finite one raises DataError with its index.
 """
 
 from __future__ import annotations

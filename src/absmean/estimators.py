@@ -33,8 +33,11 @@ and the chunk is reduced to its sum.  The estimate is the sum of the chunk
 sums over n (times sqrt(2) for the hybrids, over k_n for the sparse one).
 So an estimate allocates nothing of length n beyond a boolean finiteness
 mask of the data, and with a single chunk (n <= _CHUNK) its arithmetic is
-that of one pass over the whole vector.  `split_samples` and the hybrid
-components run the same per-chunk helpers into full-length arrays.
+that of one pass over the whole vector.  That pass is the only chunk loop:
+`split_samples` and the hybrid components call the same per-chunk helpers
+once on their whole input, with scratch of its length (every step is
+elementwise, so a coordinate gets the bits it gets in the pass).  `_as_data`
+is the one check of observations, at all four entry points.
 
 There is one estimator body, `run_estimator`, and every `estimate_*` is a
 call to it with an EstimatorSpec.  `resolve_parameters` is the one place
@@ -112,14 +115,24 @@ def approx_coefficients(K: int, basis: str) -> tuple[float, ...]:
 # ---------------------------------------------------------------------------
 # data handling and the series kernel
 
-def _as_data(y) -> np.ndarray:
-    arr = np.asarray(y, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise DataError("observations must form a nonempty 1-d vector")
+def _as_data(y, scalar: bool = False) -> np.ndarray:
+    """`y` as float64, or DataError unless it is a nonempty 1-d vector (or,
+    with `scalar`, a single number) of finite reals: not text, complex,
+    ragged or 2-d data."""
+    try:
+        arr = np.asarray(y)
+        real = arr.dtype.kind in "biuf"   # no object dtype either: it may hold text that converts
+    except ValueError:   # ragged nesting
+        real = False
+    if not real:
+        raise DataError("observations must be real numbers, not text, complex values or ragged lists")
+    arr = arr.astype(np.float64, copy=False)
+    if arr.ndim > 1 or arr.size == 0 or (arr.ndim == 0 and not scalar):
+        raise DataError("observations must form a nonempty 1-d vector" + (" or a scalar" if scalar else ""))
     finite = np.isfinite(arr)
     if not finite.all():
         idx = int(np.argmin(finite))
-        raise DataError(f"non-finite observation at index {idx}: {float(arr[idx])}", index=idx)
+        raise DataError(f"non-finite observation at index {idx}: {float(arr.flat[idx])}", index=idx)
     return arr
 
 
@@ -184,9 +197,7 @@ def split_samples(y, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """
     arr = _as_data(y)
     x1, x2 = np.empty(arr.size), np.empty(arr.size)
-    gen = stream(seed)
-    for lo in range(0, arr.size, _CHUNK):
-        _split_chunk(arr[lo:lo + _CHUNK], gen, x1[lo:lo + _CHUNK], x2[lo:lo + _CHUNK])
+    _split_chunk(arr, stream(seed), x1, x2)
     return x1, x2
 
 
@@ -205,7 +216,8 @@ def _split_chunk(a: np.ndarray, gen: np.random.Generator, x1: np.ndarray, x2: np
 def _hybrid_chunk(a: np.ndarray, b: np.ndarray, scaled: np.ndarray, threshold: float, cap: float,
                   out: np.ndarray, u: np.ndarray, o: np.ndarray, t: np.ndarray,
                   mask: np.ndarray) -> float:
-    """out = min(S(a), cap) where |b| <= threshold, |a| elsewhere, on one chunk.
+    """out = min(S(a), cap) where |b| <= threshold, |a| elsewhere, on one chunk
+    of run_estimator's pass or on a hybrid component's whole input.
 
     u, o, t and the boolean mask are scratch of a's length.  The series may
     overflow on coordinates that take the |a| branch, so the caller runs
@@ -226,30 +238,9 @@ def _hybrid_chunk(a: np.ndarray, b: np.ndarray, scaled: np.ndarray, threshold: f
 
 
 def _check_hybrid(peak: float) -> None:
-    """Raise RangeError for the largest overflowing |x| the chunks reported."""
+    """Raise RangeError for the largest overflowing |x| _hybrid_chunk reported."""
     if peak > -math.inf:
         raise RangeError(f"the hybrid series overflows the double range at |x| up to {peak:.6g}")
-
-
-def _hybrid_terms(x1: np.ndarray, x2: np.ndarray, scaled: np.ndarray, threshold: float,
-                  cap: float) -> np.ndarray:
-    """Per coordinate: min(S(x1), cap) where |x2| <= threshold, |x1| elsewhere.
-
-    _CHUNK coordinates at a time; raises RangeError when a returned term
-    overflows the double range.
-    """
-    out = np.empty(x1.size)
-    u, o, t = np.empty((3, min(x1.size, _CHUNK)))
-    large = np.empty(u.size, dtype=bool)
-    peak = -math.inf
-    with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, x1.size, _CHUNK):
-            part = out[lo:lo + _CHUNK]
-            m = part.size
-            peak = max(peak, _hybrid_chunk(x1[lo:lo + _CHUNK], x2[lo:lo + _CHUNK], scaled, threshold, cap,
-                                           part, u[:m], o[:m], t[:m], large[:m]))
-    _check_hybrid(peak)
-    return out
 
 
 def delta_component(x, n: int):
@@ -260,14 +251,9 @@ def delta_component(x, n: int):
     `x` may be a scalar or a vector; n is the calibration sample size.
     Raises RangeError when the series overflows the double range.
     """
-    arr = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise DataError("non-finite value passed to the series component")
-    x1 = np.atleast_1d(arr)
+    arr = _as_data(x, scalar=True)
     # a zero companion coordinate always passes the small-signal test
-    scaled, threshold = _scaled_coefficients(_UNBOUNDED, n)
-    out = _hybrid_terms(x1, np.zeros_like(x1), scaled, threshold, float(n))
-    return float(out[0]) if arr.ndim == 0 else out
+    return hybrid_component(arr, np.zeros_like(arr), n)
 
 
 def hybrid_component(x1, x2, n: int):
@@ -278,14 +264,15 @@ def hybrid_component(x1, x2, n: int):
     Scalar or vector inputs; x1 and x2 must have matching shapes.  Raises
     RangeError when a series term it returns overflows the double range.
     """
-    a1 = np.asarray(x1, dtype=np.float64)
-    a2 = np.asarray(x2, dtype=np.float64)
+    a1, a2 = _as_data(x1, scalar=True), _as_data(x2, scalar=True)
     if a1.shape != a2.shape:
         raise DataError("the two sample halves must have matching shapes")
-    if not (np.all(np.isfinite(a1)) and np.all(np.isfinite(a2))):
-        raise DataError("non-finite value passed to the hybrid component")
     scaled, threshold = _scaled_coefficients(_UNBOUNDED, n)
-    out = _hybrid_terms(np.atleast_1d(a1), np.atleast_1d(a2), scaled, threshold, float(n))
+    a, b = np.atleast_1d(a1, a2)
+    out, (u, o, t) = np.empty(a.size), np.empty((3, a.size))
+    with np.errstate(over="ignore", invalid="ignore"):
+        peak = _hybrid_chunk(a, b, scaled, threshold, float(n), out, u, o, t, np.empty(a.size, dtype=bool))
+    _check_hybrid(peak)
     return float(out[0]) if a1.ndim == 0 else out
 
 

@@ -27,13 +27,7 @@ from .scenarios import (
     load_config,
     parse_config,
 )
-from .selftest import (
-    check_mixture_variance,
-    check_truncation_variance,
-    mixture_variance_gap,
-    run_selftest,
-    truncation_variance_pair,
-)
+from .selftest import check_mixture_variance, check_truncation_variance, run_selftest
 
 __all__ = [
     "AlternationAtoms",
@@ -53,7 +47,6 @@ __all__ = [
     "draw_theta",
     "family_is_random",
     "load_config",
-    "mixture_variance_gap",
     "parse_config",
     "render_csv",
     "render_json",
@@ -62,6 +55,5 @@ __all__ = [
     "run_replication",
     "run_scenario",
     "run_selftest",
-    "truncation_variance_pair",
     "write_reports",
 ]

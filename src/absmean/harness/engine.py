@@ -47,8 +47,8 @@ import numpy as np
 
 from .. import __version__
 from ..errors import MAX_COUNT, AbsmeanError, DomainError, check_int, check_real
-from ..estimators import EstimatorSpec, approx_coefficients, resolve_parameters, run_estimator
-from ..polyapprox import EvenPolynomial, uniform_error
+from ..estimators import EstimatorSpec, resolve_parameters, run_estimator
+from ..polyapprox import remez_best_approx
 # derive_seed is unused here but stays importable: perfbench/session.py traces this module's names
 from ..rng import LANE_EST, LANE_OBS, LANE_THETA, derive_seed, stream  # noqa: F401
 from .scenarios import ConstantAt, RunConfig, Scenario, ZeroVector, draw_theta
@@ -89,8 +89,10 @@ class RiskReport:
 def analytic_bounds(spec: EstimatorSpec, n: int) -> tuple[float, float]:
     """Per-variant (bias_bound, var_bound) attached to every report.
 
-    bounded   bias: M times the uniform error of the unit-interval series
-              actually used; var: 2 e^{M^2} 2^{8K} K^{2K} / n.
+    bounded   bias: M times the certified uniform error of the unit-interval
+              series actually used, the Remez delta for the best basis and
+              the truncation sup 2/(pi(2K+1)) (attained at 0) for chebyshev;
+              var: 2 e^{M^2} 2^{8K} K^{2K} / n.
     growing   bias: 2M/(pi(2K+1)); var: 4 M^2 2^{8K} / n.
     unbounded bias: sqrt(2)(2M/(pi(2K+1)) + 1), the 1 covering the
               |x|-branch excess E|N(mu,1)| - |mu| < 1; var: 2 (ln n)^5 / sqrt(n).
@@ -98,12 +100,13 @@ def analytic_bounds(spec: EstimatorSpec, n: int) -> tuple[float, float]:
               the denominator but n noisy coordinates).
     """
     K, M = resolve_parameters(spec, n)
+    series = 2.0 * M / (math.pi * (2 * K + 1))   # M times the Chebyshev truncation's sup error
     if spec.variant == "bounded":
-        poly = EvenPolynomial(approx_coefficients(K, spec.resolved_basis))
-        return M * uniform_error(poly), 2.0 * math.exp(M * M) * 2.0 ** (8 * K) * float(K) ** (2 * K) / n
+        if spec.resolved_basis == "best":
+            series = M * remez_best_approx(K).delta
+        return series, 2.0 * math.exp(M * M) * 2.0 ** (8 * K) * float(K) ** (2 * K) / n
     if spec.variant == "growing":
-        return 2.0 * M / (math.pi * (2 * K + 1)), 4.0 * M * M * 2.0 ** (8 * K) / n
-    series = 2.0 * M / (math.pi * (2 * K + 1))
+        return series, 4.0 * M * M * 2.0 ** (8 * K) / n
     bias_bound = math.sqrt(2.0) * (series + 1.0)
     var_bound = 2.0 * math.log(n) ** 5 / math.sqrt(n)
     if spec.variant == "sparse":

@@ -208,6 +208,44 @@ def test_data_validation_errors():
         estimate_bounded(np.asarray([math.inf, 0.0]), 1.0, 1)
 
 
+_BOUNDED_K1 = EstimatorSpec("bounded", M=1.0, K_override=1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: run_estimator(_BOUNDED_K1, ["a", "b"]),
+    lambda: run_estimator(_BOUNDED_K1, [[1.0, 2.0], [3.0]]),
+    lambda: run_estimator(_BOUNDED_K1, np.array([1 + 2j, 3.0])),   # not silently its real part
+    lambda: run_estimator(_BOUNDED_K1, 1.0),
+    lambda: run_estimator(_BOUNDED_K1, np.array(["0.5", 1.0], dtype=object)),
+    lambda: split_samples(["a"], 0),
+    lambda: split_samples(np.ones((2, 2)), 0),
+    lambda: delta_component("abc", 100),
+    lambda: delta_component([1.0, None], 100),
+    lambda: delta_component(np.ones((2, 2)), 100),
+    lambda: hybrid_component(np.zeros((2, 3)), np.zeros((2, 3)), 1000),
+    lambda: hybrid_component([1.0, 2j], [0.0, 0.0], 1000),
+], ids=["text", "ragged", "complex", "scalar", "object-text", "split-text", "split-2d", "delta-text", "delta-none",
+        "delta-2d", "hybrid-2d", "hybrid-complex"])
+def test_malformed_data_raises_data_error(call):
+    with pytest.raises(DataError):
+        call()
+
+
+def test_empty_data_raises_data_error_at_every_entry_point():
+    for call in (lambda: run_estimator(_BOUNDED_K1, []), lambda: split_samples([], 0),
+                 lambda: delta_component(np.array([]), 100), lambda: hybrid_component([], [], 100)):
+        with pytest.raises(DataError):
+            call()
+
+
+def test_data_error_comes_before_domain_error():
+    # n = 5 is below the hybrid cutoff rule's minimum, but the data is checked first
+    for call in (lambda: delta_component("abc", 5), lambda: hybrid_component([math.nan], [0.0], 5),
+                 lambda: run_estimator(EstimatorSpec("sparse", k_n=9), [[0.0], [1.0, 2.0]])):
+        with pytest.raises(DataError):
+            call()
+
+
 def test_series_overflow_raises_range_error():
     # the degree-6 series overflows to nan at 1e80, degree 2 to inf at 1e200
     with pytest.raises(RangeError):

@@ -34,6 +34,7 @@ from absmean.harness import (
 from absmean.harness import engine
 from absmean.harness.engine import RiskReport, analytic_bounds
 from absmean.lowerbound import construct_prior_pair, scale_prior
+from absmean.polyapprox import BERNSTEIN_CONSTANT, build_G_K, remez_best_approx, uniform_error
 from absmean.rng import LANE_EST, LANE_OBS, LANE_THETA, stream
 from oracles import exact_series_risk
 
@@ -417,6 +418,22 @@ def test_analytic_bounds_sparse_scaling():
     bb, bv = analytic_bounds(EstimatorSpec(variant="bounded", M=1.0, K_override=1), n)
     assert math.isclose(bb, 0.125, rel_tol=1e-12)            # M * delta_2
     assert math.isclose(bv, 2.0 * math.e * 256.0 / n, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("K", [20, 25, 30, 40])
+def test_bounded_bias_bound_is_the_certified_error_at_large_K(K):
+    # the bound is M times the certified unit-interval error; a grid error of
+    # the monomial (Horner) form is roundoff-dominated from K ~ 25 on
+    M = 2.5
+    best, _ = analytic_bounds(EstimatorSpec("bounded", M=M, K_override=K), 100)
+    cheb, _ = analytic_bounds(EstimatorSpec("bounded", M=M, K_override=K, basis="chebyshev"), 100)
+    sol = remez_best_approx(K)
+    assert best == pytest.approx(M * sol.delta, rel=1e-12, abs=0)
+    assert cheb == pytest.approx(M * 2.0 / (math.pi * (2 * K + 1)), rel=1e-12, abs=0)
+    # the grid error of the Chebyshev forms, which evaluate accurately at any K
+    assert best == pytest.approx(M * uniform_error(sol.poly), rel=1e-9, abs=0)
+    assert cheb == pytest.approx(M * uniform_error(build_G_K(K)), rel=1e-9, abs=0)
+    assert abs(2 * K * sol.delta - BERNSTEIN_CONSTANT) < 1e-3
 
 
 # ---------------------------------------------------------------------------
