@@ -118,11 +118,15 @@ def approx_coefficients(K: int, basis: str) -> tuple[float, ...]:
 def _as_data(y, scalar: bool = False) -> np.ndarray:
     """`y` as float64, or DataError unless it is a nonempty 1-d vector (or,
     with `scalar`, a single number) of finite reals: not text, complex,
-    ragged or 2-d data."""
+    ragged or 2-d data.  Objects that convert (Fractions, Decimals, big ints)
+    pass; text, even numeric text, does not."""
     try:
         arr = np.asarray(y)
-        real = arr.dtype.kind in "biuf"   # no object dtype either: it may hold text that converts
-    except ValueError:   # ragged nesting
+        if arr.dtype.kind == "O" and not any(isinstance(v, (str, bytes, complex, np.complexfloating))
+                                             for v in arr.flat):
+            arr = arr.astype(np.float64)
+        real = arr.dtype.kind in "biuf"
+    except (TypeError, ValueError):   # ragged nesting, or objects that are not numbers
         real = False
     if not real:
         raise DataError("observations must be real numbers, not text, complex values or ragged lists")
@@ -253,7 +257,7 @@ def delta_component(x, n: int):
     """
     arr = _as_data(x, scalar=True)
     # a zero companion coordinate always passes the small-signal test
-    return hybrid_component(arr, np.zeros_like(arr), n)
+    return _hybrid(arr, np.zeros_like(arr), n)
 
 
 def hybrid_component(x1, x2, n: int):
@@ -267,6 +271,11 @@ def hybrid_component(x1, x2, n: int):
     a1, a2 = _as_data(x1, scalar=True), _as_data(x2, scalar=True)
     if a1.shape != a2.shape:
         raise DataError("the two sample halves must have matching shapes")
+    return _hybrid(a1, a2, n)
+
+
+def _hybrid(a1: np.ndarray, a2: np.ndarray, n: int):
+    """hybrid_component on checked data of one shape."""
     scaled, threshold = _scaled_coefficients(_UNBOUNDED, n)
     a, b = np.atleast_1d(a1, a2)
     out, (u, o, t) = np.empty(a.size), np.empty((3, a.size))

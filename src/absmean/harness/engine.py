@@ -42,13 +42,14 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .. import __version__
 from ..errors import MAX_COUNT, AbsmeanError, DomainError, check_int, check_real
 from ..estimators import EstimatorSpec, resolve_parameters, run_estimator
-from ..polyapprox import remez_best_approx
+from ..polyapprox import build_G_K, coefficient_error, remez_best_approx
 # derive_seed is unused here but stays importable: perfbench/session.py traces this module's names
 from ..rng import LANE_EST, LANE_OBS, LANE_THETA, derive_seed, stream  # noqa: F401
 from .scenarios import ConstantAt, RunConfig, Scenario, ZeroVector, draw_theta
@@ -89,21 +90,18 @@ class RiskReport:
 def analytic_bounds(spec: EstimatorSpec, n: int) -> tuple[float, float]:
     """Per-variant (bias_bound, var_bound) attached to every report.
 
-    bounded   bias: M times the certified uniform error of the unit-interval
-              series actually used, the Remez delta for the best basis and
-              the truncation sup 2/(pi(2K+1)) (attained at 0) for chebyshev;
-              var: 2 e^{M^2} 2^{8K} K^{2K} / n.
-    growing   bias: 2M/(pi(2K+1)); var: 4 M^2 2^{8K} / n.
-    unbounded bias: sqrt(2)(2M/(pi(2K+1)) + 1), the 1 covering the
+    Each bias bound is built on M times the sup error of the unit-interval
+    series the estimator runs with (`_series_error`).
+    bounded   bias: that term; var: 2 e^{M^2} 2^{8K} K^{2K} / n.
+    growing   bias: that term; var: 4 M^2 2^{8K} / n.
+    unbounded bias: sqrt(2)(that term + 1), the 1 covering the
               |x|-branch excess E|N(mu,1)| - |mu| < 1; var: 2 (ln n)^5 / sqrt(n).
     sparse    same shapes scaled by n/k_n (the renormalized sum has k_n in
               the denominator but n noisy coordinates).
     """
     K, M = resolve_parameters(spec, n)
-    series = 2.0 * M / (math.pi * (2 * K + 1))   # M times the Chebyshev truncation's sup error
+    series = M * _series_error(K, spec.resolved_basis)
     if spec.variant == "bounded":
-        if spec.resolved_basis == "best":
-            series = M * remez_best_approx(K).delta
         return series, 2.0 * math.exp(M * M) * 2.0 ** (8 * K) * float(K) ** (2 * K) / n
     if spec.variant == "growing":
         return series, 4.0 * M * M * 2.0 ** (8 * K) / n
@@ -114,6 +112,17 @@ def analytic_bounds(spec: EstimatorSpec, n: int) -> tuple[float, float]:
         bias_bound *= ratio
         var_bound *= ratio * ratio
     return bias_bound, var_bound
+
+
+@lru_cache(maxsize=None)
+def _series_error(K: int, basis: str) -> float:
+    """Bound on sup | |x| - p(x) | on [-1, 1] for p with the estimators' coefficients
+    approx_coefficients(K, basis): the Chebyshev form's error (Remez delta, or the
+    truncation's 2/(pi(2K+1))) plus their rounding, which dominates from K ~ 20 on."""
+    if basis == "best":
+        sol = remez_best_approx(K)
+        return sol.delta + coefficient_error(sol.poly)
+    return 2.0 / (math.pi * (2 * K + 1)) + coefficient_error(build_G_K(K))
 
 
 def run_replication(s: Scenario, theta_rng, obs_rng, est_seed: int, out=None) -> tuple[float, float]:

@@ -20,17 +20,19 @@ Numerical note: monomial coefficients of either polynomial grow like 2^{3K},
 so Horner evaluation in the monomial basis loses about 2^{3K} * eps of
 absolute accuracy near x = +-1 and is useless by K ~ 20.  Polynomials built
 here therefore carry their even-Chebyshev representation and evaluate
-through it; the monomial half-coefficients are kept as data.  One kernel,
+through it; the monomial half-coefficients are kept as data, and
+``coefficient_error`` bounds what their rounding costs.  One kernel,
 numpy.polynomial.chebyshev, does all the Chebyshev work: chebval (Clenshaw)
 evaluates, chebvander tabulates T_j(2x^2 - 1) for the exchange, chebder
 differentiates for its Newton steps, and cheb2poly converts to monomial
-half-coefficients.
+half-coefficients (in exact Fractions for that bound).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 from numpy.polynomial.chebyshev import cheb2poly, chebder, chebval, chebvander
@@ -124,6 +126,17 @@ def uniform_error(poly: EvenPolynomial, grid_size: int = 100001) -> float:
         raise DomainError(f"grid_size must be odd, got {grid_size}")
     x = np.linspace(-1.0, 1.0, grid_size)
     return float(np.max(np.abs(np.abs(x) - poly(x))))
+
+
+def coefficient_error(poly: EvenPolynomial) -> float:
+    """sum_k |half_coeffs[k] - c_k| for the exact monomial coefficients c_k of
+    the Chebyshev form: the most their rounding moves the polynomial on [-1, 1]."""
+    if poly.cheb_half_coeffs is None:
+        raise DomainError("the coefficient error needs the Chebyshev form")
+    even = np.full(2 * len(poly.cheb_half_coeffs) - 1, Fraction(0), dtype=object)
+    even[::2] = [Fraction(c) for c in poly.cheb_half_coeffs]
+    exact = cheb2poly(even)[::2]
+    return float(sum(abs(Fraction(g) - c) for g, c in zip(poly.half_coeffs, exact)))
 
 
 @dataclass(frozen=True)

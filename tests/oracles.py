@@ -81,6 +81,20 @@ def chebyshev_even_exact(m: int) -> list[int]:
     return cur[::2]
 
 
+def even_error_exact(half_coeffs, points) -> float:
+    """max over `points` of | |x| - sum_k half_coeffs[k] x^{2k} |, with the
+    coefficients and the points taken as the exact rationals their floats are."""
+    coeffs = [Fraction(g) for g in half_coeffs]
+    worst = Fraction(0)
+    for x in points:
+        x = abs(Fraction(float(x)))
+        value = Fraction(0)
+        for g in reversed(coeffs):
+            value = value * x * x + g
+        worst = max(worst, abs(value - x))
+    return float(worst)
+
+
 # ---------------------------------------------------------------------------
 # exact risk of a series estimator on an atomic coordinate distribution
 

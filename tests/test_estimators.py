@@ -3,6 +3,8 @@
 import math
 import tracemalloc
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -229,6 +231,17 @@ _BOUNDED_K1 = EstimatorSpec("bounded", M=1.0, K_override=1)
 def test_malformed_data_raises_data_error(call):
     with pytest.raises(DataError):
         call()
+
+
+def test_numbers_held_as_objects_convert():
+    # Fractions, Decimals and ints past the int64 range are data; text is not
+    y = [Fraction(1, 2), Decimal("0.25"), 10**20, 3]
+    assert run_estimator(_BOUNDED_K1, y) == run_estimator(_BOUNDED_K1, [0.5, 0.25, 1e20, 3.0])
+    assert delta_component(Fraction(1, 2), 100) == delta_component(0.5, 100)
+    x1, x2 = split_samples(np.array(y, dtype=object), 4)
+    assert np.array_equal(x1, split_samples([0.5, 0.25, 1e20, 3.0], 4)[0])
+    with pytest.raises(DataError):
+        hybrid_component([Fraction(1, 2), "0.5"], [0.0, 0.0], 1000)
 
 
 def test_empty_data_raises_data_error_at_every_entry_point():

@@ -34,9 +34,9 @@ from absmean.harness import (
 from absmean.harness import engine
 from absmean.harness.engine import RiskReport, analytic_bounds
 from absmean.lowerbound import construct_prior_pair, scale_prior
-from absmean.polyapprox import BERNSTEIN_CONSTANT, build_G_K, remez_best_approx, uniform_error
+from absmean.polyapprox import remez_best_approx
 from absmean.rng import LANE_EST, LANE_OBS, LANE_THETA, stream
-from oracles import exact_series_risk
+from oracles import even_error_exact, exact_series_risk
 
 
 def _scaled(K: int, M: float, basis: str = "best"):
@@ -420,20 +420,23 @@ def test_analytic_bounds_sparse_scaling():
     assert math.isclose(bv, 2.0 * math.e * 256.0 / n, rel_tol=1e-12)
 
 
-@pytest.mark.parametrize("K", [20, 25, 30, 40])
-def test_bounded_bias_bound_is_the_certified_error_at_large_K(K):
-    # the bound is M times the certified unit-interval error; a grid error of
-    # the monomial (Horner) form is roundoff-dominated from K ~ 25 on
+@pytest.mark.parametrize("basis", ["best", "chebyshev"])
+@pytest.mark.parametrize("K", [5, 20, 25, 30, 40])
+def test_bounded_bias_bound_holds_for_the_coefficients_used(K, basis):
+    # the estimator's mean is M p(theta/M) for p with the double monomial
+    # coefficients it runs with; evaluated exactly, their error passes the
+    # certified error of the Chebyshev form from K ~ 20 on
     M = 2.5
-    best, _ = analytic_bounds(EstimatorSpec("bounded", M=M, K_override=K), 100)
-    cheb, _ = analytic_bounds(EstimatorSpec("bounded", M=M, K_override=K, basis="chebyshev"), 100)
-    sol = remez_best_approx(K)
-    assert best == pytest.approx(M * sol.delta, rel=1e-12, abs=0)
-    assert cheb == pytest.approx(M * 2.0 / (math.pi * (2 * K + 1)), rel=1e-12, abs=0)
-    # the grid error of the Chebyshev forms, which evaluate accurately at any K
-    assert best == pytest.approx(M * uniform_error(sol.poly), rel=1e-9, abs=0)
-    assert cheb == pytest.approx(M * uniform_error(build_G_K(K)), rel=1e-9, abs=0)
-    assert abs(2 * K * sol.delta - BERNSTEIN_CONSTANT) < 1e-3
+    bound, _ = analytic_bounds(EstimatorSpec("bounded", M=M, K_override=K, basis=basis), 100)
+    certified = remez_best_approx(K).delta if basis == "best" else 2.0 / (math.pi * (2 * K + 1))
+    points = np.concatenate([np.linspace(0.0, 1.0, 257), remez_best_approx(K).alternation_points])
+    actual = even_error_exact(approx_coefficients(K, basis), points)
+    assert M * actual <= bound * (1 + 1e-12)
+    assert M * certified <= bound * (1 + 1e-12)
+    if K <= 5:
+        assert bound == pytest.approx(M * certified, rel=1e-12, abs=0)
+    if K >= 25:
+        assert actual > 5 * certified
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from absmean.polyapprox import (
     EvenPolynomial,
     bernstein_estimate,
     build_G_K,
+    coefficient_error,
     remez_best_approx,
     uniform_error,
 )
@@ -56,18 +57,34 @@ def test_truncation_error_bound_and_coefficients():
         assert max(abs(g) for g in poly.half_coeffs) <= 2.0 ** (3 * K)
 
 
+def _exact_half_coeffs(poly):
+    """Monomial coefficients sum_j cheb_j T_{2j}, summed exactly from the floats."""
+    exact = [Fraction(0)] * len(poly.cheb_half_coeffs)
+    for j, b in enumerate(poly.cheb_half_coeffs):
+        for i, t in enumerate(chebyshev_even_exact(j)):
+            exact[i] += Fraction(b) * t
+    return exact
+
+
 def test_truncation_half_coeffs_match_exact_chebyshev_sum():
-    # monomial coefficients are sum_j cheb_j T_{2j}, summed exactly from the floats
     for K in range(1, 21):
         poly = build_G_K(K)
-        exact = [Fraction(0)] * (K + 1)
-        for j, b in enumerate(poly.cheb_half_coeffs):
-            for i, t in enumerate(chebyshev_even_exact(j)):
-                exact[i] += Fraction(b) * t
+        exact = _exact_half_coeffs(poly)
         scale = max(abs(g) for g in poly.half_coeffs)
         assert len(poly.half_coeffs) == K + 1
         for g, e in zip(poly.half_coeffs, exact):
             assert abs(float(Fraction(g) - e)) <= 1e-14 * scale, K
+
+
+@pytest.mark.parametrize("K", [1, 3, 10, 25, 40])
+def test_coefficient_error_is_the_exact_rounding_of_the_monomial_form(K):
+    for poly in (build_G_K(K), remez_best_approx(K).poly):
+        exact = _exact_half_coeffs(poly)
+        rounding = sum(abs(Fraction(g) - e) for g, e in zip(poly.half_coeffs, exact))
+        assert coefficient_error(poly) == float(rounding)
+    assert coefficient_error(build_G_K(1)) == 0.0
+    with pytest.raises(DomainError):
+        coefficient_error(EvenPolynomial((0.5, 1.0)))
 
 
 @pytest.mark.parametrize("basis", ["best", "chebyshev"])
