@@ -101,6 +101,8 @@ def _cmd_approx(args) -> int:
     print(f"delta {delta:.17g}")
     if args.best:
         print("alternation " + " ".join(f"{x:.17g}" for x in sol.alternation_points))
+        print(f"exchange: iterations {sol.iterations}, spread {sol.spread:.3g}, "
+              f"max_condition {sol.max_condition:.3g}", file=sys.stderr)
     return 0
 
 

@@ -8,10 +8,11 @@ Three ingredients:
   approximation to |x|.  The construction solves a small linear system on
   the alternation points of the best approximation, with the alternation
   signs prescribing which prior receives each atom.  The system is written
-  in the Chebyshev basis T_i(2t^2 - 1), tabulated by numpy's chebvander, and
-  stays well conditioned for every supported k (condition numbers about 10
-  up to k = 80); a solve past the condition limit raises ConditioningError
-  rather than returning untrusted weights.
+  in the Chebyshev basis T_i(2t^2 - 1), tabulated by the exchange's own
+  table (polyapprox._even_cheb_table, bit-identical to numpy's chebvander),
+  and stays well conditioned for every supported k (condition numbers about
+  10 up to k = 80); a solve past the condition limit raises
+  ConditioningError rather than returning untrusted weights.
 
 * Chi-square distances between the induced Gaussian mixtures: a fixed
   composite Gauss-Legendre rule on equal panels across the window, whatever
@@ -42,7 +43,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebvander
 from numpy.polynomial.legendre import leggauss
 
 from .errors import (
@@ -56,7 +56,7 @@ from .errors import (
     check_int,
     check_real,
 )
-from .polyapprox import remez_best_approx
+from .polyapprox import _even_cheb_table, remez_best_approx
 
 _COND_LIMIT = 1e12
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -177,7 +177,7 @@ def _prior_pair_data(k: int) -> tuple[SymmetricDiscretePrior, SymmetricDiscreteP
     # T_i(2t^2 - 1) (same span as the monomials t^{2i}, i <= K, but well
     # conditioned); the last row fixes total variation 2.
     mult = np.where(pts > 0.0, 2.0, 1.0)   # mirror atoms counted once
-    A = np.vstack([((signs * mult)[:, None] * chebvander(2.0 * pts * pts - 1.0, K)).T, mult])
+    A = np.vstack([((signs * mult)[:, None] * _even_cheb_table(pts, K)).T, mult])
     b = np.zeros(K + 2)
     b[K + 1] = 2.0
 

@@ -21,11 +21,14 @@ so Horner evaluation in the monomial basis loses about 2^{3K} * eps of
 absolute accuracy near x = +-1 and is useless by K ~ 20.  Polynomials built
 here therefore carry their even-Chebyshev representation and evaluate
 through it; the monomial half-coefficients are kept as data, and
-``coefficient_error`` bounds what their rounding costs.  One kernel,
-numpy.polynomial.chebyshev, does all the Chebyshev work: chebval (Clenshaw)
-evaluates, chebvander tabulates T_j(2x^2 - 1) for the exchange, chebder
-differentiates for its Newton steps, and cheb2poly converts to monomial
-half-coefficients (in exact Fractions for that bound).
+``coefficient_error`` bounds what their rounding costs.  numpy's chebval
+(Clenshaw) evaluates.  Three helpers here do the rest of the Chebyshev work
+with the floating-point operations of numpy.polynomial.chebyshev, in the same
+order, so their results are bit-identical to it, without its per-call
+overhead: ``_even_cheb_table`` tabulates T_j(2x^2 - 1) for the exchange and
+the prior pair (chebvander), ``_cheb_der`` differentiates for the Newton steps
+(chebder), and ``_cheb_to_monomial`` converts to monomial half-coefficients,
+in floats or in exact Fractions for that bound (cheb2poly).
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from numpy.polynomial.chebyshev import cheb2poly, chebder, chebval, chebvander
+from numpy.polynomial.chebyshev import chebval
 from numpy.polynomial.polynomial import polyval
 
 from .errors import (
@@ -61,15 +64,82 @@ _GRID_PER_REF = 16
 _NEWTON_STEPS = 3
 
 
-def _half_coeffs(cheb: np.ndarray) -> tuple[float, ...]:
-    """Monomial half-coefficients of sum_j cheb[j] T_j(2x^2 - 1).
+def _cheb_to_monomial(half: np.ndarray) -> np.ndarray:
+    """Monomial half-coefficients of sum_j half[j] T_j(2x^2 - 1), float or Fraction.
 
-    T_j(2x^2 - 1) = T_{2j}(x), so the series is a Chebyshev series in x with
-    zero odd slots; its monomial form has zero odd powers as well.
+    T_j(2x^2 - 1) = T_{2j}(x), so this is numpy's cheb2poly on the series in x
+    with zero odd slots, keeping the even slots of its result.  It trims
+    trailing zeros of the input as cheb2poly does, then runs its recurrence
+    c0 <- c[i-2] - c1, c1 <- c0 + 2x c1 (last c0 + x c1) on preallocated
+    arrays, each slot, zero slots included, by the operations of polysub,
+    polyadd and polymulx in their order.  With a nonzero top coefficient no
+    intermediate has a trailing zero, so cheb2poly trims none either.
     """
-    even = np.zeros(2 * len(cheb) - 1)
-    even[::2] = cheb
-    return tuple(float(c) for c in cheb2poly(even)[::2])
+    m = len(half)
+    while m > 1 and half[m - 1] == 0:
+        m -= 1
+    c = np.zeros(2 * m - 1, dtype=half.dtype)
+    c[::2] = half[:m]
+    n = c.size
+    if n < 3:
+        return c
+    c0, c1, nxt = np.empty_like(c), np.empty_like(c), np.empty_like(c)
+    c0[0], c1[0] = c[-2], c[-1]
+    n0, n1 = 1, 1   # lengths of c0 and c1
+    for i in range(n - 1, 1, -1):
+        nxt[0] = c1[0] * 0
+        nxt[1 : n1 + 1] = c1[:n1]
+        nxt[: n1 + 1] *= 2
+        nxt[:n0] += c0[:n0]
+        np.negative(c1[:n1], out=c0[:n1])
+        c0[0] += c[i - 2]
+        n0, n1 = n1, n1 + 1
+        c1, nxt = nxt, c1
+    nxt[0] = c1[0] * 0
+    nxt[1 : n1 + 1] = c1[:n1]
+    nxt[:n0] += c0[:n0]
+    return nxt[::2]
+
+
+def _half_coeffs(cheb: np.ndarray) -> tuple[float, ...]:
+    """Monomial half-coefficients of sum_j cheb[j] T_j(2x^2 - 1), as floats."""
+    return tuple(_cheb_to_monomial(cheb).tolist())
+
+
+def _even_cheb_table(x: np.ndarray, K: int) -> np.ndarray:
+    """T_j(2x^2 - 1) for j = 0..K (K >= 1) at each finite x, shape (len(x), K + 1).
+
+    chebvander(2x^2 - 1, K) by its recurrence T_j = 2u T_{j-1} - T_{j-2},
+    into a C-order (K + 1, len(x)) array returned transposed: the same bits in
+    the same memory layout, on which the bits of products with it depend.
+    """
+    u = 2.0 * x * x - 1.0
+    v = np.empty((K + 1, u.size))
+    v[0] = 1.0
+    v[1] = u
+    u2 = 2 * u
+    for j in range(2, K + 1):
+        np.multiply(v[j - 1], u2, out=v[j])
+        v[j] -= v[j - 2]
+    return v.T
+
+
+def _cheb_der(c, m: int = 1) -> np.ndarray:
+    """chebder(c, m) by chebder's loop, run on Python floats."""
+    c = [float(v) for v in c]
+    if m >= len(c):
+        return np.array([c[0] * 0])
+    for _ in range(m):
+        n = len(c) - 1
+        der = [0.0] * n
+        for j in range(n, 2, -1):
+            der[j - 1] = (2 * j) * c[j]
+            c[j - 2] += (j * c[j]) / (j - 2)
+        if n > 1:
+            der[1] = 4 * c[2]
+        der[0] = c[1]
+        c = der
+    return np.array(c)
 
 
 @dataclass(frozen=True)
@@ -133,9 +203,7 @@ def coefficient_error(poly: EvenPolynomial) -> float:
     the Chebyshev form: the most their rounding moves the polynomial on [-1, 1]."""
     if poly.cheb_half_coeffs is None:
         raise DomainError("the coefficient error needs the Chebyshev form")
-    even = np.full(2 * len(poly.cheb_half_coeffs) - 1, Fraction(0), dtype=object)
-    even[::2] = [Fraction(c) for c in poly.cheb_half_coeffs]
-    exact = cheb2poly(even)[::2]
+    exact = _cheb_to_monomial(np.array([Fraction(c) for c in poly.cheb_half_coeffs], dtype=object))
     return float(sum(abs(Fraction(g) - c) for g, c in zip(poly.half_coeffs, exact)))
 
 
@@ -172,7 +240,7 @@ def _solve_levelled(ref: np.ndarray, K: int) -> tuple[np.ndarray, float, float]:
     Finds b_0..b_K and lam with  sum_j b_j T_j(2r_i^2-1) + (-1)^i lam = r_i,
     so that the error r - p(r) equals (-1)^i * lam on the reference.
     """
-    phi = np.column_stack([chebvander(2.0 * ref * ref - 1.0, K), (-1.0) ** np.arange(len(ref))])
+    phi = np.column_stack([_even_cheb_table(ref, K), (-1.0) ** np.arange(len(ref))])
     cond = float(np.linalg.cond(phi))
     if not np.isfinite(cond) or cond > _COND_LIMIT:
         raise ConditioningError(
@@ -184,15 +252,20 @@ def _solve_levelled(ref: np.ndarray, K: int) -> tuple[np.ndarray, float, float]:
 
 
 def _pick_candidates(e: np.ndarray, K: int) -> np.ndarray:
-    """One grid index per sign segment of e, trimmed to the K+2 best."""
+    """One grid index per sign segment of e, trimmed to the K+2 best.
+
+    A segment's index is the first of its largest |e|, as argmax gives it,
+    and its first NaN if it holds one.
+    """
     s = np.where(e >= 0.0, 1, -1)
-    boundaries = np.nonzero(np.diff(s))[0]
-    starts = np.concatenate(([0], boundaries + 1))
-    ends = np.concatenate((boundaries, [len(e) - 1]))
-    idx = np.asarray([a + np.argmax(np.abs(e[a : b + 1])) for a, b in zip(starts, ends)])
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(s)) + 1))
+    a = np.abs(e)
+    peak = np.repeat(np.maximum.reduceat(a, starts), np.diff(starts, append=len(e)))
+    hits = np.flatnonzero((a == peak) | np.isnan(a))
+    idx = hits[np.searchsorted(hits, starts)]
     if len(idx) < K + 2:
         return idx
-    vals = np.abs(e[idx])
+    vals = a[idx]
     best = int(np.argmax(vals))
     lo, hi = 0, len(idx) - 1
     while hi - lo + 1 > K + 2:
@@ -228,7 +301,7 @@ def remez_best_approx(K: int, tol: float = 1e-12) -> BestApproxSolution:
 
     # sin(pi / 2) rounds to 1.0, so both endpoints are exact
     grid = np.sin(0.5 * np.pi * np.linspace(0.0, 1.0, _GRID_PER_REF * (K + 2) + 1))
-    vander = chebvander(2.0 * grid * grid - 1.0, K)
+    vander = _even_cheb_table(grid, K)
 
     # extrema of T_{2K+2} that fall in [0, 1]: sin(pi i / (2(K+1))), i = 0..K+1
     ref = np.sin(np.pi * np.arange(K + 2) / (2.0 * (K + 1)))
@@ -250,14 +323,14 @@ def remez_best_approx(K: int, tol: float = 1e-12) -> BestApproxSolution:
         ref, es = grid[idx], e[idx]
         inner = (idx > 0) & (idx < grid.size - 1)
         lo, x, hi = grid[idx[inner] - 1], ref[inner], grid[idx[inner] + 1]
-        d1, d2 = chebder(b), chebder(b, 2)
+        d1, d2 = _cheb_der(b), _cheb_der(b, 2)
         for _ in range(_NEWTON_STEPS):
-            t = chebvander(2.0 * x * x - 1.0, K)
+            t = _even_cheb_table(x, K)
             q1 = t[:, :K] @ d1
             slope = 1.0 - 4.0 * x * q1                                  # e'(x)
             curve = 4.0 * q1 + 16.0 * x * x * (t[:, : d2.size] @ d2)    # -e''(x)
             x = np.clip(x + np.divide(slope, curve, out=np.zeros_like(x), where=curve != 0.0), lo, hi)
-        ex = x - chebvander(2.0 * x * x - 1.0, K) @ b
+        ex = x - _even_cheb_table(x, K) @ b
         better = np.abs(ex) >= np.abs(es[inner])
         ref[inner] = np.where(better, x, ref[inner])
         es[inner] = np.where(better, ex, es[inner])

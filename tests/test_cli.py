@@ -14,6 +14,7 @@ import pytest
 import absmean
 from absmean.errors import ConvergenceError
 from absmean.harness.cli import main
+from absmean.polyapprox import remez_best_approx
 
 
 def _write_data(tmp_path, values, name="data.txt"):
@@ -42,6 +43,27 @@ def test_approx_chebyshev_K1(capsys):
     assert float(lines[0].split()[1]) == pytest.approx(2.0 / (3.0 * math.pi), rel=1e-15)
     assert float(lines[1].split()[1]) == pytest.approx(8.0 / (3.0 * math.pi), rel=1e-15)
     assert float(lines[2].split()[1]) == pytest.approx(2.0 / (3.0 * math.pi), rel=1e-12)
+
+
+@pytest.mark.parametrize("K", [1, 3, 12])
+def test_approx_best_prints_exchange_diagnostics_on_stderr_only(capsys, K):
+    assert main(["approx", "--K", str(K), "--best"]) == 0
+    out, err = capsys.readouterr()
+    sol = remez_best_approx(K)
+    if K == 1:
+        assert out == "0 0.125\n2 1\ndelta 0.125\nalternation -1 -0.5 0 0.5 1\n"
+    assert out.count("\n") == K + 3 and "exchange" not in out
+    m = re.fullmatch(r"exchange: iterations (\d+), spread (\S+), max_condition (\S+)\n", err)
+    assert m is not None, err
+    assert int(m[1]) == sol.iterations
+    assert float(m[2]) == float(f"{sol.spread:.3g}")
+    assert float(m[3]) == float(f"{sol.max_condition:.3g}")
+    assert 1.0 <= float(m[3]) <= 1e12
+
+
+def test_approx_chebyshev_writes_nothing_to_stderr(capsys):
+    assert main(["approx", "--K", "4"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_approx_rejects_out_of_range_K(capsys):

@@ -1,17 +1,25 @@
 """Polynomial approximation of |x|: series construction and the exchange solve."""
 
 import dataclasses
+import hashlib
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.polynomial.chebyshev import cheb2poly, chebder, chebvander
 
 from absmean.errors import ConvergenceError, DomainError
 from absmean.polyapprox import (
     _COND_LIMIT,
+    _MAX_GK,
+    _MAX_REMEZ_K,
     _REMEZ_MAX_ITER,
+    _cheb_der,
+    _cheb_to_monomial,
+    _even_cheb_table,
+    _pick_candidates,
     BERNSTEIN_CONSTANT,
     EvenPolynomial,
     bernstein_estimate,
@@ -198,3 +206,141 @@ def test_k_range_validation():
         build_G_K(0)
     with pytest.raises(DomainError):
         build_G_K(61)
+
+
+# ---------------------------------------------------------------------------
+# the package's Chebyshev helpers against numpy.polynomial.chebyshev, bit for bit
+
+def _hexes(values):
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+def _numpy_half_monomial(half):
+    even = np.zeros(2 * len(half) - 1)
+    even[::2] = half
+    return cheb2poly(even)[::2]
+
+
+def _exchange_series():
+    """Every Chebyshev series the estimators and the lower bound use."""
+    for K in range(1, _MAX_REMEZ_K + 1):
+        yield "best", K, np.asarray(remez_best_approx(K).poly.cheb_half_coeffs)
+    for K in range(1, _MAX_GK + 1):
+        yield "chebyshev", K, np.asarray(build_G_K(K).cheb_half_coeffs)
+
+
+_COEFF = st.one_of(st.floats(-1e6, 1e6), st.sampled_from([0.0, -0.0, 1.0, -1.0]))
+
+
+@given(st.lists(_COEFF, min_size=1, max_size=24))
+@settings(max_examples=300, deadline=None)
+def test_cheb_to_monomial_matches_cheb2poly_bits(half):
+    # zeros of either sign, inside or trailing (cheb2poly trims those), included
+    got = _cheb_to_monomial(np.asarray(half, dtype=np.float64))
+    assert _hexes(got) == _hexes(_numpy_half_monomial(half))
+
+
+@given(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=40), st.integers(1, 60))
+@settings(max_examples=200, deadline=None)
+def test_even_cheb_table_matches_chebvander_bits_and_layout(x, K):
+    x = np.asarray(x)
+    got, want = _even_cheb_table(x, K), chebvander(2.0 * x * x - 1.0, K)
+    assert got.shape == want.shape and got.strides == want.strides
+    assert _hexes(got) == _hexes(want)
+    b = np.linspace(-1.0, 1.0, K + 1)
+    assert _hexes(got @ b) == _hexes(want @ b)
+
+
+@given(st.lists(_COEFF, min_size=1, max_size=24), st.integers(1, 3))
+@settings(max_examples=300, deadline=None)
+def test_cheb_der_matches_chebder_bits(c, m):
+    assert _hexes(_cheb_der(c, m)) == _hexes(chebder(np.asarray(c), m))
+
+
+def test_helpers_match_numpy_on_every_series_the_package_uses():
+    for basis, K, b in _exchange_series():
+        assert _hexes(_cheb_to_monomial(b)) == _hexes(_numpy_half_monomial(b)), (basis, K)
+        for m in (1, 2):
+            assert _hexes(_cheb_der(b, m)) == _hexes(chebder(b, m)), (basis, K, m)
+        # the exchange grid and, for the best series, its alternation points
+        grid = np.sin(0.5 * np.pi * np.linspace(0.0, 1.0, 16 * (K + 2) + 1))
+        points = [grid]
+        if basis == "best":
+            points.append(np.abs(remez_best_approx(K).alternation_points))
+        for x in points:
+            got, want = _even_cheb_table(x, K), chebvander(2.0 * x * x - 1.0, K)
+            assert got.strides == want.strides
+            assert _hexes(got @ b) == _hexes(want @ b), (basis, K)
+            assert _hexes(got) == _hexes(want), (basis, K)
+
+
+def test_fraction_conversion_matches_the_exact_oracle():
+    for basis, K, b in _exchange_series():
+        got = _cheb_to_monomial(np.array([Fraction(v) for v in b], dtype=object))
+        assert list(got) == _exact_half_coeffs(EvenPolynomial((), tuple(b))), (basis, K)
+
+
+# SHA-256 over the float.hex of every remez_best_approx(K) output, K = 1..40,
+# taken before the exchange moved off numpy.polynomial.chebyshev
+_REMEZ_DIGEST = "f54c9e9f7d3ad19d701fdf14481055ca70b180cfcb1203db54626e2c438e7ea3"
+
+
+def test_remez_outputs_are_pinned_bit_for_bit():
+    h = hashlib.sha256()
+    for K in range(1, 41):
+        sol = remez_best_approx(K)
+        floats = (sol.delta, *sol.alternation_points, *sol.poly.half_coeffs,
+                  *sol.poly.cheb_half_coeffs, sol.spread, sol.max_condition)
+        ints = (K, sol.iterations, *sol.alternation_signs)
+        h.update((" ".join(map(float.hex, floats)) + "|" + " ".join(map(str, ints)) + "\n").encode())
+    assert h.hexdigest() == _REMEZ_DIGEST
+
+
+def _pick_by_argmax(e, K):
+    """_pick_candidates with one argmax per sign segment (the reference rule)."""
+    s = np.where(e >= 0.0, 1, -1)
+    boundaries = np.nonzero(np.diff(s))[0]
+    starts = np.concatenate(([0], boundaries + 1))
+    ends = np.concatenate((boundaries, [len(e) - 1]))
+    idx = np.asarray([a + np.argmax(np.abs(e[a : b + 1])) for a, b in zip(starts, ends)])
+    if len(idx) < K + 2:
+        return idx
+    vals = np.abs(e[idx])
+    best = int(np.argmax(vals))
+    lo, hi = 0, len(idx) - 1
+    while hi - lo + 1 > K + 2:
+        if lo == best:
+            hi -= 1
+        elif hi == best:
+            lo += 1
+        elif vals[lo] <= vals[hi]:
+            lo += 1
+        else:
+            hi -= 1
+    return idx[lo : hi + 1]
+
+
+# few distinct values force ties (the first index wins) and exact zeros (e >= 0 is +)
+_ERR = st.one_of(st.sampled_from([-2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0, math.nan]),
+                 st.floats(-3.0, 3.0))
+
+
+@given(st.lists(_ERR, min_size=1, max_size=80), st.integers(1, 12))
+@settings(max_examples=500, deadline=None)
+def test_pick_candidates_matches_the_argmax_rule(e, K):
+    e = np.asarray(e)
+    assert np.array_equal(_pick_candidates(e, K), _pick_by_argmax(e, K))
+
+
+def test_pick_candidates_on_error_curves():
+    rng = np.random.default_rng(5)
+    for K in range(1, 41):
+        # a noisy alternating curve with more sign segments than K + 2, so the trim runs
+        x = np.linspace(0.0, 1.0, 16 * (K + 2) + 1)
+        e = np.cos((K + 6) * np.pi * x) * (1.0 + 0.1 * rng.standard_normal(x.size))
+        e[rng.integers(0, x.size, 5)] = 0.0
+        got = _pick_candidates(e, K)
+        assert len(got) == K + 2
+        assert np.array_equal(got, _pick_by_argmax(e, K))
+    e = np.array([1.0, 3.0, 3.0, -3.0, -3.0, 0.0, 2.0, 2.0])
+    assert _pick_candidates(e, 1).tolist() == [1, 3, 6]
