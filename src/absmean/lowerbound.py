@@ -9,18 +9,21 @@ Three ingredients:
   the alternation points of the best approximation, with the alternation
   signs prescribing which prior receives each atom.  The system is written
   in the Chebyshev basis T_i(2t^2 - 1), tabulated by the exchange's own
-  table (polyapprox._even_cheb_table, bit-identical to numpy's chebvander),
-  and stays well conditioned for every supported k (condition numbers about
-  10 up to k = 80); a solve past the condition limit raises
-  ConditioningError rather than returning untrusted weights.
+  table (polyapprox._even_cheb_table, cos(i arccos u) within about 5e-14
+  of numpy's chebvander), and stays well conditioned for every supported k
+  (condition numbers about 10 up to k = 80); a solve past the condition
+  limit raises ConditioningError rather than returning untrusted weights.
 
 * Chi-square distances between the induced Gaussian mixtures: a fixed
   composite Gauss-Legendre rule on equal panels across the window, whatever
   the number of atoms, with a two-resolution error estimate for one
   coordinate, evaluated in log space so that tails and far-apart atoms
-  keep their value (+inf past the double range), the exact product identity
-  I_n^2 = (1 + I_1^2)^n - 1 for n independent coordinates, and closed-form
-  upper bounds driven by the number of matched moments.
+  keep their value (+inf past the double range).  When both mixtures are
+  exactly mirror-symmetric, as the scaled prior pairs are by construction,
+  the integrand is even and only the half window [0, hi] is integrated and
+  doubled.  For n independent coordinates, the exact product identity
+  I_n^2 = (1 + I_1^2)^n - 1, and closed-form upper bounds driven by the
+  number of matched moments.
 
 * The constrained risk inequality: if an estimator does very well under
   one prior, it must pay under another, quantitatively in terms of the
@@ -269,16 +272,20 @@ def chi_square_gaussian_mixtures(
     Integrates (f1 - f0)^2 / f0 over the real line, where
     f_i(y) = sum_j w_ij phi(y - t_ij), by a fixed composite Gauss-Legendre
     rule.  The window reaches 10 past every atom and past every bump
-    2a - b of the integrand (a an atom of f1, b an atom of f0).  Equal
-    panels tile it, at most 1 wide, narrower where atoms of f0 lie more
-    than 4 apart, so the node count depends on the window alone and not
-    on the number of atoms.  Each node's densities are scaled by their
-    largest exponent, so f0 does not underflow in the tails.  The same
-    panels are summed with 32 and with 16 nodes, and the difference is the
-    error estimate: IntegrationError when it exceeds
-    max(abs_tol, 1e-8 * value), or when the window needs more than 2^14
-    panels.  A distance past the double range is +inf.  No symmetry is
-    required of the mixing measures.
+    2a - b of the integrand (a an atom of f1, b an atom of f0).  When both
+    mixtures are exactly mirror-symmetric (after weightless atoms are
+    dropped, the sorted positions equal their negated reverse and the
+    weights in that order equal their reverse), the integrand is even:
+    only [0, hi] is integrated, and the value and its error estimate are
+    doubled.  Otherwise, symmetric to a tolerance included, the whole
+    window is.  Equal panels tile the window integrated, at most 1 wide,
+    narrower where atoms of f0 lie more than 4 apart, so the node count
+    depends on the window alone and not on the number of atoms.  Each
+    node's densities are scaled by their largest exponent, so f0 does not
+    underflow in the tails.  The same panels are summed with 32 and with 16
+    nodes, and the difference is the error estimate: IntegrationError when
+    it exceeds max(abs_tol, 1e-8 * value), or when the window integrated
+    needs more than 2^14 panels.  A distance past the double range is +inf.
     """
     abs_tol = check_real("abs_tol", abs_tol, above=0.0)
     p0 = np.asarray(positions0, dtype=float)
@@ -294,6 +301,10 @@ def chi_square_gaussian_mixtures(
     p0, w0, p1, w1 = p0[w0 > 0], w0[w0 > 0], p1[w1 > 0], w1[w1 > 0]
     lo = min(p0.min(), p1.min(), 2.0 * p1.min() - p0.max()) - 10.0
     hi = max(p0.max(), p1.max(), 2.0 * p1.max() - p0.min()) + 10.0
+    # two mirror-symmetric mixtures give an even integrand: integrate [0, hi] and double it
+    fold = 2.0 if _mirror_symmetric(p0, w0) and _mirror_symmetric(p1, w1) else 1.0
+    if fold == 2.0:
+        lo = 0.0
 
     # Between two atoms of f0 a distance D apart, 1/f0 peaks over a width of
     # about 1/D, so the panels narrow to 4/D for the widest such gap.
@@ -336,7 +347,7 @@ def chi_square_gaussian_mixtures(
         q[start:start + step] = diff * diff / f0
         t[start:start + step] = s0 + 2.0 * c
     top = float(t.max())
-    terms = (half / _SQRT_2PI * _GL_WEIGHTS) * (q * np.exp(t - top)).reshape(panels, -1)
+    terms = (fold * half / _SQRT_2PI * _GL_WEIGHTS) * (q * np.exp(t - top)).reshape(panels, -1)
     fine = float(terms[:, :_GL_FINE].sum())
     err = abs(fine - float(terms[:, _GL_FINE:].sum()))
     achieved = _unscale(err, top)
@@ -347,6 +358,14 @@ def chi_square_gaussian_mixtures(
             achieved_tolerance=achieved,
         )
     return _unscale(fine, top)
+
+
+def _mirror_symmetric(p: np.ndarray, w: np.ndarray) -> bool:
+    """Whether the sorted atoms equal their negated reverse, and the weights
+    in that order their reverse: exact mirror symmetry, no tolerance."""
+    order = np.argsort(p, kind="stable")
+    p, w = p[order], w[order]
+    return bool(np.array_equal(p, -p[::-1]) and np.array_equal(w, w[::-1]))
 
 
 def _nearest_exponent(y: np.ndarray, atoms: np.ndarray) -> np.ndarray:

@@ -264,6 +264,43 @@ def test_chi_square_refuses_a_window_past_the_double_range():
         chi_square_gaussian_mixtures([0.0], [1.0], [1e308], [1.0])
 
 
+def test_chi_square_half_line_matches_the_full_line_on_every_sweep_pair():
+    # moving nu0's origin by one ulp breaks the exact mirror symmetry without
+    # moving the value, so that call integrates the whole window; the two
+    # differ by the roundoff of f1 - f0, which stays below eps sqrt(I_1^2)
+    eps = np.finfo(float).eps
+    for k in range(2, 81, 2):
+        nu0, nu1, _ = construct_prior_pair(k)
+        for M in (0.5, 1.0, 2.0):
+            mu0, mu1 = scale_prior(nu0, M), scale_prior(nu1, M)
+            half = chi_square_mixture_1d(mu0, mu1)
+            moved = list(mu0.positions)
+            moved[moved.index(0.0)] = np.nextafter(0.0, 1.0)
+            full = chi_square_gaussian_mixtures(moved, mu0.weights, mu1.positions, mu1.weights)
+            if full > 1e-10:
+                tol = 1e-12 * full + eps * math.sqrt(full)
+            else:
+                tol = 1e-28 + eps * math.sqrt(full)
+            assert abs(half - full) <= tol, (k, M, half, full)
+
+
+def test_chi_square_near_symmetric_mixtures_take_the_full_line():
+    # f1's weights are mirror-symmetric only to the 1e-9 SymmetricDiscretePrior
+    # allows.  Atoms at +-85: the half window [0, 263] needs 11178 panels of
+    # width 4/170, the whole one 22355, past _MAX_PANELS
+    p0, w0 = (-85.0, 85.0), (0.5, 0.5)
+    p1, near = (-84.0, 84.0), (0.5 + 4e-10, 0.5 - 4e-10)
+    SymmetricDiscretePrior(p1, near)
+    got = chi_square_gaussian_mixtures(p0, w0, p1, (0.5, 0.5))
+    assert math.isclose(got, math.expm1(1.0), rel_tol=1e-12)   # two unit shifts, far apart
+    with pytest.raises(IntegrationError, match="more than 16384 quadrature panels"):
+        chi_square_gaussian_mixtures(p0, w0, p1, near)
+    # on a window both fit, the two agree
+    p0, p1 = (-10.0, 10.0), (-9.0, 9.0)
+    assert math.isclose(chi_square_gaussian_mixtures(p0, w0, p1, near),
+                        chi_square_gaussian_mixtures(p0, w0, p1, (0.5, 0.5)), rel_tol=1e-12)
+
+
 def test_chi_square_zero_for_identical_mixtures():
     nu0, _, _ = construct_prior_pair(2)
     assert chi_square_mixture_1d(nu0, nu0) < 1e-12

@@ -2,17 +2,21 @@
 
 import dataclasses
 import hashlib
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.polynomial.chebyshev import cheb2poly, chebder, chebvander
 
+from absmean import polyapprox
 from absmean.errors import ConvergenceError, DomainError
 from absmean.polyapprox import (
     _COND_LIMIT,
+    _GRID_PER_REF,
     _MAX_GK,
     _MAX_REMEZ_K,
     _REMEZ_MAX_ITER,
@@ -20,6 +24,7 @@ from absmean.polyapprox import (
     _cheb_to_monomial,
     _even_cheb_table,
     _pick_candidates,
+    _truncation_coeffs,
     BERNSTEIN_CONSTANT,
     EvenPolynomial,
     bernstein_estimate,
@@ -209,7 +214,8 @@ def test_k_range_validation():
 
 
 # ---------------------------------------------------------------------------
-# the package's Chebyshev helpers against numpy.polynomial.chebyshev, bit for bit
+# the package's Chebyshev helpers against numpy.polynomial.chebyshev: the
+# conversion and the derivative bit for bit, the table to 1e-13
 
 def _hexes(values):
     return [float(v).hex() for v in np.ravel(values)]
@@ -240,15 +246,30 @@ def test_cheb_to_monomial_matches_cheb2poly_bits(half):
     assert _hexes(got) == _hexes(_numpy_half_monomial(half))
 
 
-@given(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=40), st.integers(1, 60))
-@settings(max_examples=200, deadline=None)
-def test_even_cheb_table_matches_chebvander_bits_and_layout(x, K):
-    x = np.asarray(x)
+def _assert_table_close(x, K):
+    """Columns 0-1 as chebvander's bits, every column within 1e-13 of it."""
+    x = np.asarray(x, dtype=np.float64)
     got, want = _even_cheb_table(x, K), chebvander(2.0 * x * x - 1.0, K)
-    assert got.shape == want.shape and got.strides == want.strides
-    assert _hexes(got) == _hexes(want)
-    b = np.linspace(-1.0, 1.0, K + 1)
-    assert _hexes(got @ b) == _hexes(want @ b)
+    assert got.shape == want.shape
+    assert _hexes(got[:, :2]) == _hexes(want[:, :2])
+    assert np.max(np.abs(got - want)) <= 1e-13, K
+
+
+@given(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=40), st.integers(1, _MAX_GK))
+@settings(max_examples=200, deadline=None)
+def test_even_cheb_table_is_close_to_chebvander(x, K):
+    _assert_table_close(x, K)
+
+
+def _exchange_grid(K):
+    return np.sin(0.5 * np.pi * np.linspace(0.0, 1.0, _GRID_PER_REF * (K + 2) + 1))
+
+
+def test_even_cheb_table_is_close_on_the_exchange_grids_and_alternation_points():
+    for K in range(1, _MAX_GK + 1):
+        _assert_table_close(_exchange_grid(K), K)
+        if K <= _MAX_REMEZ_K:
+            _assert_table_close(np.abs(remez_best_approx(K).alternation_points), K)
 
 
 @given(st.lists(_COEFF, min_size=1, max_size=24), st.integers(1, 3))
@@ -262,16 +283,6 @@ def test_helpers_match_numpy_on_every_series_the_package_uses():
         assert _hexes(_cheb_to_monomial(b)) == _hexes(_numpy_half_monomial(b)), (basis, K)
         for m in (1, 2):
             assert _hexes(_cheb_der(b, m)) == _hexes(chebder(b, m)), (basis, K, m)
-        # the exchange grid and, for the best series, its alternation points
-        grid = np.sin(0.5 * np.pi * np.linspace(0.0, 1.0, 16 * (K + 2) + 1))
-        points = [grid]
-        if basis == "best":
-            points.append(np.abs(remez_best_approx(K).alternation_points))
-        for x in points:
-            got, want = _even_cheb_table(x, K), chebvander(2.0 * x * x - 1.0, K)
-            assert got.strides == want.strides
-            assert _hexes(got @ b) == _hexes(want @ b), (basis, K)
-            assert _hexes(got) == _hexes(want), (basis, K)
 
 
 def test_fraction_conversion_matches_the_exact_oracle():
@@ -281,8 +292,8 @@ def test_fraction_conversion_matches_the_exact_oracle():
 
 
 # SHA-256 over the float.hex of every remez_best_approx(K) output, K = 1..40,
-# taken before the exchange moved off numpy.polynomial.chebyshev
-_REMEZ_DIGEST = "f54c9e9f7d3ad19d701fdf14481055ca70b180cfcb1203db54626e2c438e7ea3"
+# taken once the exchange started from the truncation error on the cosine table
+_REMEZ_DIGEST = "3685d26fef4e92e9a44f6e190f2b444a05e54212ad787b0ac8c1671606f24d64"
 
 
 def test_remez_outputs_are_pinned_bit_for_bit():
@@ -294,6 +305,49 @@ def test_remez_outputs_are_pinned_bit_for_bit():
         ints = (K, sol.iterations, *sol.alternation_signs)
         h.update((" ".join(map(float.hex, floats)) + "|" + " ".join(map(str, ints)) + "\n").encode())
     assert h.hexdigest() == _REMEZ_DIGEST
+
+
+# the exchange as it ran before it started from the truncation error and
+# tabulated T_j(2x^2 - 1) as cosines: its outputs for K = 1..40
+_ANCHOR = json.loads((Path(__file__).parent / "remez_anchor.json").read_text())["K"]
+
+
+def test_remez_agrees_with_the_anchor_in_fewer_iterations():
+    total = 0
+    for K in range(1, 41):
+        sol, want = remez_best_approx(K), _ANCHOR[str(K)]
+        assert math.isclose(sol.delta, float.fromhex(want["delta"]), rel_tol=1e-11, abs_tol=0.0), K
+        half = [(x, s) for x, s in zip(sol.alternation_points, sol.alternation_signs) if x >= 0.0]
+        points = np.array([float.fromhex(h) for h in want["points"]])
+        assert len(half) == len(points), K
+        assert np.max(np.abs(np.array([x for x, _ in half]) - points)) <= 1e-12, K
+        assert "".join("+" if s > 0 else "-" for _, s in half) == want["signs"], K
+        assert sol.iterations <= want["iterations"], K
+        total += sol.iterations
+    assert total <= 200   # 228 from the extrema of T_{2K+2}
+    # K = 1 keeps every bit
+    sol = remez_best_approx(1)
+    assert sol.delta.hex() == _ANCHOR["1"]["delta"]
+    assert sol.alternation_points == (-1.0, -0.5, 0.0, 0.5, 1.0)
+    assert sol.poly.half_coeffs == (0.125, 1.0)
+
+
+@pytest.mark.parametrize("K", range(1, 41))
+def test_truncation_error_starts_the_exchange_with_k_plus_2_segments(K):
+    grid = _exchange_grid(K)
+    e = grid - _even_cheb_table(grid, K) @ _truncation_coeffs(K)
+    segments = 1 + np.count_nonzero(np.diff(np.where(e >= 0.0, 1, -1)))
+    assert segments == K + 2
+    assert len(_pick_candidates(e, K)) == K + 2
+    # G_K's coefficients are the truncation's own
+    assert _hexes(_truncation_coeffs(K)) == _hexes(build_G_K(K).cheb_half_coeffs)
+
+
+def test_a_start_with_too_few_sign_segments_raises(monkeypatch):
+    # with b = 0 the error x has one sign on [0, 1]: no fallback start
+    monkeypatch.setattr(polyapprox, "_truncation_coeffs", lambda K: np.zeros(K + 1))
+    with pytest.raises(ConvergenceError, match="only 1 sign segments, need 5"):
+        remez_best_approx(3)
 
 
 def _pick_by_argmax(e, K):
