@@ -4,9 +4,12 @@ Every scalar argument goes through `check_int` or `check_real`: an integer
 is a Python or numpy integer, a real is a finite Python or numpy integer or
 float, and a bool is neither.  Anything else raises DomainError (never
 TypeError, ValueError or OverflowError), which the command line maps to
-exit 2.  A sample size n that only enters formulas is at most MAX_N, the
-largest integer a double holds; a count that sizes an array or a loop is at
-most MAX_COUNT, numpy's largest index.  Observation vectors are data, not
+exit 2.  An array of reals (Hermite arguments, mixture and prior atoms and
+weights) goes through `check_real_array`, which refuses text, bools,
+complex numbers, other objects and ragged lists by the same rule.  A sample
+size n that only enters formulas is at most MAX_N, the largest integer a
+double holds; a count that sizes an array or a loop is at most MAX_COUNT,
+numpy's largest index.  Observation vectors are data, not
 arguments: non-numeric, complex, ragged, 2-d or empty observations raise
 DataError, and a non-finite one raises DataError with its index.
 """
@@ -113,3 +116,16 @@ def check_real(name: str, value, above: float | None = None) -> float:
         bound = "finite" if above is None else f"finite and > {above:g}"
         raise DomainError(f"{name} must be {bound}, got {_shown(value)}")
     return x
+
+
+def check_real_array(name: str, values, error: type[AbsmeanError] = DomainError) -> np.ndarray:
+    """`values` as a float64 array, or `error` unless every entry is a Python or numpy
+    integer or float.  Finiteness and shape are the caller's to check."""
+    try:
+        arr = np.asarray(values)
+        real = arr.dtype.kind in "iuf"
+    except ValueError:   # ragged nesting
+        real = False
+    if not real:
+        raise error(f"{name} must hold real numbers, not text, bools, complex values or ragged lists")
+    return arr.astype(np.float64, copy=False)

@@ -23,7 +23,6 @@ from .scenarios import (
     TwoSpike,
     ZeroVector,
     draw_theta,
-    family_is_random,
     load_config,
     parse_config,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "check_mixture_variance",
     "check_truncation_variance",
     "draw_theta",
-    "family_is_random",
     "load_config",
     "parse_config",
     "render_csv",

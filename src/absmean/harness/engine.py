@@ -125,11 +125,11 @@ def _series_error(K: int, basis: str) -> float:
     return 2.0 / (math.pi * (2 * K + 1)) + coefficient_error(build_G_K(K))
 
 
-def run_replication(s: Scenario, theta_rng, obs_rng, est_seed: int, out=None) -> tuple[float, float]:
+def run_replication(s: Scenario, theta_rng, obs_rng, est_seed: int, out: np.ndarray) -> tuple[float, float]:
     """One Monte Carlo cell: returns (estimate, true functional value).
 
     Takes the next theta draw and noise vector from the block's streams; y
-    is built in `out`, a float64 buffer of length n, when one is given.  The
+    is built in `out`, the block's float64 buffer of length n.  The
     zero and constant families draw no theta: their value is added to the
     noise as a scalar, and the truth is its absolute value.
     """

@@ -87,10 +87,6 @@ class CustomVector:
 FAMILIES = (ZeroVector, ConstantAt, AlternationAtoms, TwoSpike, CustomVector)
 
 
-def family_is_random(family) -> bool:
-    return isinstance(family, AlternationAtoms)
-
-
 def draw_theta(family, n: int, rng: np.random.Generator) -> np.ndarray:
     """Realize the mean vector, a fresh array on every call; consumes `rng`
     only for random families."""

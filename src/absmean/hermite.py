@@ -14,8 +14,10 @@ unbiased estimators of pure powers of the mean.  The exact second moment
 gives the variance control; it is bounded by e^{mu^2} k^k in general and by
 (2 M^2)^k when |mu| <= M with M^2 >= k.
 
-`hermite_eval` and `hermite_eval_batch` validate their arguments and read
-the table that numpy.polynomial.hermite_e.hermevander builds by the
+Every function here takes degrees up to MAX_DEGREE and raises
+DegreeOverflowError past it.  `hermite_eval` and `hermite_eval_batch`
+validate their arguments, raising DomainError on text (numeric text too),
+and read the table that numpy.polynomial.hermite_e.hermevander builds by the
 recurrence above (numpy's name for this family is HermiteE).  The
 estimators need only the even polynomials, as a weighted sum; they sum them
 with their own kernel, Clenshaw summation in u = y^2 on the recurrence
@@ -29,9 +31,9 @@ import math
 import numpy as np
 from numpy.polynomial.hermite_e import hermevander
 
-from .errors import DegreeOverflowError, DomainError, RangeError, check_int, check_real
+from .errors import DegreeOverflowError, DomainError, RangeError, check_int, check_real, check_real_array
 
-DEFAULT_MAX_DEGREE = 200
+MAX_DEGREE = 200
 
 _MAX_FLOAT = np.finfo(np.float64).max
 _LOG_MAX_FLOAT = math.log(_MAX_FLOAT)
@@ -40,27 +42,29 @@ _LOG_MAX_FLOAT = math.log(_MAX_FLOAT)
 _DIRECT_LIMIT = 1e300
 
 
-def _check_degree(k: int, max_degree: int) -> int:
+def _check_degree(k: int) -> int:
     k = check_int("degree", k, low=0)
-    if k > max_degree:
-        raise DegreeOverflowError(f"degree {k} exceeds the configured maximum {max_degree}")
+    if k > MAX_DEGREE:
+        raise DegreeOverflowError(f"degree {k} exceeds the supported maximum {MAX_DEGREE}")
     return k
 
 
-def hermite_eval(k: int, y: float, max_degree: int = DEFAULT_MAX_DEGREE) -> float:
+def hermite_eval(k: int, y: float) -> float:
     """Evaluate H_k(y) by the three-term recurrence."""
-    return float(hermite_eval_batch(k, float(y), max_degree)[k])
+    return float(hermite_eval_batch(k, check_real("y", y))[k])
 
 
-def hermite_eval_batch(k_max: int, y, max_degree: int = DEFAULT_MAX_DEGREE) -> np.ndarray:
+def hermite_eval_batch(k_max: int, y) -> np.ndarray:
     """Evaluate [H_0(y), ..., H_{k_max}(y)] in one recurrence pass.
 
     `y` may be a scalar or an ndarray; the output has shape
     (k_max + 1,) + shape(y).  Element j agrees exactly with
-    hermite_eval(j, y): both read the same recurrence table.
+    hermite_eval(j, y): both read the same recurrence table.  Entries of
+    `y` must be Python or numpy integers or floats; text, bools and other
+    objects raise DomainError.
     """
-    k_max = _check_degree(k_max, max_degree)
-    arr = np.asarray(y, dtype=np.float64)
+    k_max = _check_degree(k_max)
+    arr = check_real_array("y", y)
     if not np.all(np.isfinite(arr)):
         raise DomainError("y must be finite")
     # hermevander puts the degree last; moving it back to the front restores
@@ -68,7 +72,7 @@ def hermite_eval_batch(k_max: int, y, max_degree: int = DEFAULT_MAX_DEGREE) -> n
     return np.moveaxis(hermevander(arr, k_max), -1, 0).reshape((k_max + 1,) + arr.shape)
 
 
-def hermite_second_moment(k: int, mu: float, max_degree: int = DEFAULT_MAX_DEGREE) -> float:
+def hermite_second_moment(k: int, mu: float) -> float:
     """Exact E H_k(X)^2 for X ~ N(mu, 1).
 
     Uses the closed form k! * sum_j C(k,j) mu^{2j} / j!, accumulated
@@ -76,7 +80,7 @@ def hermite_second_moment(k: int, mu: float, max_degree: int = DEFAULT_MAX_DEGRE
     would exceed the direct-evaluation range.  Raises RangeError when even
     the final value overflows double precision.
     """
-    k = _check_degree(k, max_degree)
+    k = _check_degree(k)
     mu = check_real("mu", mu)
 
     if k <= 170:  # k! representable, try the direct accumulation

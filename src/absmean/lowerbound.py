@@ -58,10 +58,10 @@ from .errors import (
     PreconditionError,
     check_int,
     check_real,
+    check_real_array,
 )
-from .polyapprox import _even_cheb_table, remez_best_approx
+from .polyapprox import _COND_LIMIT, _even_cheb_table, remez_best_approx
 
-_COND_LIMIT = 1e12
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _LOG_MAX = math.log(np.finfo(float).max)
 _LOG_TINY = math.log(1e-30)
@@ -72,8 +72,10 @@ _LOG_TINY = math.log(1e-30)
 # 32-point panel of width 1 resolves wherever the atoms fall).  Each panel is
 # summed by the 32-point and by the 16-point Gauss-Legendre rule (nodes side
 # by side, the 32-point ones first).  Nodes are evaluated _BLOCK node-atom
-# pairs at a time, which bounds the working memory on wide windows.
+# pairs at a time, which bounds the working memory on wide windows.  The
+# 32-point sum stands when the two differ by at most max(_ABS_TOL, 1e-8 value).
 _PANEL_WIDTH = 1.0
+_ABS_TOL = 1e-10
 _MAX_PANELS = 1 << 14
 _GL_FINE = 32
 _GL_NODES, _GL_WEIGHTS = np.hstack([leggauss(_GL_FINE), leggauss(_GL_FINE // 2)])
@@ -86,7 +88,7 @@ _BLOCK = 1 << 16
 # k = 2..80 and M = 0.25..3, where the proven tail bound can be 1e-170.
 # A value at or below the floor (2000 eps^2) may be that noise, so the
 # pipeline takes min(quadrature, tail bound) there; above it the quadrature
-# stands, and MixtureDistance still checks it against the bound.
+# stands, and the pipeline still checks it against the bound.
 _ROUNDOFF_FLOOR = 1e-28
 # (k, M) pairs whose distance terms are kept: every even k in 2..80 at 25 radii
 _PAIR_CACHE = 1024
@@ -97,24 +99,23 @@ _PAIR_CACHE = 1024
 
 @dataclass(frozen=True)
 class SymmetricDiscretePrior:
-    """Finitely supported symmetric probability measure, atoms scaled by M.
+    """Finitely supported symmetric probability measure.
 
     positions/weights list every atom (mirror atoms listed explicitly);
-    construction validates symmetry and total mass 1.
+    construction validates real entries, symmetry and total mass 1.
     """
 
     positions: tuple[float, ...]
     weights: tuple[float, ...]
-    M: float = 1.0
 
     def __post_init__(self):
         if len(self.positions) != len(self.weights) or len(self.positions) == 0:
             raise ConstructionError("positions and weights must be nonempty and aligned")
-        p = np.asarray(self.positions, dtype=float)
+        p = check_real_array("prior positions", self.positions, ConstructionError)
+        w = check_real_array("prior weights", self.weights, ConstructionError)
         finite = np.isfinite(p)
         if not finite.all():
             raise ConstructionError(f"prior positions must be finite, got {p[np.argmin(finite)]}")
-        w = np.asarray(self.weights, dtype=float)
         if not (w >= 0).all():   # NaN included
             raise ConstructionError("prior weights must be nonnegative")
         total = sum(self.weights)
@@ -136,6 +137,7 @@ class SymmetricDiscretePrior:
             raise ConstructionError(f"prior is not symmetric at t = {keys[bad[0]]}")
 
     def moment(self, order: int) -> float:
+        order = check_int("order", order, 0, MAX_COUNT)
         p = np.asarray(self.positions)
         w = np.asarray(self.weights)
         return float(np.dot(w, p ** order))
@@ -160,7 +162,7 @@ class SymmetricDiscretePrior:
 def scale_prior(prior: SymmetricDiscretePrior, M: float) -> SymmetricDiscretePrior:
     """Push the prior forward by t -> M t."""
     M = check_real("M", M, above=0.0)
-    return SymmetricDiscretePrior(tuple(M * t for t in prior.positions), prior.weights, M=prior.M * M)
+    return SymmetricDiscretePrior(tuple(M * t for t in prior.positions), prior.weights)
 
 
 @lru_cache(maxsize=None)
@@ -264,9 +266,7 @@ def prior_moments(mu0: SymmetricDiscretePrior, mu1: SymmetricDiscretePrior, n: i
 # ---------------------------------------------------------------------------
 # chi-square distances
 
-def chi_square_gaussian_mixtures(
-    positions0, weights0, positions1, weights1, abs_tol: float = 1e-10
-) -> float:
+def chi_square_gaussian_mixtures(positions0, weights0, positions1, weights1) -> float:
     """Squared chi-square distance between two unit-variance Gaussian mixtures.
 
     Integrates (f1 - f0)^2 / f0 over the real line, where
@@ -284,14 +284,15 @@ def chi_square_gaussian_mixtures(
     node's densities are scaled by their largest exponent, so f0 does not
     underflow in the tails.  The same panels are summed with 32 and with 16
     nodes, and the difference is the error estimate: IntegrationError when
-    it exceeds max(abs_tol, 1e-8 * value), or when the window integrated
+    it exceeds max(1e-10, 1e-8 * value), or when the window integrated
     needs more than 2^14 panels.  A distance past the double range is +inf.
+    Positions and weights must be Python or numpy integers or floats (text
+    raises DomainError).
     """
-    abs_tol = check_real("abs_tol", abs_tol, above=0.0)
-    p0 = np.asarray(positions0, dtype=float)
-    w0 = np.asarray(weights0, dtype=float)
-    p1 = np.asarray(positions1, dtype=float)
-    w1 = np.asarray(weights1, dtype=float)
+    p0 = check_real_array("positions0", positions0)
+    w0 = check_real_array("weights0", weights0)
+    p1 = check_real_array("positions1", positions1)
+    w1 = check_real_array("weights1", weights1)
     for p, w in ((p0, w0), (p1, w1)):
         if p.ndim != 1 or p.shape != w.shape or not np.all(np.isfinite(p)):
             raise DomainError("mixture positions must be finite and aligned with the weights")
@@ -351,8 +352,8 @@ def chi_square_gaussian_mixtures(
     fine = float(terms[:, :_GL_FINE].sum())
     err = abs(fine - float(terms[:, _GL_FINE:].sum()))
     achieved = _unscale(err, top)
-    # achieved > max(abs_tol, 1e-8 value), the relative part on the common scale e^top
-    if err > 1e-8 * fine and achieved > abs_tol:
+    # achieved > max(_ABS_TOL, 1e-8 value), the relative part on the common scale e^top
+    if err > 1e-8 * fine and achieved > _ABS_TOL:
         raise IntegrationError(
             f"quadrature error estimate {achieved:.3e} exceeds the requested tolerance",
             achieved_tolerance=achieved,
@@ -451,23 +452,6 @@ def select_kn_bounded(n: int) -> int:
     target = log_n / loglog + log_n / loglog ** 1.5
     k = math.ceil(target)
     return k + (k % 2)
-
-
-@dataclass(frozen=True)
-class MixtureDistance:
-    """Chi-square distance between n-fold product mixtures, with its analytic bound."""
-
-    I: float
-    I_squared_bound: float
-    n: int
-
-    def __post_init__(self):
-        if self.I < 0:
-            raise ConstructionError("distance must be nonnegative")
-        if math.isfinite(self.I_squared_bound) and self.I * self.I > self.I_squared_bound * (1 + 1e-9) + 1e-12:
-            raise ConstructionError(
-                f"I^2 = {self.I**2} exceeds its analytic bound {self.I_squared_bound}"
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -596,12 +580,11 @@ def verify_constrained_risk(model: DiscreteModel, mu0, mu1, rule, eps: float) ->
     )
 
 
-def random_discrete_model(
-    rng: np.random.Generator, max_params: int = 4, max_outcomes: int = 6
-) -> tuple[DiscreteModel, np.ndarray, np.ndarray]:
-    """A random finite experiment with strictly positive observation rows."""
-    p = int(rng.integers(2, max_params + 1))
-    m = int(rng.integers(2, max_outcomes + 1))
+def random_discrete_model(rng: np.random.Generator) -> tuple[DiscreteModel, np.ndarray, np.ndarray]:
+    """A random finite experiment: 2..4 parameters, 2..6 observation symbols,
+    strictly positive observation rows."""
+    p = int(rng.integers(2, 5))
+    m = int(rng.integers(2, 7))
     T = rng.uniform(-1.0, 1.0, size=p)
     probs = rng.dirichlet(np.ones(m), size=p) * 0.9 + 0.1 / m   # keep rows >= 0.1/m
     probs /= probs.sum(axis=1, keepdims=True)
@@ -634,9 +617,10 @@ def lower_bound_pipeline(n: int, M: float, k_n: int | None = None) -> dict:
     delta, pm, I1_sq, tail = _pair_terms(k_n, M)
     pm = PriorMoments(m0=pm.m0, m1=pm.m1, v0_sq=pm.v0_sq / n)
     I_n = math.sqrt(chi_square_product_n(I1_sq, n))
-    # tail-sum bound per coordinate is valid whenever moments match to k_n;
-    # the dataclass check below ties the quadrature back to the analytics
-    MixtureDistance(I=I_n, I_squared_bound=chi_square_product_n(tail, n), n=n)
+    # the tail-sum bound holds whenever the moments match to k_n: the quadrature must respect it
+    I_sq_bound = chi_square_product_n(tail, n)
+    if math.isfinite(I_sq_bound) and I_n * I_n > I_sq_bound * (1 + 1e-9) + 1e-12:
+        raise ConstructionError(f"I^2 = {I_n**2} exceeds its analytic bound {I_sq_bound}")
     bound = minimax_lower_bound(pm, I_n)
     return {
         "k_n": k_n,

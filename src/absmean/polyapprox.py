@@ -18,16 +18,17 @@ Two constructions are provided:
 
 Numerical note: monomial coefficients of either polynomial grow like 2^{3K},
 so Horner evaluation in the monomial basis loses about 2^{3K} * eps of
-absolute accuracy near x = +-1 and is useless by K ~ 20.  Polynomials built
-here therefore carry their even-Chebyshev representation and evaluate
-through it; the monomial half-coefficients are kept as data, and
-``coefficient_error`` bounds what their rounding costs.  numpy's chebval
-(Clenshaw) evaluates.  Three helpers here do the rest of the Chebyshev work
-without numpy.polynomial's per-call overhead.  ``_cheb_der`` differentiates
-for the Newton steps and ``_cheb_to_monomial`` converts to monomial
-half-coefficients, in floats or in exact Fractions for that bound; each runs
-the floating-point operations of chebder and cheb2poly in their order, so
-their results are bit-identical.  ``_even_cheb_table`` tabulates
+absolute accuracy near x = +-1 and is useless by K ~ 20.  An
+``EvenPolynomial`` is therefore built from its even-Chebyshev coefficients
+alone and evaluates through them, by numpy's chebval (Clenshaw); its
+monomial half-coefficients are derived once, as data for the estimators,
+and ``coefficient_error`` bounds what their rounding costs.  Three helpers
+here do the rest of the Chebyshev work without numpy.polynomial's per-call
+overhead.  ``_cheb_der`` differentiates for the Newton steps and
+``_cheb_to_monomial`` converts to monomial half-coefficients, in floats or
+in exact Fractions for that bound; each runs the floating-point operations
+of chebder and cheb2poly in their order, so their results are
+bit-identical.  ``_even_cheb_table`` tabulates
 T_j(2x^2 - 1) on [-1, 1] for the exchange and the prior pair as
 cos(j arccos u), T_0 and T_1 exactly: a fixed number of numpy calls for any
 K, within about 5e-14 of numpy's chebvander recurrence up to K = 60.
@@ -41,16 +42,13 @@ from fractions import Fraction
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebval
-from numpy.polynomial.polynomial import polyval
 
 from .errors import (
-    MAX_COUNT,
     ConditioningError,
     ConvergenceError,
     DegreeOverflowError,
     DomainError,
     check_int,
-    check_real,
 )
 
 # limit value of 2K * delta_2K; used by tests and reporting, not by the
@@ -60,6 +58,8 @@ BERNSTEIN_CONSTANT = 0.280169499
 _MAX_GK = 60
 _MAX_REMEZ_K = 40
 _REMEZ_MAX_ITER = 200
+# the exchange stops once the spread of |error| on the reference is below this times delta
+_REMEZ_TOL = 1e-12
 _COND_LIMIT = 1e12
 # exchange grid points per reference point, and Newton steps per extremum
 _GRID_PER_REF = 16
@@ -103,11 +103,6 @@ def _cheb_to_monomial(half: np.ndarray) -> np.ndarray:
     return nxt[::2]
 
 
-def _half_coeffs(cheb: np.ndarray) -> tuple[float, ...]:
-    """Monomial half-coefficients of sum_j cheb[j] T_j(2x^2 - 1), as floats."""
-    return tuple(_cheb_to_monomial(cheb).tolist())
-
-
 def _even_cheb_table(x: np.ndarray, K: int) -> np.ndarray:
     """T_j(2x^2 - 1) for j = 0..K (K >= 1) at each x in [-1, 1], shape (len(x), K + 1).
 
@@ -143,15 +138,23 @@ def _cheb_der(c, m: int = 1) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EvenPolynomial:
-    """Even polynomial p(x) = sum_k half_coeffs[k] * x^{2k}.
+    """Even polynomial p(x) = sum_j cheb_half_coeffs[j] * T_j(2x^2 - 1).
 
-    ``cheb_half_coeffs``, when present, holds coefficients b_j of the
-    equivalent expansion sum_j b_j T_j(2x^2 - 1); evaluation prefers it.
-    Evenness is structural: only even powers can be represented.
+    Built from those Chebyshev coefficients alone, and evaluated through
+    them.  ``half_coeffs`` holds the monomial form p(x) = sum_k
+    half_coeffs[k] * x^{2k}, converted once at construction (trailing zero
+    coefficients trimmed, as numpy's cheb2poly does).  Evenness is
+    structural: only even powers can be represented.
     """
 
-    half_coeffs: tuple[float, ...]
-    cheb_half_coeffs: tuple[float, ...] | None = field(default=None, compare=False)
+    cheb_half_coeffs: tuple[float, ...]
+    half_coeffs: tuple[float, ...] = field(init=False)
+
+    def __post_init__(self):
+        if len(self.cheb_half_coeffs) == 0:
+            raise DomainError("an even polynomial needs at least one coefficient")
+        monomial = _cheb_to_monomial(np.asarray(self.cheb_half_coeffs, dtype=np.float64))
+        object.__setattr__(self, "half_coeffs", tuple(monomial.tolist()))
 
     @property
     def half_degree(self) -> int:
@@ -162,15 +165,10 @@ class EvenPolynomial:
         return 2 * self.half_degree
 
     def __call__(self, x):
-        if len(self.half_coeffs) == 0:
-            raise DomainError("cannot evaluate an empty polynomial")
         arr = np.asarray(x, dtype=np.float64)
         scalar = arr.ndim == 0
         arr = np.atleast_1d(arr)
-        if self.cheb_half_coeffs is not None:
-            out = chebval(2.0 * arr * arr - 1.0, self.cheb_half_coeffs)
-        else:
-            out = polyval(arr * arr, self.half_coeffs)
+        out = chebval(2.0 * arr * arr - 1.0, self.cheb_half_coeffs)
         return float(out[0]) if scalar else out
 
 
@@ -187,26 +185,18 @@ def build_G_K(K: int) -> EvenPolynomial:
     K = check_int("K", K, low=1)
     if K > _MAX_GK:
         raise DegreeOverflowError(f"K = {K} exceeds the supported maximum {_MAX_GK}")
-    cheb = _truncation_coeffs(K)
-    return EvenPolynomial(_half_coeffs(cheb), tuple(cheb.tolist()))
+    return EvenPolynomial(tuple(_truncation_coeffs(K).tolist()))
 
 
-def uniform_error(poly: EvenPolynomial, grid_size: int = 100001) -> float:
-    """max over a uniform grid on [-1, 1] of | |x| - poly(x) |."""
-    if len(poly.half_coeffs) == 0:
-        raise DomainError("empty polynomial")
-    grid_size = check_int("grid_size", grid_size, 1001, MAX_COUNT)
-    if grid_size % 2 == 0:
-        raise DomainError(f"grid_size must be odd, got {grid_size}")
-    x = np.linspace(-1.0, 1.0, grid_size)
+def uniform_error(poly: EvenPolynomial) -> float:
+    """max of | |x| - poly(x) | over 100001 equally spaced x in [-1, 1], 0 and both ends included."""
+    x = np.linspace(-1.0, 1.0, 100001)
     return float(np.max(np.abs(np.abs(x) - poly(x))))
 
 
 def coefficient_error(poly: EvenPolynomial) -> float:
     """sum_k |half_coeffs[k] - c_k| for the exact monomial coefficients c_k of
     the Chebyshev form: the most their rounding moves the polynomial on [-1, 1]."""
-    if poly.cheb_half_coeffs is None:
-        raise DomainError("the coefficient error needs the Chebyshev form")
     exact = _cheb_to_monomial(np.array([Fraction(c) for c in poly.cheb_half_coeffs], dtype=object))
     return float(sum(abs(Fraction(g) - c) for g, c in zip(poly.half_coeffs, exact)))
 
@@ -295,7 +285,7 @@ def _segment_peaks(e: np.ndarray, K: int, last_spread: float) -> np.ndarray:
     return idx
 
 
-def remez_best_approx(K: int, tol: float = 1e-12) -> BestApproxSolution:
+def remez_best_approx(K: int) -> BestApproxSolution:
     """Best uniform approximation of |x| on [-1, 1] by even polynomials of degree 2K.
 
     Remez exchange on [0, 1].  The error curve is one product with
@@ -307,15 +297,13 @@ def remez_best_approx(K: int, tol: float = 1e-12) -> BestApproxSolution:
     every supported K (fewer raise ConvergenceError, as in the loop).  Each
     iteration re-levels the error on the reference and exchanges it against
     the extrema of the error curve, until the spread of |error| over the new
-    reference is below tol * delta.  The largest sample of each sign segment
+    reference is below _REMEZ_TOL * delta.  The largest sample of each sign segment
     takes Newton steps on e'(x) = 0 in x, with p'(x) = 4x q'(u) and
     p''(x) = 4q'(u) + 16x^2 q''(u) for u = 2x^2 - 1.
     """
     K = check_int("K", K, low=1)
     if K > _MAX_REMEZ_K:
         raise DegreeOverflowError(f"K = {K} exceeds the supported maximum {_MAX_REMEZ_K}")
-    if not 1e-12 <= check_real("tol", tol) < 1.0:
-        raise DomainError(f"tol must lie in [1e-12, 1), got {tol!r}")
 
     # sin(pi / 2) rounds to 1.0, so both endpoints are exact
     grid = np.sin(0.5 * np.pi * np.linspace(0.0, 1.0, _GRID_PER_REF * (K + 2) + 1))
@@ -349,13 +337,13 @@ def remez_best_approx(K: int, tol: float = 1e-12) -> BestApproxSolution:
         vals = np.abs(es)
         delta = float(vals.max())
         last_spread = float(vals.max() - vals.min())
-        if last_spread <= tol * max(delta, 1e-300):
+        if last_spread <= _REMEZ_TOL * max(delta, 1e-300):
             mirror = ref > 0.0
             points = np.concatenate([-ref[mirror][::-1], ref])
             signs = np.where(np.concatenate([es[mirror][::-1], es]) > 0, 1, -1)
             if np.any(signs[1:] == signs[:-1]):
                 raise ConvergenceError("alternation signs failed to alternate", last_spread=last_spread)
-            poly = EvenPolynomial(_half_coeffs(b), tuple(float(c) for c in b))
+            poly = EvenPolynomial(tuple(float(c) for c in b))
             return BestApproxSolution(
                 poly, delta, tuple(points.tolist()), tuple(signs.tolist()),
                 iterations=iteration, spread=last_spread, max_condition=max_cond,

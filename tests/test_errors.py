@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from absmean.errors import MAX_N, DomainError, check_int, check_real
+from absmean.errors import MAX_N, ConstructionError, DomainError, check_int, check_real
 from absmean.estimators import (
     EstimatorSpec,
     delta_component,
@@ -33,6 +33,7 @@ from absmean.harness.engine import RiskReport
 from absmean.hermite import hermite_eval, hermite_eval_batch, hermite_second_moment
 from absmean.lowerbound import (
     PriorMoments,
+    SymmetricDiscretePrior,
     chi_square_bound_n,
     chi_square_gaussian_mixtures,
     chi_square_product_n,
@@ -47,7 +48,7 @@ from absmean.lowerbound import (
     select_kn_bounded,
     verify_constrained_risk,
 )
-from absmean.polyapprox import build_G_K, remez_best_approx, uniform_error
+from absmean.polyapprox import build_G_K, remez_best_approx
 from absmean.rng import derive_seed, stream
 
 HUGE = 10**400   # an integer no double can hold
@@ -139,7 +140,6 @@ INT_ARGS = [
     ("stream.replication", lambda v: stream(0, 1, 0, v), 0),
     ("derive_seed.seed", lambda v: derive_seed(v, 1, 0, 0), 0),
     ("build_G_K.K", lambda v: build_G_K(v), 2),
-    ("uniform_error.grid_size", lambda v: uniform_error(build_G_K(1), v), 1001),
     ("remez_best_approx.K", lambda v: remez_best_approx(v), 2),
     ("construct_prior_pair.k", lambda v: construct_prior_pair(v), 2),
     ("prior_moments.n", lambda v: prior_moments(_NU0, _NU1, v), 100),
@@ -158,6 +158,7 @@ INT_ARGS = [
      lambda v: Scenario(id="s", family=ZeroVector(), n=32, replications=v, estimator=_SPEC), 2),
     ("draw_theta.n", lambda v: draw_theta(_ALT, v, stream(0)), 8),
     ("SymmetricDiscretePrior.sample.size", lambda v: _NU1.sample(stream(0), v), 8),
+    ("SymmetricDiscretePrior.moment.order", lambda v: _NU1.moment(v), 2),
     ("RunConfig.seed", lambda v: RunConfig(scenarios=(_SCENARIO,), seed=v, output_path="o.csv"), 1),
     ("RunConfig.workers",
      lambda v: RunConfig(scenarios=(_SCENARIO,), seed=1, output_path="o.csv", workers=v), 1),
@@ -168,15 +169,13 @@ REAL_ARGS = [
     ("estimate_bounded.M", lambda v: estimate_bounded(_Y, v, 1), 1.0),
     ("EstimatorSpec.M", lambda v: EstimatorSpec(variant="bounded", M=v), 1.0),
     ("EstimatorSpec.c", lambda v: EstimatorSpec(variant="growing", c=v), 2.0),
+    ("hermite_eval.y", lambda v: hermite_eval(2, v), 0.5),
     ("hermite_second_moment.mu", lambda v: hermite_second_moment(2, v), 0.5),
-    ("remez_best_approx.tol", lambda v: remez_best_approx(2, tol=v), 1e-10),
     ("scale_prior.M", lambda v: scale_prior(_NU0, v), 1.0),
     ("chi_square_tail_bound_1d.M", lambda v: chi_square_tail_bound_1d(v, 2), 1.0),
     ("chi_square_single_term_bound_1d.M", lambda v: chi_square_single_term_bound_1d(v, 2), 1.0),
     ("chi_square_bound_n.M", lambda v: chi_square_bound_n(v, 2, 100), 1.0),
     ("chi_square_product_n.I1_sq", lambda v: chi_square_product_n(v, 100), 0.1),
-    ("chi_square_gaussian_mixtures.abs_tol",
-     lambda v: chi_square_gaussian_mixtures([0.0], [1.0], [0.5], [1.0], abs_tol=v), 1e-10),
     ("minimax_lower_bound.I", lambda v: minimax_lower_bound(PriorMoments(0.1, 0.3, 1e-3), v), 0.5),
     ("verify_constrained_risk.eps",
      lambda v: verify_constrained_risk(_MODEL, _MU0, _MU1, [0.0] * len(_MODEL.obs_probs[0]), v), 10.0),
@@ -203,3 +202,27 @@ def test_entry_point_follows_the_argument_policy(call, good, numpy_type):
     for bad in (True, str(good), HUGE):
         with pytest.raises(DomainError):
             call(bad)
+
+
+# ---------------------------------------------------------------------------
+# array arguments: numeric text is text
+
+def test_hermite_batch_refuses_text():
+    for y in (["1", "2"], np.array(["0.5"]), [1.0, "2"], [True, False], [1.0, 1j], [[1.0], [1.0, 2.0]]):
+        with pytest.raises(DomainError, match="y must hold real numbers"):
+            hermite_eval_batch(2, y)
+    assert hermite_eval_batch(2, [1, 2]).tolist() == [[1.0, 1.0], [1.0, 2.0], [0.0, 3.0]]
+
+
+def test_chi_square_refuses_text():
+    with pytest.raises(DomainError, match="must hold real numbers"):
+        chi_square_gaussian_mixtures(["0"], ["1"], ["0.5"], ["1"])
+    with pytest.raises(DomainError, match="weights1 must hold real numbers"):
+        chi_square_gaussian_mixtures([0.0], [1.0], [0.5], ["1"])
+
+
+def test_prior_refuses_text():
+    with pytest.raises(ConstructionError, match="prior positions must hold real numbers"):
+        SymmetricDiscretePrior(("-0.5", "0.5"), ("0.5", "0.5"))
+    with pytest.raises(ConstructionError, match="prior weights must hold real numbers"):
+        SymmetricDiscretePrior((-0.5, 0.5), ("0.5", "0.5"))

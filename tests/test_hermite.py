@@ -11,7 +11,7 @@ from scipy.special import roots_hermite
 from absmean.errors import DegreeOverflowError, DomainError, RangeError
 from absmean.estimators import approx_coefficients, estimate_bounded
 from absmean.hermite import (
-    DEFAULT_MAX_DEGREE,
+    MAX_DEGREE,
     hermite_eval,
     hermite_eval_batch,
     hermite_second_moment,
@@ -94,8 +94,8 @@ def test_second_moment_overflow_raises():
 
 def test_degree_cap_and_domain_errors():
     with pytest.raises(DegreeOverflowError):
-        hermite_eval(DEFAULT_MAX_DEGREE + 1, 0.5)
-    hermite_eval(DEFAULT_MAX_DEGREE + 1, 0.5, max_degree=DEFAULT_MAX_DEGREE + 1)
+        hermite_eval(MAX_DEGREE + 1, 0.5)
+    assert np.isfinite(hermite_eval(MAX_DEGREE, 0.5))
     with pytest.raises(DomainError):
         hermite_eval(-1, 0.5)
     with pytest.raises(DomainError):

@@ -18,7 +18,6 @@ from absmean.errors import (
 )
 from absmean.lowerbound import (
     DiscreteModel,
-    MixtureDistance,
     PriorMoments,
     SymmetricDiscretePrior,
     chi_square_bound_n,
@@ -161,6 +160,14 @@ def test_prior_symmetry_check_matches_the_dict_loop(atoms):
     else:
         with pytest.raises(ConstructionError, match=f"not symmetric at t = {re.escape(str(expected))}$"):
             SymmetricDiscretePrior(tuple(positions), tuple(weights))
+
+
+def test_prior_moment_order_is_checked():
+    _, nu1, _ = construct_prior_pair(2)
+    assert nu1.moment(0) == 1.0
+    for order in (2.5, -1, True, "2", np.float64(2.0)):
+        with pytest.raises(DomainError, match="order must be an integer"):
+            nu1.moment(order)
 
 
 def test_scale_prior_scales_moments():
@@ -372,12 +379,17 @@ def test_single_term_form_dominates_tail_sum(k_n, M):
     assert chi_square_bound_n(M, k_n, 100) >= chi_square_product_n(tail, 100) * (1 - 1e-12)
 
 
-def test_mixture_distance_guard():
-    MixtureDistance(I=1.0, I_squared_bound=1.5, n=4)       # fine
-    with pytest.raises(ConstructionError):
-        MixtureDistance(I=2.0, I_squared_bound=1.5, n=4)
-    with pytest.raises(ConstructionError):
-        MixtureDistance(I=-1.0, I_squared_bound=9.0, n=4)
+def test_mixture_distance_guard(monkeypatch, fresh_pair_cache):
+    # the pipeline refuses a distance past its analytic bound: with the tail
+    # bound patched to 0, the k = 2, M = 1 quadrature (far above the roundoff
+    # floor, so it stands) exceeds it
+    monkeypatch.setattr(lowerbound, "chi_square_tail_bound_1d", lambda M, k_n: 0.0)
+    with pytest.raises(ConstructionError, match=r"^I\^2 = .* exceeds its analytic bound 0\.0$"):
+        lower_bound_pipeline(100, 1.0, k_n=2)
+    # an infinite bound checks nothing
+    monkeypatch.setattr(lowerbound, "chi_square_tail_bound_1d", lambda M, k_n: math.inf)
+    lowerbound._pair_terms.cache_clear()
+    assert lower_bound_pipeline(100, 1.0, k_n=2)["I"] > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +499,7 @@ def test_pipeline_computes_the_distance_once_per_pair(monkeypatch, fresh_pair_ca
     distance = lowerbound.chi_square_mixture_1d
 
     def counted(mu0, mu1):
-        seen.append(mu0.M)
+        seen.append(mu0.positions)
         return distance(mu0, mu1)
 
     monkeypatch.setattr(lowerbound, "chi_square_mixture_1d", counted)
@@ -495,7 +507,7 @@ def test_pipeline_computes_the_distance_once_per_pair(monkeypatch, fresh_pair_ca
     for n in (100, 10**6, 10**12):
         for k, M in pairs:
             lower_bound_pipeline(n, M, k_n=k)
-    assert sorted(seen) == sorted(M for _, M in pairs)
+    assert seen == [scale_prior(construct_prior_pair(k)[0], M).positions for k, M in pairs]
     # the same pair given as an int radius, a numpy radius or a numpy k is the same key
     lower_bound_pipeline(100, np.float64(0.5), k_n=np.int64(4))
     lower_bound_pipeline(100, 1, k_n=4)

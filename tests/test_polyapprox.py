@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.polynomial.chebyshev import cheb2poly, chebder, chebvander
+from numpy.polynomial.polynomial import polyval
 
 from absmean import polyapprox
 from absmean.errors import ConvergenceError, DomainError
@@ -20,6 +21,7 @@ from absmean.polyapprox import (
     _MAX_GK,
     _MAX_REMEZ_K,
     _REMEZ_MAX_ITER,
+    _REMEZ_TOL,
     _cheb_der,
     _cheb_to_monomial,
     _even_cheb_table,
@@ -40,20 +42,20 @@ ULP = 1.0 + 1e-12
 
 
 @given(st.lists(st.floats(-3, 3, allow_nan=False), min_size=1, max_size=8),
-       st.floats(-1.5, 1.5, allow_nan=False))
+       st.floats(-1.0, 1.0, allow_nan=False))
 @settings(max_examples=200, deadline=None)
 def test_even_polynomial_is_even_and_matches_horner(coeffs, x):
+    # built from Chebyshev coefficients; Horner on the derived monomial form
+    # agrees to a few eps of its coefficients' size on [-1, 1]
     poly = EvenPolynomial(tuple(coeffs))
-    direct = sum(c * x ** (2 * j) for j, c in enumerate(coeffs))
+    direct = sum(c * x ** (2 * j) for j, c in enumerate(poly.half_coeffs))
     assert poly(x) == poly(-x)
-    assert math.isclose(poly(x), direct, rel_tol=1e-9, abs_tol=1e-9)
+    assert math.isclose(poly(x), direct, rel_tol=0.0, abs_tol=1e-12 * (1.0 + sum(map(abs, poly.half_coeffs))))
 
 
 def test_even_polynomial_empty_rejected():
-    # construction is permissive; evaluation of an empty polynomial is the error
-    empty = EvenPolynomial(())
     with pytest.raises(DomainError):
-        empty(0.5)
+        EvenPolynomial(())
 
 
 def test_truncation_value_at_zero_closed_form():
@@ -96,8 +98,6 @@ def test_coefficient_error_is_the_exact_rounding_of_the_monomial_form(K):
         rounding = sum(abs(Fraction(g) - e) for g, e in zip(poly.half_coeffs, exact))
         assert coefficient_error(poly) == float(rounding)
     assert coefficient_error(build_G_K(1)) == 0.0
-    with pytest.raises(DomainError):
-        coefficient_error(EvenPolynomial((0.5, 1.0)))
 
 
 @pytest.mark.parametrize("basis", ["best", "chebyshev"])
@@ -107,13 +107,8 @@ def test_monomial_coefficients_evaluate_like_the_chebyshev_form(basis):
     x = np.linspace(-1.0, 1.0, 20001)
     for K in range(1, 11):
         poly = remez_best_approx(K).poly if basis == "best" else build_G_K(K)
-        monomial = EvenPolynomial(poly.half_coeffs)
-        assert np.max(np.abs(monomial(x) - poly(x))) <= 1e-15 * 4.0 ** K, K
-
-
-def test_uniform_error_validates_grid():
-    with pytest.raises(DomainError):
-        uniform_error(build_G_K(1), grid_size=100)
+        monomial = polyval(x * x, poly.half_coeffs)
+        assert np.max(np.abs(monomial - poly(x))) <= 1e-15 * 4.0 ** K, K
 
 
 def test_remez_quadratic_closed_form():
@@ -156,10 +151,9 @@ def test_de_la_vallee_poussin_bracket_on_a_dense_grid(K):
 
 @pytest.mark.parametrize("K", [1, 2, 10, 40])
 def test_exchange_diagnostics_are_filled(K):
-    tol = 1e-12
-    sol = remez_best_approx(K, tol=tol)
+    sol = remez_best_approx(K)
     assert 1 <= sol.iterations <= _REMEZ_MAX_ITER
-    assert 0.0 <= sol.spread <= tol * sol.delta
+    assert 0.0 <= sol.spread <= _REMEZ_TOL * sol.delta
     assert 1.0 <= sol.max_condition <= _COND_LIMIT
     # diagnostics take no part in equality
     assert sol == dataclasses.replace(sol, iterations=0, spread=1.0, max_condition=0.0)
@@ -288,7 +282,7 @@ def test_helpers_match_numpy_on_every_series_the_package_uses():
 def test_fraction_conversion_matches_the_exact_oracle():
     for basis, K, b in _exchange_series():
         got = _cheb_to_monomial(np.array([Fraction(v) for v in b], dtype=object))
-        assert list(got) == _exact_half_coeffs(EvenPolynomial((), tuple(b))), (basis, K)
+        assert list(got) == _exact_half_coeffs(EvenPolynomial(tuple(b))), (basis, K)
 
 
 # SHA-256 over the float.hex of every remez_best_approx(K) output, K = 1..40,
