@@ -4,9 +4,10 @@ Every scalar argument goes through `check_int` or `check_real`: an integer
 is a Python or numpy integer, a real is a finite Python or numpy integer or
 float, and a bool is neither.  Anything else raises DomainError (never
 TypeError, ValueError or OverflowError), which the command line maps to
-exit 2.  An array of reals (Hermite arguments, mixture and prior atoms and
-weights) goes through `check_real_array`, which refuses text, bools,
-complex numbers, other objects and ragged lists by the same rule.  A sample
+exit 2.  An array of reals (Hermite and polynomial arguments, mixture and
+prior atoms and weights, the constrained-risk model, priors and rule) goes
+through `check_real_array`, which refuses text, bools, complex numbers,
+other objects and ragged lists by the same rule.  A sample
 size n that only enters formulas is at most MAX_N, the largest integer a
 double holds; a count that sizes an array or a loop is at most MAX_COUNT,
 numpy's largest index.  Observation vectors are data, not

@@ -16,9 +16,10 @@ gives the variance control; it is bounded by e^{mu^2} k^k in general and by
 
 Every function here takes degrees up to MAX_DEGREE and raises
 DegreeOverflowError past it.  `hermite_eval` and `hermite_eval_batch`
-validate their arguments, raising DomainError on text (numeric text too),
-and read the table that numpy.polynomial.hermite_e.hermevander builds by the
-recurrence above (numpy's name for this family is HermiteE).  The
+validate their arguments, raising DomainError on text (numeric text too)
+and RangeError where a value overflows the double range, and read the
+table that numpy.polynomial.hermite_e.hermevander builds by the recurrence
+above (numpy's name for this family is HermiteE).  The
 estimators need only the even polynomials, as a weighted sum; they sum them
 with their own kernel, Clenshaw summation in u = y^2 on the recurrence
 above taken two degrees at a time (estimators._clenshaw).
@@ -61,15 +62,20 @@ def hermite_eval_batch(k_max: int, y) -> np.ndarray:
     (k_max + 1,) + shape(y).  Element j agrees exactly with
     hermite_eval(j, y): both read the same recurrence table.  Entries of
     `y` must be Python or numpy integers or floats; text, bools and other
-    objects raise DomainError.
+    objects raise DomainError, and a value past the double range raises
+    RangeError.
     """
     k_max = _check_degree(k_max)
     arr = check_real_array("y", y)
     if not np.all(np.isfinite(arr)):
         raise DomainError("y must be finite")
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = hermevander(arr, k_max)
+    if not np.all(np.isfinite(table)):
+        raise RangeError(f"H_k(y) overflows the double range for some k <= {k_max}")
     # hermevander puts the degree last; moving it back to the front restores
     # the layout the table was built in
-    return np.moveaxis(hermevander(arr, k_max), -1, 0).reshape((k_max + 1,) + arr.shape)
+    return np.moveaxis(table, -1, 0).reshape((k_max + 1,) + arr.shape)
 
 
 def hermite_second_moment(k: int, mu: float) -> float:

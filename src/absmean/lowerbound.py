@@ -483,12 +483,14 @@ class DiscreteModel:
     obs_probs: tuple[tuple[float, ...], ...]
 
     def __post_init__(self):
-        if len(self.T_values) == 0 or len(self.obs_probs) != len(self.T_values):
+        T = check_real_array("T_values", self.T_values, ConstructionError)
+        P = check_real_array("observation rows", self.obs_probs, ConstructionError)
+        if T.ndim != 1 or T.size == 0 or P.ndim != 2 or len(P) != T.size:
             raise ConstructionError("need one observation row per parameter")
-        width = len(self.obs_probs[0])
-        for row in self.obs_probs:
-            if len(row) != width or any(p <= 0 for p in row) or abs(sum(row) - 1.0) > 1e-9:
-                raise ConstructionError("observation rows must be positive and sum to 1")
+        if not np.isfinite(T).all():
+            raise ConstructionError("T_values must be finite")
+        if not (P > 0).all() or np.any(np.abs(P.sum(axis=1) - 1.0) > 1e-9):   # NaN included
+            raise ConstructionError("observation rows must be positive and sum to 1")
 
 
 @dataclass(frozen=True)
@@ -525,14 +527,19 @@ def verify_constrained_risk(model: DiscreteModel, mu0, mu1, rule, eps: float) ->
 
     mu0/mu1: prior weights over the model's parameters.  rule: the
     estimator, one real per observation symbol.  eps: risk budget under
-    mu0; the precondition risk0 <= eps^2 is enforced.
+    mu0, at least 0; the precondition risk0 <= eps^2 is enforced.  Priors and
+    rule must hold finite reals (DomainError otherwise).
     """
     eps = check_real("eps", eps)
+    if eps < 0:
+        raise DomainError(f"eps must be >= 0, got {eps!r}")
     T = np.asarray(model.T_values, dtype=float)
     P = np.asarray(model.obs_probs, dtype=float)
-    u0 = np.asarray(mu0, dtype=float)
-    u1 = np.asarray(mu1, dtype=float)
-    d = np.asarray(rule, dtype=float)
+    u0 = check_real_array("mu0", mu0)
+    u1 = check_real_array("mu1", mu1)
+    d = check_real_array("rule", rule)
+    if not all(np.isfinite(v).all() for v in (u0, u1, d)):
+        raise DomainError("priors and rule must be finite")
     for u in (u0, u1):
         if u.shape != T.shape or np.any(u < 0) or abs(u.sum() - 1.0) > 1e-9:
             raise DomainError("priors must be distributions over the parameter set")

@@ -20,16 +20,13 @@ Numerical note: monomial coefficients of either polynomial grow like 2^{3K},
 so Horner evaluation in the monomial basis loses about 2^{3K} * eps of
 absolute accuracy near x = +-1 and is useless by K ~ 20.  An
 ``EvenPolynomial`` is therefore built from its even-Chebyshev coefficients
-alone and evaluates through them, by numpy's chebval (Clenshaw); its
-monomial half-coefficients are derived once, as data for the estimators,
-and ``coefficient_error`` bounds what their rounding costs.  Three helpers
-here do the rest of the Chebyshev work without numpy.polynomial's per-call
-overhead.  ``_cheb_der`` differentiates for the Newton steps and
-``_cheb_to_monomial`` converts to monomial half-coefficients, in floats or
-in exact Fractions for that bound; each runs the floating-point operations
-of chebder and cheb2poly in their order, so their results are
-bit-identical.  ``_even_cheb_table`` tabulates
-T_j(2x^2 - 1) on [-1, 1] for the exchange and the prior pair as
+alone and evaluates through them, by numpy's chebval (Clenshaw).  Only the
+estimators read its monomial half-coefficients, which numpy's cheb2poly
+converts on first read; ``coefficient_error`` bounds what their rounding
+costs.  Two helpers spare the exchange numpy.polynomial's per-call overhead:
+``_cheb_der`` differentiates for the Newton steps by chebder's floating-point
+operations in their order, so bit-identically, and ``_even_cheb_table``
+tabulates T_j(2x^2 - 1) on [-1, 1], for the prior pair too, as
 cos(j arccos u), T_0 and T_1 exactly: a fixed number of numpy calls for any
 K, within about 5e-14 of numpy's chebvander recurrence up to K = 60.
 """
@@ -39,16 +36,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebval
+from numpy.polynomial.chebyshev import cheb2poly, chebval
 
 from .errors import (
     ConditioningError,
     ConvergenceError,
     DegreeOverflowError,
     DomainError,
+    RangeError,
     check_int,
+    check_real_array,
 )
 
 # limit value of 2K * delta_2K; used by tests and reporting, not by the
@@ -67,40 +67,14 @@ _NEWTON_STEPS = 3
 
 
 def _cheb_to_monomial(half: np.ndarray) -> np.ndarray:
-    """Monomial half-coefficients of sum_j half[j] T_j(2x^2 - 1), float or Fraction.
+    """Monomial half-coefficients of sum_j half[j] T_j(2x^2 - 1), float or exact Fraction.
 
-    T_j(2x^2 - 1) = T_{2j}(x), so this is numpy's cheb2poly on the series in x
-    with zero odd slots, keeping the even slots of its result.  It trims
-    trailing zeros of the input as cheb2poly does, then runs its recurrence
-    c0 <- c[i-2] - c1, c1 <- c0 + 2x c1 (last c0 + x c1) on preallocated
-    arrays, each slot, zero slots included, by the operations of polysub,
-    polyadd and polymulx in their order.  With a nonzero top coefficient no
-    intermediate has a trailing zero, so cheb2poly trims none either.
+    T_j(2x^2 - 1) = T_{2j}(x): numpy's cheb2poly on the series in x with zero
+    odd slots, keeping the even slots (trailing zeros trimmed, as cheb2poly does).
     """
-    m = len(half)
-    while m > 1 and half[m - 1] == 0:
-        m -= 1
-    c = np.zeros(2 * m - 1, dtype=half.dtype)
-    c[::2] = half[:m]
-    n = c.size
-    if n < 3:
-        return c
-    c0, c1, nxt = np.empty_like(c), np.empty_like(c), np.empty_like(c)
-    c0[0], c1[0] = c[-2], c[-1]
-    n0, n1 = 1, 1   # lengths of c0 and c1
-    for i in range(n - 1, 1, -1):
-        nxt[0] = c1[0] * 0
-        nxt[1 : n1 + 1] = c1[:n1]
-        nxt[: n1 + 1] *= 2
-        nxt[:n0] += c0[:n0]
-        np.negative(c1[:n1], out=c0[:n1])
-        c0[0] += c[i - 2]
-        n0, n1 = n1, n1 + 1
-        c1, nxt = nxt, c1
-    nxt[0] = c1[0] * 0
-    nxt[1 : n1 + 1] = c1[:n1]
-    nxt[:n0] += c0[:n0]
-    return nxt[::2]
+    c = np.zeros(2 * len(half) - 1, dtype=half.dtype)
+    c[::2] = half
+    return cheb2poly(c)[::2]
 
 
 def _even_cheb_table(x: np.ndarray, K: int) -> np.ndarray:
@@ -120,6 +94,7 @@ def _even_cheb_table(x: np.ndarray, K: int) -> np.ndarray:
 
 def _cheb_der(c, m: int = 1) -> np.ndarray:
     """chebder(c, m) by chebder's loop, run on Python floats."""
+    # chebder costs about 3x per call in the exchange loop (22 vs 8 us at K = 20)
     c = [float(v) for v in c]
     if m >= len(c):
         return np.array([c[0] * 0])
@@ -141,34 +116,37 @@ class EvenPolynomial:
     """Even polynomial p(x) = sum_j cheb_half_coeffs[j] * T_j(2x^2 - 1).
 
     Built from those Chebyshev coefficients alone, and evaluated through
-    them.  ``half_coeffs`` holds the monomial form p(x) = sum_k
-    half_coeffs[k] * x^{2k}, converted once at construction (trailing zero
-    coefficients trimmed, as numpy's cheb2poly does).  Evenness is
-    structural: only even powers can be represented.
+    them.  ``half_coeffs``, the monomial form p(x) = sum_k half_coeffs[k] *
+    x^{2k} that only the estimators read, is converted on first read
+    (trailing zero coefficients trimmed, as numpy's cheb2poly does).
+    Evenness is structural: only even powers can be represented.
     """
 
     cheb_half_coeffs: tuple[float, ...]
-    half_coeffs: tuple[float, ...] = field(init=False)
 
     def __post_init__(self):
         if len(self.cheb_half_coeffs) == 0:
             raise DomainError("an even polynomial needs at least one coefficient")
-        monomial = _cheb_to_monomial(np.asarray(self.cheb_half_coeffs, dtype=np.float64))
-        object.__setattr__(self, "half_coeffs", tuple(monomial.tolist()))
 
-    @property
-    def half_degree(self) -> int:
-        return len(self.half_coeffs) - 1
+    @cached_property
+    def half_coeffs(self) -> tuple[float, ...]:
+        return tuple(_cheb_to_monomial(np.asarray(self.cheb_half_coeffs, dtype=np.float64)).tolist())
 
     @property
     def degree(self) -> int:
-        return 2 * self.half_degree
+        return 2 * (len(self.half_coeffs) - 1)
 
     def __call__(self, x):
-        arr = np.asarray(x, dtype=np.float64)
+        """p(x) at finite real x (DomainError otherwise); RangeError where it overflows."""
+        arr = check_real_array("x", x)
+        if not np.all(np.isfinite(arr)):
+            raise DomainError("x must be finite")
         scalar = arr.ndim == 0
         arr = np.atleast_1d(arr)
-        out = chebval(2.0 * arr * arr - 1.0, self.cheb_half_coeffs)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = chebval(2.0 * arr * arr - 1.0, self.cheb_half_coeffs)
+        if not np.all(np.isfinite(out)):
+            raise RangeError("p(x) overflows the double range")
         return float(out[0]) if scalar else out
 
 

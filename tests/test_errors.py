@@ -32,6 +32,7 @@ from absmean.harness import (
 from absmean.harness.engine import RiskReport
 from absmean.hermite import hermite_eval, hermite_eval_batch, hermite_second_moment
 from absmean.lowerbound import (
+    DiscreteModel,
     PriorMoments,
     SymmetricDiscretePrior,
     chi_square_bound_n,
@@ -114,6 +115,7 @@ _ALT = AlternationAtoms(k=2, M=1.0)
 _SPEC = EstimatorSpec(variant="bounded", M=1.0)
 _SCENARIO = Scenario(id="s", family=ZeroVector(), n=32, replications=2, estimator=_SPEC)
 _MODEL, _MU0, _MU1 = random_discrete_model(np.random.default_rng(0))
+_G3 = build_G_K(3)
 _REPORT = RiskReport("s", 32, "bounded", 1, 1.0, 2, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0)
 
 # (argument, call with the argument in its slot, a valid value)
@@ -171,6 +173,7 @@ REAL_ARGS = [
     ("EstimatorSpec.c", lambda v: EstimatorSpec(variant="growing", c=v), 2.0),
     ("hermite_eval.y", lambda v: hermite_eval(2, v), 0.5),
     ("hermite_second_moment.mu", lambda v: hermite_second_moment(2, v), 0.5),
+    ("EvenPolynomial.x", lambda v: _G3(v), 0.5),
     ("scale_prior.M", lambda v: scale_prior(_NU0, v), 1.0),
     ("chi_square_tail_bound_1d.M", lambda v: chi_square_tail_bound_1d(v, 2), 1.0),
     ("chi_square_single_term_bound_1d.M", lambda v: chi_square_single_term_bound_1d(v, 2), 1.0),
@@ -212,6 +215,33 @@ def test_hermite_batch_refuses_text():
         with pytest.raises(DomainError, match="y must hold real numbers"):
             hermite_eval_batch(2, y)
     assert hermite_eval_batch(2, [1, 2]).tolist() == [[1.0, 1.0], [1.0, 2.0], [0.0, 3.0]]
+
+
+def test_even_polynomial_refuses_text():
+    for x in (["0.5"], np.array(["0.5"]), [0.5, "1"], [True, False], [0.5, 1j], [[0.5], [0.5, 1.0]]):
+        with pytest.raises(DomainError, match="x must hold real numbers"):
+            _G3(x)
+    assert _G3([0, 1]).tolist() == [_G3(0.0), _G3(1.0)]
+
+
+def test_constrained_risk_refuses_text():
+    rows = ((0.5, 0.5), (0.5, 0.5))
+    for T in (("0.5", "-0.5"), (True, False), (0.5, 1j)):
+        with pytest.raises(ConstructionError, match="T_values must hold real numbers"):
+            DiscreteModel(T, rows)
+    for P in ((("0.5", "0.5"), ("0.5", "0.5")), ((0.5, 0.5), (1.0,))):
+        with pytest.raises(ConstructionError, match="observation rows must hold real numbers"):
+            DiscreteModel((0.5, -0.5), P)
+    rule = [0.0] * len(_MODEL.obs_probs[0])
+    for name, call, good in (
+        ("mu0", lambda v: verify_constrained_risk(_MODEL, v, _MU1, rule, 10.0), _MU0),
+        ("mu1", lambda v: verify_constrained_risk(_MODEL, _MU0, v, rule, 10.0), _MU1),
+        ("rule", lambda v: verify_constrained_risk(_MODEL, _MU0, _MU1, v, 10.0), rule),
+    ):
+        call(good)
+        for bad in ([str(x) for x in good], [bool(i % 2) for i in range(len(good))]):
+            with pytest.raises(DomainError, match=f"{name} must hold real numbers"):
+                call(bad)
 
 
 def test_chi_square_refuses_text():

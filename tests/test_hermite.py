@@ -1,6 +1,7 @@
 """Hermite module against exact rational oracles."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -90,6 +91,20 @@ def test_second_moment_overflow_raises():
         hermite_second_moment(171, 0.0)
     with pytest.raises(RangeError):
         hermite_second_moment(170, 28.0)
+
+
+def test_eval_overflow_raises_without_warnings():
+    # hermevander's recurrence meets inf (and then inf - inf) past the double
+    # range; each case used to return nan or inf with only a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: hermite_eval(200, 1e200), lambda: hermite_eval(150, 1e3),
+                     lambda: hermite_eval_batch(3, [1e200]), lambda: hermite_eval_batch(3, [0.5, -1e200])):
+            with pytest.raises(RangeError, match="overflows the double range"):
+                call()
+        # the largest degree at an in-range argument keeps its bits
+        assert hermite_eval(MAX_DEGREE, 0.5).hex() == "0x1.23ff15fe45b7cp+620"
+        assert hermite_eval(3, 1e100) == 1e300
 
 
 def test_degree_cap_and_domain_errors():

@@ -562,6 +562,42 @@ def test_cri_rule_shape_validation():
         verify_constrained_risk(model, (0.6, 0.6), (0.5, 0.5), (0.5, 0.5), eps=10.0)
 
 
+def test_cri_refuses_non_finite_priors_and_rules():
+    model = DiscreteModel((0.0, 1.0), ((0.7, 0.3), (0.3, 0.7)))
+    for mu0, mu1, rule in (((math.nan, 0.5), (0.5, 0.5), (0.5, 0.5)),
+                           ((0.5, 0.5), (0.5, math.nan), (0.5, 0.5)),
+                           ((0.5, 0.5), (0.5, 0.5), (math.nan, 0.5)),
+                           ((0.5, 0.5), (0.5, 0.5), (0.5, math.inf))):
+        with pytest.raises(DomainError, match="priors and rule must be finite"):
+            verify_constrained_risk(model, mu0, mu1, rule, eps=10.0)
+
+
+def test_cri_refuses_a_negative_budget():
+    # with -eps a valid rule used to come back as a false violation
+    rng = stream(0, 0, 81, 0)
+    for _ in range(20):
+        model, mu0, mu1 = random_discrete_model(rng)
+        T, P = np.asarray(model.T_values), np.asarray(model.obs_probs)
+        rule = rng.uniform(-1.0, 1.0, size=P.shape[1])
+        eps = math.sqrt(float(np.dot(mu0, np.sum(P * (rule[None, :] - T[:, None]) ** 2, axis=1)))) * 1.000001
+        assert verify_constrained_risk(model, mu0, mu1, rule, eps).all_ok
+        with pytest.raises(DomainError, match="eps must be >= 0"):
+            verify_constrained_risk(model, mu0, mu1, rule, -eps)
+    # a zero budget stays valid: an exact rule under a point-mass mu0
+    model = DiscreteModel((0.0, 1.0), ((0.7, 0.3), (0.3, 0.7)))
+    assert verify_constrained_risk(model, (1.0, 0.0), (0.0, 1.0), (0.0, 0.0), 0.0).all_ok
+
+
+def test_discrete_model_refuses_non_finite_entries():
+    with pytest.raises(ConstructionError, match="observation rows must be positive and sum to 1"):
+        DiscreteModel((0.0, 1.0), ((math.nan, 0.5), (0.5, 0.5)))
+    with pytest.raises(ConstructionError, match="observation rows must be positive and sum to 1"):
+        DiscreteModel((0.0, 1.0), ((math.inf, 0.5), (0.5, 0.5)))
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ConstructionError, match="T_values must be finite"):
+            DiscreteModel((0.0, bad), ((0.5, 0.5), (0.5, 0.5)))
+
+
 def test_discrete_model_validation():
     with pytest.raises(ConstructionError):
         DiscreteModel((), ())

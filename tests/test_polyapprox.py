@@ -4,17 +4,19 @@ import dataclasses
 import hashlib
 import json
 import math
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from numpy.polynomial.chebyshev import cheb2poly, chebder, chebvander
+from numpy.polynomial.chebyshev import chebder, chebvander
 from numpy.polynomial.polynomial import polyval
 
-from absmean import polyapprox
-from absmean.errors import ConvergenceError, DomainError
+from absmean import lowerbound, polyapprox
+from absmean.errors import ConvergenceError, DomainError, RangeError
+from absmean.estimators import approx_coefficients
 from absmean.polyapprox import (
     _COND_LIMIT,
     _GRID_PER_REF,
@@ -56,6 +58,41 @@ def test_even_polynomial_is_even_and_matches_horner(coeffs, x):
 def test_even_polynomial_empty_rejected():
     with pytest.raises(DomainError):
         EvenPolynomial(())
+
+
+def test_even_polynomial_call_refuses_non_finite_x_and_overflow():
+    # text, bools and the rest of the argument policy: tests/test_errors.py
+    poly = build_G_K(3)
+    for bad in (math.inf, -math.inf, math.nan, [0.5, math.inf]):
+        with pytest.raises(DomainError, match="x must be finite"):
+            poly(bad)
+    # finite x past sqrt of the double range: 2x^2 - 1 overflows, with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for big in (1e300, -1e200, [0.5, 1e300]):
+            with pytest.raises(RangeError, match="overflows the double range"):
+                poly(big)
+    assert poly(np.int64(0)) == poly(0.0) == poly(np.float32(0.0))
+    assert poly([0.0, 0.5]).tolist() == [poly(0.0), poly(0.5)]
+
+
+def test_lower_bound_path_never_converts_to_monomials(monkeypatch):
+    calls = []
+    convert = polyapprox._cheb_to_monomial
+
+    def recording(half):
+        calls.append(len(half))
+        return convert(half)
+
+    monkeypatch.setattr(polyapprox, "_cheb_to_monomial", recording)
+    lowerbound._prior_pair_data.cache_clear()
+    lowerbound._pair_terms.cache_clear()
+    for k in (2, 40, 80):
+        lowerbound.lower_bound_pipeline(10**4, 1.0, k_n=k)
+    assert calls == []
+    approx_coefficients.cache_clear()
+    approx_coefficients(3, "best")
+    assert calls == [4]
 
 
 def test_truncation_value_at_zero_closed_form():
@@ -209,16 +246,10 @@ def test_k_range_validation():
 
 # ---------------------------------------------------------------------------
 # the package's Chebyshev helpers against numpy.polynomial.chebyshev: the
-# conversion and the derivative bit for bit, the table to 1e-13
+# derivative bit for bit, the table to 1e-13
 
 def _hexes(values):
     return [float(v).hex() for v in np.ravel(values)]
-
-
-def _numpy_half_monomial(half):
-    even = np.zeros(2 * len(half) - 1)
-    even[::2] = half
-    return cheb2poly(even)[::2]
 
 
 def _exchange_series():
@@ -230,14 +261,6 @@ def _exchange_series():
 
 
 _COEFF = st.one_of(st.floats(-1e6, 1e6), st.sampled_from([0.0, -0.0, 1.0, -1.0]))
-
-
-@given(st.lists(_COEFF, min_size=1, max_size=24))
-@settings(max_examples=300, deadline=None)
-def test_cheb_to_monomial_matches_cheb2poly_bits(half):
-    # zeros of either sign, inside or trailing (cheb2poly trims those), included
-    got = _cheb_to_monomial(np.asarray(half, dtype=np.float64))
-    assert _hexes(got) == _hexes(_numpy_half_monomial(half))
 
 
 def _assert_table_close(x, K):
@@ -274,7 +297,6 @@ def test_cheb_der_matches_chebder_bits(c, m):
 
 def test_helpers_match_numpy_on_every_series_the_package_uses():
     for basis, K, b in _exchange_series():
-        assert _hexes(_cheb_to_monomial(b)) == _hexes(_numpy_half_monomial(b)), (basis, K)
         for m in (1, 2):
             assert _hexes(_cheb_der(b, m)) == _hexes(chebder(b, m)), (basis, K, m)
 
