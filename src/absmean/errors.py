@@ -7,7 +7,8 @@ TypeError, ValueError or OverflowError), which the command line maps to
 exit 2.  An array of reals (Hermite and polynomial arguments, mixture and
 prior atoms and weights, the constrained-risk model, priors and rule) goes
 through `check_real_array`, which refuses text, bools, complex numbers,
-other objects and ragged lists by the same rule.  A sample
+other objects and ragged lists by the same rule; a bool is never a number,
+also as one entry of a list or tuple of numbers.  A sample
 size n that only enters formulas is at most MAX_N, the largest integer a
 double holds; a count that sizes an array or a loop is at most MAX_COUNT,
 numpy's largest index.  Observation vectors are data, not
@@ -23,6 +24,7 @@ import numpy as np
 
 MAX_N = int(np.finfo(np.float64).max)
 MAX_COUNT = int(np.iinfo(np.int64).max)
+_BOOLS = frozenset((bool, np.bool_))
 
 
 class AbsmeanError(Exception):
@@ -127,6 +129,8 @@ def check_real_array(name: str, values, error: type[AbsmeanError] = DomainError)
         real = arr.dtype.kind in "iuf"
     except ValueError:   # ragged nesting
         real = False
+    if real and isinstance(values, (list, tuple)):   # numpy reads [0.5, True] as two floats
+        real = _BOOLS.isdisjoint(map(type, np.asarray(values, dtype=object).flat))
     if not real:
         raise error(f"{name} must hold real numbers, not text, bools, complex values or ragged lists")
     return arr.astype(np.float64, copy=False)

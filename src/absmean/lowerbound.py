@@ -22,18 +22,19 @@ Three ingredients:
   exactly mirror-symmetric, as the scaled prior pairs are by construction,
   the integrand is even and only the half window [0, hi] is integrated and
   doubled.  For n independent coordinates, the exact product identity
-  I_n^2 = (1 + I_1^2)^n - 1, and closed-form upper bounds driven by the
+  I_n^2 = (1 + I_1^2)^n - 1, and the tail-sum upper bound driven by the
   number of matched moments.
 
 * The constrained risk inequality: if an estimator does very well under
   one prior, it must pay under another, quantitatively in terms of the
-  chi-square distance.  ``verify_constrained_risk`` checks all three forms
-  of the inequality by exact enumeration on finite discrete models.
+  chi-square distance.  ``minimax_lower_bound`` is its minimax form, which
+  the pipeline ships; ``verify_constrained_risk`` checks that form and the
+  other two by exact enumeration on finite discrete models.
 
 ``lower_bound_pipeline`` assembles the three.  Everything but n depends on
-the pair (k, M) alone: the scaled priors, their moments, delta_k, I_1^2 and
-its tail bound are computed once per pair (a bounded cache) and reused for
-every n, which enters only through v0^2 = Var / n and the product identity.
+the pair (k, M) alone: delta_k, |m1 - m0|, Var_{mu0}|theta|, I_1^2 and its
+tail bound are plain floats computed once per pair (a bounded cache) and
+reused for every n, which enters only through v0^2 = Var / n and the product identity.
 Where I_1^2 may be cancellation roundoff in f1 - f0 (at most
 _ROUNDOFF_FLOOR), the pipeline uses the smaller of it and the proven tail
 bound, which keeps the lower bound valid at any n.
@@ -237,33 +238,6 @@ def _check_k(k) -> int:
 
 
 # ---------------------------------------------------------------------------
-# moments of the functional under a prior
-
-@dataclass(frozen=True)
-class PriorMoments:
-    """Means of |theta| under two priors and the per-coordinate variance term.
-
-    v0_sq is Var_{mu0}(|theta_1|) / n: the variance of the n-average of
-    |theta_i| when coordinates are drawn iid from mu0.
-    """
-
-    m0: float
-    m1: float
-    v0_sq: float
-
-    @property
-    def gap(self) -> float:
-        return abs(self.m1 - self.m0)
-
-
-def prior_moments(mu0: SymmetricDiscretePrior, mu1: SymmetricDiscretePrior, n: int) -> PriorMoments:
-    n = check_int("n", n, 1, MAX_N)
-    m0 = mu0.mean_abs()
-    var0 = mu0.moment(2) - m0 * m0
-    return PriorMoments(m0=m0, m1=mu1.mean_abs(), v0_sq=max(var0, 0.0) / n)
-
-
-# ---------------------------------------------------------------------------
 # chi-square distances
 
 def chi_square_gaussian_mixtures(positions0, weights0, positions1, weights1) -> float:
@@ -303,13 +277,14 @@ def chi_square_gaussian_mixtures(positions0, weights0, positions1, weights1) -> 
     lo = min(p0.min(), p1.min(), 2.0 * p1.min() - p0.max()) - 10.0
     hi = max(p0.max(), p1.max(), 2.0 * p1.max() - p0.min()) + 10.0
     # two mirror-symmetric mixtures give an even integrand: integrate [0, hi] and double it
-    fold = 2.0 if _mirror_symmetric(p0, w0) and _mirror_symmetric(p1, w1) else 1.0
+    sorted0, mirror0 = _sort_atoms(p0, w0)
+    sorted1, mirror1 = _sort_atoms(p1, w1)
+    fold = 2.0 if mirror0 and mirror1 else 1.0
     if fold == 2.0:
         lo = 0.0
 
     # Between two atoms of f0 a distance D apart, 1/f0 peaks over a width of
     # about 1/D, so the panels narrow to 4/D for the widest such gap.
-    sorted0, sorted1 = np.sort(p0), np.sort(p1)
     width = _PANEL_WIDTH / max(1.0, float(np.diff(sorted0).max(initial=0.0)) / 4.0)
     panels = (hi - lo) / width   # +inf when the window overflows
     if panels > _MAX_PANELS:
@@ -361,12 +336,12 @@ def chi_square_gaussian_mixtures(positions0, weights0, positions1, weights1) -> 
     return _unscale(fine, top)
 
 
-def _mirror_symmetric(p: np.ndarray, w: np.ndarray) -> bool:
-    """Whether the sorted atoms equal their negated reverse, and the weights
-    in that order their reverse: exact mirror symmetry, no tolerance."""
+def _sort_atoms(p: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, bool]:
+    """The atoms sorted by one stable argsort, and whether they equal their negated
+    reverse and the weights in that order their reverse: exact mirror symmetry."""
     order = np.argsort(p, kind="stable")
     p, w = p[order], w[order]
-    return bool(np.array_equal(p, -p[::-1]) and np.array_equal(w, w[::-1]))
+    return p, bool(np.array_equal(p, -p[::-1]) and np.array_equal(w, w[::-1]))
 
 
 def _nearest_exponent(y: np.ndarray, atoms: np.ndarray) -> np.ndarray:
@@ -428,22 +403,6 @@ def chi_square_tail_bound_1d(M: float, k_n: int) -> float:
     return math.exp(0.5 * m2 + log_total)
 
 
-def chi_square_single_term_bound_1d(M: float, k_n: int) -> float:
-    """Single-term form e^{3M^2/2} (e M^2 / k_n)^{k_n} dominating the tail bound."""
-    M = check_real("M", M, above=0.0)
-    k_n = check_int("k_n", k_n, 1, MAX_COUNT)
-    log_val = 1.5 * M * M + k_n * (1.0 + 2.0 * math.log(M) - math.log(k_n))
-    if log_val > _LOG_MAX:
-        return math.inf
-    return math.exp(log_val)
-
-
-def chi_square_bound_n(M: float, k_n: int, n: int) -> float:
-    """(1 + e^{3M^2/2}(e M^2/k_n)^{k_n})^n - 1, saturating to inf, in log space."""
-    n = check_int("n", n, 1, MAX_N)
-    return chi_square_product_n(chi_square_single_term_bound_1d(M, k_n), n)
-
-
 def select_kn_bounded(n: int) -> int:
     """Smallest even integer >= ln n/ln ln n + ln n/(ln ln n)^{3/2}."""
     n = check_int("n", n, 17, MAX_N)
@@ -463,15 +422,17 @@ class LowerBoundValue:
     hypothesis_holds: bool   # whether |m1 - m0| > v0 * I
 
 
-def minimax_lower_bound(pm: PriorMoments, I: float) -> LowerBoundValue:
-    """(|m1 - m0| - v0 I)^2 / (I + 2)^2 when the gap beats v0 I, else 0."""
-    if I != math.inf and check_real("I", I) < 0:   # +inf: a saturated distance
+def minimax_lower_bound(gap: float, v0: float, I: float) -> LowerBoundValue:
+    """(gap - v0 I)^2 / (I + 2)^2 if gap > v0 I, else 0 (also at I = +inf, a saturated distance),
+    where gap = |m1 - m0| and v0 is the sd of the functional under mu0."""
+    gap, v0 = check_real("gap", gap), check_real("v0", v0)
+    if v0 < 0:
+        raise DomainError(f"v0 must be >= 0, got {v0!r}")
+    if I != math.inf and check_real("I", I) < 0:
         raise DomainError(f"I must be a nonnegative real, got {I!r}")
-    v0 = math.sqrt(pm.v0_sq)
-    if math.isinf(I) or pm.gap <= v0 * I:
+    if math.isinf(I) or gap <= v0 * I:
         return LowerBoundValue(0.0, False)
-    num = pm.gap - v0 * I
-    return LowerBoundValue((num / (I + 2.0)) ** 2, True)
+    return LowerBoundValue(((gap - v0 * I) / (I + 2.0)) ** 2, True)
 
 
 @dataclass(frozen=True)
@@ -528,7 +489,8 @@ def verify_constrained_risk(model: DiscreteModel, mu0, mu1, rule, eps: float) ->
     mu0/mu1: prior weights over the model's parameters.  rule: the
     estimator, one real per observation symbol.  eps: risk budget under
     mu0, at least 0; the precondition risk0 <= eps^2 is enforced.  Priors and
-    rule must hold finite reals (DomainError otherwise).
+    rule must hold finite reals (DomainError otherwise).  The minimax side is
+    minimax_lower_bound's value, which the Bayes form must equal at lambda*.
     """
     eps = check_real("eps", eps)
     if eps < 0:
@@ -565,25 +527,21 @@ def verify_constrained_risk(model: DiscreteModel, mu0, mu1, rule, eps: float) ->
     lb1_lhs = abs(float(np.dot(u1, bias)) - float(np.dot(u0, bias)))
     lb1_rhs = abs(m1 - m0) - (eps + v0) * I
 
-    gap = abs(m1 - m0) - v0 * I
-    if gap > 0:
+    minimax = minimax_lower_bound(abs(m1 - m0), v0, I)
+    bayes_ok = lambda_star_matches = True
+    if minimax.hypothesis_holds:
+        margin = abs(m1 - m0) - v0 * I
+        # the last lambda, (I + 1) / (I + 2), is the one whose Bayes bound is the minimax bound
         lams = np.concatenate([np.linspace(0.0, 1.0, 11), [(I + 1.0) / (I + 2.0)]])
-        rhs = lams * (1 - lams) * gap * gap / (lams + (1 - lams) * (I + 1.0) ** 2)
+        rhs = lams * (1 - lams) * margin * margin / (lams + (1 - lams) * (I + 1.0) ** 2)
         lhs = lams * risk0 + (1 - lams) * risk1
         bayes_ok = bool(np.all(lhs >= rhs - 1e-10))
-        minimax_rhs = gap * gap / (I + 2.0) ** 2
-        lam_star = (I + 1.0) / (I + 2.0)
-        star_rhs = lam_star * (1 - lam_star) * gap * gap / (lam_star + (1 - lam_star) * (I + 1.0) ** 2)
-        lambda_star_matches = abs(star_rhs - minimax_rhs) <= 1e-12 * max(minimax_rhs, 1.0)
-    else:
-        bayes_ok = True
-        minimax_rhs = 0.0
-        lambda_star_matches = True
+        lambda_star_matches = abs(rhs[-1] - minimax.value) <= 1e-12 * max(minimax.value, 1.0)
 
     return CriVerification(
         I=I, m0=m0, m1=m1, v0=v0, risk0=risk0, risk1=risk1,
         lb1_lhs=lb1_lhs, lb1_rhs=lb1_rhs, bayes_ok=bayes_ok,
-        minimax_rhs=minimax_rhs, lambda_star_matches=lambda_star_matches,
+        minimax_rhs=minimax.value, lambda_star_matches=lambda_star_matches,
     )
 
 
@@ -621,27 +579,26 @@ def lower_bound_pipeline(n: int, M: float, k_n: int | None = None) -> dict:
     k_n = _check_k(k_n)
     M = check_real("M", M, above=0.0)
     n = check_int("n", n, 1, MAX_N)
-    delta, pm, I1_sq, tail = _pair_terms(k_n, M)
-    pm = PriorMoments(m0=pm.m0, m1=pm.m1, v0_sq=pm.v0_sq / n)
+    delta, gap, var0, I1_sq, tail = _pair_terms(k_n, M)
+    v0_sq = var0 / n
     I_n = math.sqrt(chi_square_product_n(I1_sq, n))
     # the tail-sum bound holds whenever the moments match to k_n: the quadrature must respect it
     I_sq_bound = chi_square_product_n(tail, n)
     if math.isfinite(I_sq_bound) and I_n * I_n > I_sq_bound * (1 + 1e-9) + 1e-12:
         raise ConstructionError(f"I^2 = {I_n**2} exceeds its analytic bound {I_sq_bound}")
-    bound = minimax_lower_bound(pm, I_n)
     return {
         "k_n": k_n,
-        "delta_k": float(delta),
-        "m_gap": pm.gap,
-        "v0_sq": pm.v0_sq,
+        "delta_k": delta,
+        "m_gap": gap,
+        "v0_sq": v0_sq,
         "I": I_n,
-        "bound_value": bound.value,
+        "bound_value": minimax_lower_bound(gap, math.sqrt(v0_sq), I_n).value,
     }
 
 
 @lru_cache(maxsize=_PAIR_CACHE)
-def _pair_terms(k: int, M: float) -> tuple[float, PriorMoments, float, float]:
-    """(delta_k, moments with v0_sq = Var_{mu0}|theta|, I_1^2, tail bound) for checked (k, M)."""
+def _pair_terms(k: int, M: float) -> tuple[float, float, float, float, float]:
+    """(delta_k, |m1 - m0|, Var_{mu0}|theta|, I_1^2, tail bound) for checked (k, M)."""
     nu0, nu1, delta = construct_prior_pair(k)
     mu0 = scale_prior(nu0, M)
     mu1 = scale_prior(nu1, M)
@@ -649,4 +606,6 @@ def _pair_terms(k: int, M: float) -> tuple[float, PriorMoments, float, float]:
     I1_sq = chi_square_mixture_1d(mu0, mu1)
     if I1_sq <= _ROUNDOFF_FLOOR:
         I1_sq = min(I1_sq, tail)
-    return delta, prior_moments(mu0, mu1, 1), I1_sq, tail
+    m0 = mu0.mean_abs()
+    var0 = max(mu0.moment(2) - m0 * m0, 0.0)
+    return delta, abs(mu1.mean_abs() - m0), var0, I1_sq, tail

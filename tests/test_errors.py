@@ -33,17 +33,13 @@ from absmean.harness.engine import RiskReport
 from absmean.hermite import hermite_eval, hermite_eval_batch, hermite_second_moment
 from absmean.lowerbound import (
     DiscreteModel,
-    PriorMoments,
     SymmetricDiscretePrior,
-    chi_square_bound_n,
     chi_square_gaussian_mixtures,
     chi_square_product_n,
-    chi_square_single_term_bound_1d,
     chi_square_tail_bound_1d,
     construct_prior_pair,
     lower_bound_pipeline,
     minimax_lower_bound,
-    prior_moments,
     random_discrete_model,
     scale_prior,
     select_kn_bounded,
@@ -144,12 +140,8 @@ INT_ARGS = [
     ("build_G_K.K", lambda v: build_G_K(v), 2),
     ("remez_best_approx.K", lambda v: remez_best_approx(v), 2),
     ("construct_prior_pair.k", lambda v: construct_prior_pair(v), 2),
-    ("prior_moments.n", lambda v: prior_moments(_NU0, _NU1, v), 100),
     ("chi_square_product_n.n", lambda v: chi_square_product_n(0.1, v), 100),
     ("chi_square_tail_bound_1d.k_n", lambda v: chi_square_tail_bound_1d(1.0, v), 2),
-    ("chi_square_single_term_bound_1d.k_n", lambda v: chi_square_single_term_bound_1d(1.0, v), 2),
-    ("chi_square_bound_n.k_n", lambda v: chi_square_bound_n(1.0, v, 100), 2),
-    ("chi_square_bound_n.n", lambda v: chi_square_bound_n(1.0, 2, v), 100),
     ("select_kn_bounded.n", lambda v: select_kn_bounded(v), 100),
     ("lower_bound_pipeline.n", lambda v: lower_bound_pipeline(v, 1.0, k_n=2), 100),
     ("lower_bound_pipeline.k_n", lambda v: lower_bound_pipeline(100, 1.0, k_n=v), 2),
@@ -176,10 +168,10 @@ REAL_ARGS = [
     ("EvenPolynomial.x", lambda v: _G3(v), 0.5),
     ("scale_prior.M", lambda v: scale_prior(_NU0, v), 1.0),
     ("chi_square_tail_bound_1d.M", lambda v: chi_square_tail_bound_1d(v, 2), 1.0),
-    ("chi_square_single_term_bound_1d.M", lambda v: chi_square_single_term_bound_1d(v, 2), 1.0),
-    ("chi_square_bound_n.M", lambda v: chi_square_bound_n(v, 2, 100), 1.0),
     ("chi_square_product_n.I1_sq", lambda v: chi_square_product_n(v, 100), 0.1),
-    ("minimax_lower_bound.I", lambda v: minimax_lower_bound(PriorMoments(0.1, 0.3, 1e-3), v), 0.5),
+    ("minimax_lower_bound.gap", lambda v: minimax_lower_bound(v, 0.03, 0.5), 0.2),
+    ("minimax_lower_bound.v0", lambda v: minimax_lower_bound(0.2, v, 0.5), 0.03),
+    ("minimax_lower_bound.I", lambda v: minimax_lower_bound(0.2, 0.03, v), 0.5),
     ("verify_constrained_risk.eps",
      lambda v: verify_constrained_risk(_MODEL, _MU0, _MU1, [0.0] * len(_MODEL.obs_probs[0]), v), 10.0),
     ("lower_bound_pipeline.M", lambda v: lower_bound_pipeline(100, v, k_n=2), 1.0),
@@ -211,14 +203,17 @@ def test_entry_point_follows_the_argument_policy(call, good, numpy_type):
 # array arguments: numeric text is text
 
 def test_hermite_batch_refuses_text():
-    for y in (["1", "2"], np.array(["0.5"]), [1.0, "2"], [True, False], [1.0, 1j], [[1.0], [1.0, 2.0]]):
+    # numpy reads [0.5, True] as two floats: a bool among numbers is refused all the same
+    for y in (["1", "2"], np.array(["0.5"]), [1.0, "2"], [True, False], [0.5, True], (0.5, np.True_),
+              [1.0, 1j], [[1.0], [1.0, 2.0]]):
         with pytest.raises(DomainError, match="y must hold real numbers"):
             hermite_eval_batch(2, y)
     assert hermite_eval_batch(2, [1, 2]).tolist() == [[1.0, 1.0], [1.0, 2.0], [0.0, 3.0]]
 
 
 def test_even_polynomial_refuses_text():
-    for x in (["0.5"], np.array(["0.5"]), [0.5, "1"], [True, False], [0.5, 1j], [[0.5], [0.5, 1.0]]):
+    for x in (["0.5"], np.array(["0.5"]), [0.5, "1"], [True, False], [0.5, True], [0.5, 1j],
+              [[0.5], [0.5, 1.0]]):
         with pytest.raises(DomainError, match="x must hold real numbers"):
             _G3(x)
     assert _G3([0, 1]).tolist() == [_G3(0.0), _G3(1.0)]
@@ -226,10 +221,10 @@ def test_even_polynomial_refuses_text():
 
 def test_constrained_risk_refuses_text():
     rows = ((0.5, 0.5), (0.5, 0.5))
-    for T in (("0.5", "-0.5"), (True, False), (0.5, 1j)):
+    for T in (("0.5", "-0.5"), (True, False), (0.0, True), (0.5, 1j)):
         with pytest.raises(ConstructionError, match="T_values must hold real numbers"):
             DiscreteModel(T, rows)
-    for P in ((("0.5", "0.5"), ("0.5", "0.5")), ((0.5, 0.5), (1.0,))):
+    for P in ((("0.5", "0.5"), ("0.5", "0.5")), ((0.5, 0.5), (0.5, np.False_)), ((0.5, 0.5), (1.0,))):
         with pytest.raises(ConstructionError, match="observation rows must hold real numbers"):
             DiscreteModel((0.5, -0.5), P)
     rule = [0.0] * len(_MODEL.obs_probs[0])
@@ -239,7 +234,7 @@ def test_constrained_risk_refuses_text():
         ("rule", lambda v: verify_constrained_risk(_MODEL, _MU0, _MU1, v, 10.0), rule),
     ):
         call(good)
-        for bad in ([str(x) for x in good], [bool(i % 2) for i in range(len(good))]):
+        for bad in ([str(x) for x in good], [bool(i % 2) for i in range(len(good))], [*good[:-1], True]):
             with pytest.raises(DomainError, match=f"{name} must hold real numbers"):
                 call(bad)
 
@@ -249,10 +244,14 @@ def test_chi_square_refuses_text():
         chi_square_gaussian_mixtures(["0"], ["1"], ["0.5"], ["1"])
     with pytest.raises(DomainError, match="weights1 must hold real numbers"):
         chi_square_gaussian_mixtures([0.0], [1.0], [0.5], ["1"])
+    with pytest.raises(DomainError, match="positions0 must hold real numbers"):
+        chi_square_gaussian_mixtures([0.0, True], [0.5, 0.5], [0.0], [1.0])
 
 
 def test_prior_refuses_text():
     with pytest.raises(ConstructionError, match="prior positions must hold real numbers"):
         SymmetricDiscretePrior(("-0.5", "0.5"), ("0.5", "0.5"))
+    with pytest.raises(ConstructionError, match="prior positions must hold real numbers"):
+        SymmetricDiscretePrior((-1.0, True), (0.5, 0.5))
     with pytest.raises(ConstructionError, match="prior weights must hold real numbers"):
         SymmetricDiscretePrior((-0.5, 0.5), ("0.5", "0.5"))

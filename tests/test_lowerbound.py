@@ -18,18 +18,14 @@ from absmean.errors import (
 )
 from absmean.lowerbound import (
     DiscreteModel,
-    PriorMoments,
     SymmetricDiscretePrior,
-    chi_square_bound_n,
     chi_square_gaussian_mixtures,
     chi_square_mixture_1d,
     chi_square_product_n,
-    chi_square_single_term_bound_1d,
     chi_square_tail_bound_1d,
     construct_prior_pair,
     lower_bound_pipeline,
     minimax_lower_bound,
-    prior_moments,
     random_discrete_model,
     scale_prior,
     select_kn_bounded,
@@ -373,10 +369,9 @@ def test_tail_bound_at_the_ends_of_the_double_range():
 @pytest.mark.parametrize("k_n", [2, 4, 6, 10, 14])
 @pytest.mark.parametrize("M", [0.5, 1.0, 2.0])
 def test_single_term_form_dominates_tail_sum(k_n, M):
+    # the paper's closed form e^{3M^2/2} (e M^2 / k_n)^{k_n} bounds the summed tail
     tail = chi_square_tail_bound_1d(M, k_n)
-    single = chi_square_single_term_bound_1d(M, k_n)
-    assert single >= tail
-    assert chi_square_bound_n(M, k_n, 100) >= chi_square_product_n(tail, 100) * (1 - 1e-12)
+    assert math.exp(1.5 * M * M) * (math.e * M * M / k_n) ** k_n >= tail
 
 
 def test_mixture_distance_guard(monkeypatch, fresh_pair_cache):
@@ -406,18 +401,27 @@ def test_select_kn_bounded_values():
 
 
 def test_minimax_lower_bound_branches():
-    pm = PriorMoments(m0=0.1, m1=0.5, v0_sq=0.0001)
-    out = minimax_lower_bound(pm, I=1.0)
-    expected = ((0.4 - 0.01 * 1.0) / 3.0) ** 2
+    out = minimax_lower_bound(0.4, 0.01, 1.0)
     assert out.hypothesis_holds
-    assert math.isclose(out.value, expected, rel_tol=1e-12)
+    assert out.value == ((0.4 - 0.01) / 3.0) ** 2
     # gap swallowed by the variance term: bound degenerates to zero
-    starved = minimax_lower_bound(PriorMoments(m0=0.1, m1=0.5, v0_sq=100.0), I=1.0)
+    starved = minimax_lower_bound(0.4, 10.0, 1.0)
     assert starved.value == 0.0 and not starved.hypothesis_holds
-    blown = minimax_lower_bound(pm, I=math.inf)
-    assert blown.value == 0.0 and not blown.hypothesis_holds
-    with pytest.raises(DomainError):
-        minimax_lower_bound(pm, I=-0.5)
+    saturated = minimax_lower_bound(0.4, 0.01, math.inf)
+    assert saturated.value == 0.0 and not saturated.hypothesis_holds
+    for gap, v0, I in ((0.4, 0.01, -0.5), (0.4, -0.01, 1.0), (math.inf, 0.01, 1.0), (0.4, math.nan, 1.0)):
+        with pytest.raises(DomainError):
+            minimax_lower_bound(gap, v0, I)
+
+
+@pytest.mark.parametrize("M", [0.5, 1.0, 3.0])
+@pytest.mark.parametrize("n", [10**4, 10**10])
+@pytest.mark.parametrize("k_n", [2, 8, 40])
+def test_pipeline_record_vouches_for_its_bound(k_n, n, M):
+    # the record's own numbers give its bound through the one shipped formula
+    rec = lower_bound_pipeline(n, M, k_n=k_n)
+    again = minimax_lower_bound(rec["m_gap"], math.sqrt(rec["v0_sq"]), rec["I"])
+    assert rec["bound_value"].hex() == again.value.hex()
 
 
 def test_pipeline_record_structure_and_identities():
