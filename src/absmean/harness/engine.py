@@ -19,13 +19,12 @@ large-n blocks start first while cheap small-n chunks fill the tail.  The
 serial path runs the same list, so a failing run reports the first failure
 in dispatch order, whatever the worker count.
 
-Per replication: theta is realized from the scenario family (random families
-redraw it each time), y = theta + standard normal noise, the estimator runs
-on y, and the error is estimate - mean(|theta|).  A block draws every y into
-one n-length buffer, |theta| is taken in place, and the estimator keeps no
-float array of length n, so the only n-length arrays a replication
-allocates are theta (none for the zero and constant families) and the
-estimator's boolean finiteness mask.  Aggregates are
+Per replication: standard normal noise is drawn into y, the scenario family
+adds theta to y in place (random families redraw it each time) and returns
+the truth mean(|theta|), and the error is the estimate on y minus the truth.
+y lives in the block's one n-length buffer and the estimator keeps no float
+array of length n: a replication's only n-length array is the estimator's
+boolean finiteness mask.  Aggregates are
 
     bias      mean of errors
     mse       mean of squared errors
@@ -50,9 +49,9 @@ from .. import __version__
 from ..errors import MAX_COUNT, AbsmeanError, DomainError, check_int, check_real
 from ..estimators import EstimatorSpec, resolve_parameters, run_estimator
 from ..polyapprox import build_G_K, coefficient_error, remez_best_approx
-# derive_seed is unused here but stays importable: perfbench/session.py traces this module's names
+# derive_seed and draw_theta are unused here but stay importable: perfbench/session.py traces this module's names
 from ..rng import LANE_EST, LANE_OBS, LANE_THETA, derive_seed, stream  # noqa: F401
-from .scenarios import ConstantAt, RunConfig, Scenario, ZeroVector, draw_theta
+from .scenarios import RunConfig, Scenario, draw_theta  # noqa: F401
 
 WORKERS_ENV_VAR = "ABSMEAN_WORKERS"
 
@@ -128,22 +127,13 @@ def _series_error(K: int, basis: str) -> float:
 def run_replication(s: Scenario, theta_rng, obs_rng, est_seed: int, out: np.ndarray) -> tuple[float, float]:
     """One Monte Carlo cell: returns (estimate, true functional value).
 
-    Takes the next theta draw and noise vector from the block's streams; y
-    is built in `out`, the block's float64 buffer of length n.  The
-    zero and constant families draw no theta: their value is added to the
-    noise as a scalar, and the truth is its absolute value.
+    Takes the next noise vector and theta draw from the block's streams: y
+    is the noise drawn into `out`, the block's float64 buffer of length n,
+    and the scenario family adds its theta to y in place and returns the
+    truth (`FAMILIES` in scenarios.py).
     """
     y = obs_rng.standard_normal(s.n, out=out)
-    if isinstance(s.family, ZeroVector):
-        truth = 0.0
-    elif isinstance(s.family, ConstantAt):
-        value = float(s.family.value)
-        y += value
-        truth = abs(value)
-    else:
-        theta = draw_theta(s.family, s.n, theta_rng)
-        y += theta
-        truth = float(np.mean(np.abs(theta, out=theta)))   # theta is a fresh array
+    truth = s.family.add_to(y, theta_rng)
     return run_estimator(s.estimator, y, seed=est_seed), truth
 
 

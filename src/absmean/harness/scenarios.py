@@ -3,8 +3,8 @@
 A scenario fixes a mean-vector family, a dimension, a replication count,
 and an estimator description.  Families are either deterministic (the same
 theta every replication) or random (theta redrawn per replication from a
-least-favorable prior).  Configurations come from JSON documents; the schema
-is documented in the package README.
+least-favorable prior); each adds its theta to the observations in place.
+Configurations come from JSON documents; the schema is in the package README.
 """
 
 from __future__ import annotations
@@ -23,6 +23,9 @@ from ..lowerbound import SymmetricDiscretePrior, construct_prior_pair, scale_pri
 class ZeroVector:
     """theta = 0."""
 
+    def add_to(self, y: np.ndarray, rng) -> float:
+        return 0.0
+
 
 @dataclass(frozen=True)
 class ConstantAt:
@@ -33,14 +36,19 @@ class ConstantAt:
     def __post_init__(self):
         check_real("value", self.value)
 
+    def add_to(self, y: np.ndarray, rng) -> float:
+        y += float(self.value)
+        return abs(float(self.value))
+
 
 @dataclass(frozen=True)
 class AlternationAtoms:
     """Coordinates drawn iid from a least-favorable prior scaled to [-M, M].
 
     The pair (nu0, nu1) matches moments to order k; `prior` picks which one
-    feeds the scenario.  Redrawn every replication; the scaled prior is built
-    once, here.
+    feeds the scenario.  Redrawn every replication from one multinomial draw
+    of the atom counts, coordinates grouped by atom in `positions` order; the
+    scaled prior is built once, here.
     """
 
     k: int
@@ -57,6 +65,15 @@ class AlternationAtoms:
     def scaled_prior(self) -> SymmetricDiscretePrior:
         return self._scaled
 
+    def add_to(self, y: np.ndarray, rng) -> float:
+        w = np.asarray(self._scaled.weights)
+        start = total = 0
+        for t, c in zip(self._scaled.positions, rng.multinomial(y.size, w / w.sum()).tolist()):
+            y[start:start + c] += t
+            start += c
+            total += c * abs(t)
+        return total / y.size
+
 
 @dataclass(frozen=True)
 class TwoSpike:
@@ -69,6 +86,12 @@ class TwoSpike:
     def __post_init__(self):
         check_int("count", self.count, 1, MAX_COUNT)
         check_real("value", self.value)
+
+    def add_to(self, y: np.ndarray, rng) -> float:
+        value = float(self.value)
+        y[0:self.count:2] += value
+        y[1:self.count:2] -= value
+        return self.count * abs(value) / y.size
 
 
 @dataclass(frozen=True)
@@ -83,33 +106,35 @@ class CustomVector:
         for v in self.values:
             check_real("values", v)
 
+    def add_to(self, y: np.ndarray, rng) -> float:
+        theta = np.array(self.values, dtype=np.float64)
+        y += theta
+        return float(np.mean(np.abs(theta)))
 
+
+# Each family's add_to(y, rng) adds its theta in place to y, a float64 vector of
+# a length _check_fit accepts, and returns mean |theta|; only random families draw.
 FAMILIES = (ZeroVector, ConstantAt, AlternationAtoms, TwoSpike, CustomVector)
 
 
+def _check_fit(family, n: int) -> None:
+    """Raise DomainError unless `family` is one of FAMILIES and fits length n."""
+    if not isinstance(family, FAMILIES):
+        raise DomainError(f"unknown theta family {family!r}")
+    if isinstance(family, TwoSpike) and family.count > n:
+        raise DomainError(f"spike count {family.count} exceeds n = {n}")
+    if isinstance(family, CustomVector) and len(family.values) != n:
+        raise DomainError(f"custom vector has length {len(family.values)}, scenario n = {n}")
+
+
 def draw_theta(family, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Realize the mean vector, a fresh array on every call; consumes `rng`
-    only for random families."""
+    """Realize the mean vector, a fresh array on every call: the family's
+    add_to on zeros, so it consumes `rng` as a replication does."""
     n = check_int("n", n, 1, MAX_COUNT)
-    if isinstance(family, ZeroVector):
-        return np.zeros(n)
-    if isinstance(family, ConstantAt):
-        return np.full(n, float(family.value))
-    if isinstance(family, AlternationAtoms):
-        return family.scaled_prior().sample(rng, n)
-    if isinstance(family, TwoSpike):
-        if family.count > n:
-            raise DomainError(f"spike count {family.count} exceeds n = {n}")
-        theta = np.zeros(n)
-        spikes = np.full(family.count, float(family.value))
-        spikes[1::2] *= -1.0
-        theta[: family.count] = spikes
-        return theta
-    if isinstance(family, CustomVector):
-        if len(family.values) != n:
-            raise DomainError(f"custom vector has length {len(family.values)}, scenario n = {n}")
-        return np.array(family.values, dtype=np.float64)
-    raise DomainError(f"unknown theta family {family!r}")
+    _check_fit(family, n)
+    theta = np.zeros(n)
+    family.add_to(theta, rng)
+    return theta
 
 
 @dataclass(frozen=True)
@@ -126,14 +151,9 @@ class Scenario:
         # stored as Python ints, which the reports carry to JSON
         object.__setattr__(self, "n", check_int("n", self.n, 1, MAX_COUNT))
         object.__setattr__(self, "replications", check_int("replications", self.replications, 2, MAX_COUNT))
-        if not isinstance(self.family, FAMILIES):
-            raise DomainError(f"unknown theta family {self.family!r}")
+        _check_fit(self.family, self.n)
         if not isinstance(self.estimator, EstimatorSpec):
             raise DomainError("estimator must be an EstimatorSpec")
-        if isinstance(self.family, CustomVector) and len(self.family.values) != self.n:
-            raise DomainError("custom vector length must equal n")
-        if isinstance(self.family, TwoSpike) and self.family.count > self.n:
-            raise DomainError("spike count must not exceed n")
 
 
 @dataclass(frozen=True)

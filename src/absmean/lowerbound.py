@@ -148,17 +148,6 @@ class SymmetricDiscretePrior:
         w = np.asarray(self.weights)
         return float(np.dot(w, np.abs(p)))
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """`size` iid draws from the prior, grouped by atom in `positions` order.
-
-        One multinomial draw gives the atom counts and np.repeat lays them
-        out, so equal atoms are adjacent; shuffle the result where the
-        order of the coordinates matters.
-        """
-        size = check_int("size", size, 0, MAX_COUNT)
-        w = np.asarray(self.weights)
-        return np.repeat(np.asarray(self.positions), rng.multinomial(size, w / w.sum()))
-
 
 def scale_prior(prior: SymmetricDiscretePrior, M: float) -> SymmetricDiscretePrior:
     """Push the prior forward by t -> M t."""
@@ -274,8 +263,9 @@ def chi_square_gaussian_mixtures(positions0, weights0, positions1, weights1) -> 
             raise DomainError("mixture weights must be nonnegative and sum to 1")
     # weightless atoms change neither density, but would set a node's scale
     p0, w0, p1, w1 = p0[w0 > 0], w0[w0 > 0], p1[w1 > 0], w1[w1 > 0]
-    lo = min(p0.min(), p1.min(), 2.0 * p1.min() - p0.max()) - 10.0
-    hi = max(p0.max(), p1.max(), 2.0 * p1.max() - p0.min()) + 10.0
+    (a0, b0), (a1, b1) = ((float(p.min()), float(p.max())) for p in (p0, p1))   # Python floats overflow to inf quietly
+    lo = min(a0, a1, 2.0 * a1 - b0) - 10.0
+    hi = max(b0, b1, 2.0 * b1 - a0) + 10.0
     # two mirror-symmetric mixtures give an even integrand: integrate [0, hi] and double it
     sorted0, mirror0 = _sort_atoms(p0, w0)
     sorted1, mirror1 = _sort_atoms(p1, w1)

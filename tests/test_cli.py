@@ -363,6 +363,17 @@ def test_lowerbound_at_huge_n_where_the_distance_is_roundoff(capsys):
     assert rec["k_n"] == 40 and rec["I"] >= 0.0 and rec["bound_value"] > 0.0
 
 
+@pytest.mark.parametrize("M", ["1e160", "1e308"])
+def test_lowerbound_atoms_far_apart_exit_4_without_a_warning(M):
+    # run in a fresh interpreter, so a numpy overflow warning would print on stderr
+    src = os.path.dirname(os.path.dirname(absmean.__file__))
+    code = "import sys; from absmean.harness.cli import main; sys.exit(main())"
+    out = subprocess.run([sys.executable, "-c", code, "lowerbound", "--n", "100", "--M", M, "--kn", "2"],
+                         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert out.returncode == 4
+    assert "quadrature panels" in out.stderr and "RuntimeWarning" not in out.stderr
+
+
 def test_lowerbound_bad_kn(capsys):
     assert main(["lowerbound", "--n", "10000", "--M", "1.0", "--kn", "3"]) == 2
     assert "error:" in capsys.readouterr().err

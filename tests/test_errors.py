@@ -151,7 +151,6 @@ INT_ARGS = [
     ("Scenario.replications",
      lambda v: Scenario(id="s", family=ZeroVector(), n=32, replications=v, estimator=_SPEC), 2),
     ("draw_theta.n", lambda v: draw_theta(_ALT, v, stream(0)), 8),
-    ("SymmetricDiscretePrior.sample.size", lambda v: _NU1.sample(stream(0), v), 8),
     ("SymmetricDiscretePrior.moment.order", lambda v: _NU1.moment(v), 2),
     ("RunConfig.seed", lambda v: RunConfig(scenarios=(_SCENARIO,), seed=v, output_path="o.csv"), 1),
     ("RunConfig.workers",

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -92,6 +93,56 @@ def test_draw_theta_errors():
         draw_theta(CustomVector((1.0,)), 2, rng)
     with pytest.raises(DomainError):
         draw_theta("zeros", 2, rng)
+
+
+_ADD_TO_CASES = {
+    "zero": lambda n: ZeroVector(),
+    "constant": lambda n: ConstantAt(-0.35),
+    "alternation-nu0": lambda n: AlternationAtoms(k=6, M=1.5, prior="nu0"),
+    "alternation-k40": lambda n: AlternationAtoms(k=40, M=3.0),
+    "two_spike": lambda n: TwoSpike(7, 2.5),
+    "two_spike-full": lambda n: TwoSpike(n, -1.25),
+    "custom": lambda n: CustomVector(tuple(np.sin(np.arange(n)).tolist())),
+}
+
+
+@pytest.mark.parametrize("make", list(_ADD_TO_CASES.values()), ids=list(_ADD_TO_CASES))
+def test_add_to_is_noise_plus_draw_theta_bit_for_bit(make):
+    # a family adds to y, in place, the theta draw_theta realizes from the
+    # same share of the stream; its truth is mean |theta| up to summation order
+    obs_rng = stream(4, LANE_OBS)
+    for n in (8, 257, 2**16 + 3):
+        family = make(n)
+        rng, replay = stream(4, LANE_THETA, n), stream(4, LANE_THETA, n)
+        for _ in range(3):
+            noise = obs_rng.standard_normal(n)
+            y = noise.copy()
+            truth = family.add_to(y, rng)
+            theta = draw_theta(family, n, replay)
+            assert y.tobytes() == (noise + theta).tobytes()
+            assert truth == pytest.approx(float(np.mean(np.abs(theta))), rel=1e-15, abs=0.0)
+        assert rng.random() == replay.random()
+
+
+@pytest.mark.parametrize("family, est", [
+    (AlternationAtoms(k=10, M=1.0), {"variant": "unbounded"}),
+    (TwoSpike(8, 3.0), {"variant": "sparse", "k_n": 8}),
+], ids=["alternation", "two_spike"])
+def test_replication_allocates_no_n_length_theta(family, est):
+    # at n = 2^20 a float64 theta alone is 8 MiB; the estimator's 1 MiB
+    # boolean finiteness mask is the only n-length array left
+    n = 2**20
+    s = _scenario(family, n=n, reps=2, **est)
+    y = np.empty(n)
+    theta_rng, obs_rng = stream(1, LANE_THETA), stream(1, LANE_OBS)
+    engine.run_replication(s, theta_rng, obs_rng, 3, y)   # fills the coefficient caches
+    tracemalloc.start()
+    try:
+        engine.run_replication(s, theta_rng, obs_rng, 4, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_family_validation():
@@ -596,11 +647,13 @@ def test_block_streams_pin_the_draws(monkeypatch):
         theta_rng = stream(seed, LANE_THETA, index, b)
         obs_rng = stream(seed, LANE_OBS, index, b)
         for _ in range(j + 1):
-            theta = np.repeat(atoms, theta_rng.multinomial(n, weights / weights.sum()))
-            y = theta + obs_rng.standard_normal(n)
+            counts = theta_rng.multinomial(n, weights / weights.sum())
+            y = np.repeat(atoms, counts) + obs_rng.standard_normal(n)
         size = min(engine.B, R - engine.B * b)
         est_seed = int(stream(seed, LANE_EST, index, b).integers(0, 1 << 63, size=size)[j])
-        expected = (estimate_unbounded(y, est_seed), float(np.mean(np.abs(theta))))
+        # the truth sum_j c_j |t_j| / n, from the counts in atom order
+        truth = sum(c * abs(t) for t, c in zip(prior.positions, counts.tolist())) / n
+        expected = (estimate_unbounded(y, est_seed), truth)
         assert recorded[engine.B * b + j] == expected
 
 

@@ -267,6 +267,15 @@ def test_chi_square_refuses_a_window_past_the_double_range():
         chi_square_gaussian_mixtures([0.0], [1.0], [1e308], [1.0])
 
 
+@pytest.mark.parametrize("M", [1e160, 1e308])
+def test_pipeline_refuses_atoms_far_apart_without_an_overflow_warning(M):
+    # the panel count (1e160) or the window itself (1e308) passes the double
+    # range; under the suite's error::RuntimeWarning filter a numpy overflow
+    # warning would escape in place of the IntegrationError
+    with pytest.raises(IntegrationError, match="more than 16384 quadrature panels"):
+        lower_bound_pipeline(100, M, k_n=2)
+
+
 def test_chi_square_half_line_matches_the_full_line_on_every_sweep_pair():
     # moving nu0's origin by one ulp breaks the exact mirror symmetry without
     # moving the value, so that call integrates the whole window; the two
