@@ -29,6 +29,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -108,7 +109,10 @@ def _cmd_approx(args) -> int:
 
 def _cmd_estimate(args) -> int:
     try:
-        y = np.loadtxt(args.input, ndmin=1)
+        # an empty file is reported by run_estimator's DataError, not by numpy's warning
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            y = np.loadtxt(args.input, ndmin=1)
     except FileNotFoundError:
         print(f"error: input file not found: {args.input}", file=sys.stderr)
         return 2

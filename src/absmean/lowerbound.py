@@ -57,6 +57,7 @@ from .errors import (
     DomainError,
     IntegrationError,
     PreconditionError,
+    RangeError,
     check_int,
     check_real,
     check_real_array,
@@ -138,10 +139,15 @@ class SymmetricDiscretePrior:
             raise ConstructionError(f"prior is not symmetric at t = {keys[bad[0]]}")
 
     def moment(self, order: int) -> float:
+        """sum_j w_j t_j^order; RangeError where that leaves the double range."""
         order = check_int("order", order, 0, MAX_COUNT)
         p = np.asarray(self.positions)
         w = np.asarray(self.weights)
-        return float(np.dot(w, p ** order))
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = float(np.dot(w, p ** order))
+        if not math.isfinite(out):
+            raise RangeError(f"the prior's moment of order {order} overflows the double range")
+        return out
 
     def mean_abs(self) -> float:
         p = np.asarray(self.positions)

@@ -13,7 +13,9 @@ Two constructions are provided:
   degree 2K, computed by Remez exchange.  Because |x| and the approximant
   are even, the exchange runs on the half interval [0, 1] against f(x) = x
   in the even-Chebyshev basis T_j(2x^2 - 1), which keeps every linear solve
-  well conditioned.  The best degree-2K error delta_{2K} satisfies
+  well conditioned.  It starts from the closed-form reference 0 and
+  cos(pi j / (2K + 1/2)), j = 0..K, and levels in 4 iterations for every
+  K >= 2 (158 over K = 1..40).  The best degree-2K error delta_{2K} satisfies
   2K * delta_{2K} -> 0.280169499 (the Bernstein constant) as K grows.
 
 Numerical note: monomial coefficients of either polynomial grow like 2^{3K},
@@ -150,20 +152,18 @@ class EvenPolynomial:
         return float(out[0]) if scalar else out
 
 
-def _truncation_coeffs(K: int) -> np.ndarray:
-    """G_K's coefficients b_0..b_K in T_j(2x^2 - 1): 2/pi, then (4/pi)(-1)^(k+1)/(4k^2 - 1)."""
-    k = np.arange(K + 1.0)
-    cheb = (4.0 / math.pi) * np.where(k % 2 == 1, 1.0, -1.0) / (4.0 * k * k - 1.0)
-    cheb[0] = 2.0 / math.pi
-    return cheb
-
-
 def build_G_K(K: int) -> EvenPolynomial:
-    """Truncated Chebyshev expansion of |x| with K even harmonics."""
+    """Truncated Chebyshev expansion of |x| with K even harmonics.
+
+    Its coefficients in T_j(2x^2 - 1) are 2/pi, then (4/pi)(-1)^(k+1)/(4k^2 - 1).
+    """
     K = check_int("K", K, low=1)
     if K > _MAX_GK:
         raise DegreeOverflowError(f"K = {K} exceeds the supported maximum {_MAX_GK}")
-    return EvenPolynomial(tuple(_truncation_coeffs(K).tolist()))
+    k = np.arange(K + 1.0)
+    cheb = (4.0 / math.pi) * np.where(k % 2 == 1, 1.0, -1.0) / (4.0 * k * k - 1.0)
+    cheb[0] = 2.0 / math.pi
+    return EvenPolynomial(tuple(cheb.tolist()))
 
 
 def uniform_error(poly: EvenPolynomial) -> float:
@@ -252,15 +252,13 @@ def _pick_candidates(e: np.ndarray, K: int) -> np.ndarray:
     return idx[lo : hi + 1]
 
 
-def _segment_peaks(e: np.ndarray, K: int, last_spread: float) -> np.ndarray:
-    """_pick_candidates(e, K), or ConvergenceError when e has fewer than K+2 sign segments."""
-    idx = _pick_candidates(e, K)
-    if len(idx) < K + 2:
-        raise ConvergenceError(
-            f"error curve shows only {len(idx)} sign segments, need {K + 2}",
-            last_spread=last_spread,
-        )
-    return idx
+def _start_reference(K: int) -> np.ndarray:
+    """The exchange's first reference: 0 and x_j = cos(pi j / (2K + 1/2)), j = 0..K.
+
+    Written as sin(pi s / 2), like the grid, with s = 0 and
+    s_i = (i - 3/4) / (K + 1/4) for i = 1..K+1, so that 0.0 and 1.0 are exact.
+    """
+    return np.sin(0.5 * np.pi * np.concatenate(([0.0], (np.arange(1.0, K + 2.0) - 0.75) / (K + 0.25))))
 
 
 def remez_best_approx(K: int) -> BestApproxSolution:
@@ -270,14 +268,14 @@ def remez_best_approx(K: int) -> BestApproxSolution:
     T_j(2x^2 - 1) (``_even_cheb_table``, the cosine form), tabulated once per
     call on _GRID_PER_REF points per reference point at x = sin(pi s / 2),
     s uniform on [0, 1] (clustered toward 1 like the alternation points).
-    The reference starts at the largest sample of each sign segment of the
-    truncation error x - G_K(x) on that grid, which has K + 2 of them for
-    every supported K (fewer raise ConvergenceError, as in the loop).  Each
-    iteration re-levels the error on the reference and exchanges it against
-    the extrema of the error curve, until the spread of |error| over the new
-    reference is below _REMEZ_TOL * delta.  The largest sample of each sign segment
-    takes Newton steps on e'(x) = 0 in x, with p'(x) = 4x q'(u) and
-    p''(x) = 4q'(u) + 16x^2 q''(u) for u = 2x^2 - 1.
+    The reference starts at the closed form 0 and x_j = cos(pi j / (2K + 1/2)),
+    j = 0..K: K + 2 points, from which every K >= 2 levels in 4 iterations
+    (K = 1 in 2).  Each iteration re-levels the error on the reference and
+    exchanges it against the extrema of the error curve, one per sign segment
+    (fewer than K + 2 segments raise ConvergenceError), until the spread of
+    |error| over the new reference is below _REMEZ_TOL * delta.  The largest
+    sample of each sign segment takes Newton steps on e'(x) = 0 in x, with
+    p'(x) = 4x q'(u) and p''(x) = 4q'(u) + 16x^2 q''(u) for u = 2x^2 - 1.
     """
     K = check_int("K", K, low=1)
     if K > _MAX_REMEZ_K:
@@ -287,15 +285,19 @@ def remez_best_approx(K: int) -> BestApproxSolution:
     grid = np.sin(0.5 * np.pi * np.linspace(0.0, 1.0, _GRID_PER_REF * (K + 2) + 1))
     vander = _even_cheb_table(grid, K)
 
-    # start from the sign-segment extrema of the truncation error |x| - G_K
+    ref = _start_reference(K)
     last_spread = math.inf
-    ref = grid[_segment_peaks(grid - vander @ _truncation_coeffs(K), K, last_spread)]
     max_cond = 0.0
     for iteration in range(1, _REMEZ_MAX_ITER + 1):
         b, _, cond = _solve_levelled(ref, K)
         max_cond = max(max_cond, cond)
         e = grid - vander @ b
-        idx = _segment_peaks(e, K, last_spread)
+        idx = _pick_candidates(e, K)
+        if len(idx) < K + 2:
+            raise ConvergenceError(
+                f"error curve shows only {len(idx)} sign segments, need {K + 2}",
+                last_spread=last_spread,
+            )
         # Newton within the neighbouring grid points; the endpoints stay, and a
         # candidate keeps its grid point where Newton does not increase |e|
         ref, es = grid[idx], e[idx]

@@ -121,6 +121,21 @@ def test_estimate_unparseable_input(tmp_path, capsys):
     assert main(["estimate", "--variant", "bounded", "--input", str(path)]) == 3
 
 
+@pytest.mark.parametrize("text", ["", "\n\n", "# a comment only\n"])
+def test_estimate_empty_input_is_one_error_line_without_a_warning(tmp_path, text):
+    # numpy's empty-input UserWarning, turned into an error, would end the run with exit 1
+    path = tmp_path / "empty.txt"
+    path.write_text(text)
+    src = os.path.dirname(os.path.dirname(absmean.__file__))
+    code = "import sys; from absmean.harness.cli import main; sys.exit(main())"
+    out = subprocess.run([sys.executable, "-W", "error::UserWarning", "-c", code,
+                          "estimate", "--variant", "b", "--input", str(path)],
+                         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert out.returncode == 3
+    assert out.stdout == ""
+    assert re.fullmatch(r"error: [^\n]*\n", out.stderr), out.stderr
+
+
 def test_estimate_non_finite_input(tmp_path, capsys):
     path = _write_data(tmp_path, [1.0, float("nan"), 0.5] + [0.0] * 20)
     assert main(["estimate", "--variant", "bounded", "--input", str(path)]) == 3

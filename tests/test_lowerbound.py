@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from absmean.errors import (
     DomainError,
     IntegrationError,
     PreconditionError,
+    RangeError,
 )
 from absmean.lowerbound import (
     DiscreteModel,
@@ -164,6 +166,15 @@ def test_prior_moment_order_is_checked():
     for order in (2.5, -1, True, "2", np.float64(2.0)):
         with pytest.raises(DomainError, match="order must be an integer"):
             nu1.moment(order)
+
+
+@pytest.mark.parametrize("M, order", [(2.0, 2000), (1e300, 2)])
+def test_prior_moment_overflow_raises_range_error(M, order):
+    _, nu1, _ = construct_prior_pair(4)   # atoms at +-1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RangeError, match=f"moment of order {order} overflows"):
+            scale_prior(nu1, M).moment(order)
 
 
 def test_scale_prior_scales_moments():

@@ -11,9 +11,9 @@ from absmean.estimators import EstimatorSpec
 from absmean.harness import AlternationAtoms, CustomVector, RunConfig, Scenario, TwoSpike, render_csv, run_config
 
 # SHA-256 over the float.hex of every record field, for each (k, n, M) below
-_PIPELINE_DIGEST = "c9b23901a0eea8522433ca6bfa3a54591417c7dba6f29559a290831195f18af1"
+_PIPELINE_DIGEST = "6b3f57f861adc9cca1335bf445a2380044935bb6cd5cac800874b0e267324770"
 # SHA-256 of render_csv over the reports of _config()
-_REPORT_DIGEST = "32df8fc242b95561fe87aa4858fff040c5755745a7ae1ab387f15566af943d36"
+_REPORT_DIGEST = "d4f1fd2c061d85ed850a9852ee0f20b788e393944db00d6008b67afc5a991320"
 
 
 def test_lower_bound_records_are_pinned_bit_for_bit():

@@ -28,7 +28,8 @@ from absmean.polyapprox import (
     _cheb_to_monomial,
     _even_cheb_table,
     _pick_candidates,
-    _truncation_coeffs,
+    _solve_levelled,
+    _start_reference,
     BERNSTEIN_CONSTANT,
     EvenPolynomial,
     bernstein_estimate,
@@ -308,8 +309,8 @@ def test_fraction_conversion_matches_the_exact_oracle():
 
 
 # SHA-256 over the float.hex of every remez_best_approx(K) output, K = 1..40,
-# taken once the exchange started from the truncation error on the cosine table
-_REMEZ_DIGEST = "3685d26fef4e92e9a44f6e190f2b444a05e54212ad787b0ac8c1671606f24d64"
+# taken once the exchange started from the closed-form reference
+_REMEZ_DIGEST = "7c002c276fc65e1bad19ee85211f6fbd2697c0eedec57c29936720968dc45f04"
 
 
 def test_remez_outputs_are_pinned_bit_for_bit():
@@ -340,7 +341,8 @@ def test_remez_agrees_with_the_anchor_in_fewer_iterations():
         assert "".join("+" if s > 0 else "-" for _, s in half) == want["signs"], K
         assert sol.iterations <= want["iterations"], K
         total += sol.iterations
-    assert total <= 200   # 228 from the extrema of T_{2K+2}
+        assert sol.iterations == (2 if K == 1 else 4), K
+    assert total <= 158   # 193 from the truncation error, 228 from the extrema of T_{2K+2}
     # K = 1 keeps every bit
     sol = remez_best_approx(1)
     assert sol.delta.hex() == _ANCHOR["1"]["delta"]
@@ -350,20 +352,35 @@ def test_remez_agrees_with_the_anchor_in_fewer_iterations():
 
 @pytest.mark.parametrize("K", range(1, 41))
 def test_truncation_error_starts_the_exchange_with_k_plus_2_segments(K):
+    # the truncation error |x| - G_K, the exchange's former start, has K + 2
+    # sign segments on the exchange grid; so has the error levelled on the
+    # closed-form start, which starts within 0.3 delta of level
     grid = _exchange_grid(K)
-    e = grid - _even_cheb_table(grid, K) @ _truncation_coeffs(K)
-    segments = 1 + np.count_nonzero(np.diff(np.where(e >= 0.0, 1, -1)))
-    assert segments == K + 2
-    assert len(_pick_candidates(e, K)) == K + 2
-    # G_K's coefficients are the truncation's own
-    assert _hexes(_truncation_coeffs(K)) == _hexes(build_G_K(K).cheb_half_coeffs)
+    vander = _even_cheb_table(grid, K)
+    truncation = grid - vander @ np.asarray(build_G_K(K).cheb_half_coeffs)
+    first = grid - vander @ _solve_levelled(_start_reference(K), K)[0]
+    for e in (truncation, first):
+        assert 1 + np.count_nonzero(np.diff(np.where(e >= 0.0, 1, -1))) == K + 2
+        assert len(_pick_candidates(e, K)) == K + 2
+    assert np.ptp(np.abs(first[_pick_candidates(first, K)])) <= 0.3 * remez_best_approx(K).delta
 
 
-def test_a_start_with_too_few_sign_segments_raises(monkeypatch):
-    # with b = 0 the error x has one sign on [0, 1]: no fallback start
-    monkeypatch.setattr(polyapprox, "_truncation_coeffs", lambda K: np.zeros(K + 1))
-    with pytest.raises(ConvergenceError, match="only 1 sign segments, need 5"):
+def test_the_start_is_k_plus_2_increasing_points_with_exact_ends():
+    for K in range(1, _MAX_REMEZ_K + 1):
+        ref = _start_reference(K)
+        assert ref.shape == (K + 2,), K
+        assert np.all(np.diff(ref) > 0.0), K
+        assert ref[0] == 0.0 and ref[-1] == 1.0, K
+        # x_j = cos(pi j / (2K + 1/2)) for j = K..0
+        assert np.max(np.abs(ref[1:] - np.cos(np.pi * np.arange(K, -1, -1) / (2 * K + 0.5)))) <= 1e-15, K
+
+
+def test_too_few_sign_segments_in_the_exchange_raise(monkeypatch):
+    # the loop refuses an error curve with fewer than K + 2 sign segments
+    monkeypatch.setattr(polyapprox, "_pick_candidates", lambda e, K: np.arange(K + 1))
+    with pytest.raises(ConvergenceError, match="only 4 sign segments, need 5") as info:
         remez_best_approx(3)
+    assert info.value.last_spread == math.inf
 
 
 def _pick_by_argmax(e, K):
