@@ -26,11 +26,17 @@ alone and evaluates through them, by numpy's chebval (Clenshaw).  Only the
 estimators read its monomial half-coefficients, which numpy's cheb2poly
 converts on first read; ``coefficient_error`` bounds what their rounding
 costs.  Two helpers spare the exchange numpy.polynomial's per-call overhead:
-``_cheb_der`` differentiates for the Newton steps by chebder's floating-point
-operations in their order, so bit-identically, and ``_even_cheb_table``
+``_cheb_der_matrix`` is chebder's recurrence as a matrix, so the Newton
+steps take q' and q'' from one product per iteration, and ``_even_cheb_table``
 tabulates T_j(2x^2 - 1) on [-1, 1], for the prior pair too, as
 cos(j arccos u), T_0 and T_1 exactly: a fixed number of numpy calls for any
 K, within about 5e-14 of numpy's chebvander recurrence up to K = 60.
+
+The exchange's linear systems, and the prior pair's in lowerbound, are
+solved through one inverse (``_guarded_solve``), whose Frobenius norm also
+gives the guard: ||A||_F ||A^-1||_F is at least the 2-norm condition number and
+at most n times it for n unknowns, so no SVD is needed to refuse a system
+past _COND_LIMIT.  A singular or non-finite system raises ConditioningError.
 """
 
 from __future__ import annotations
@@ -66,6 +72,8 @@ _COND_LIMIT = 1e12
 # exchange grid points per reference point, and Newton steps per extremum
 _GRID_PER_REF = 16
 _NEWTON_STEPS = 3
+# the exchange system's last column, (-1)^i
+_ALTERNATING = (-1.0) ** np.arange(_MAX_REMEZ_K + 2)
 
 
 def _cheb_to_monomial(half: np.ndarray) -> np.ndarray:
@@ -94,23 +102,16 @@ def _even_cheb_table(x: np.ndarray, K: int) -> np.ndarray:
     return v
 
 
-def _cheb_der(c, m: int = 1) -> np.ndarray:
-    """chebder(c, m) by chebder's loop, run on Python floats."""
-    # chebder costs about 3x per call in the exchange loop (22 vs 8 us at K = 20)
-    c = [float(v) for v in c]
-    if m >= len(c):
-        return np.array([c[0] * 0])
-    for _ in range(m):
-        n = len(c) - 1
-        der = [0.0] * n
-        for j in range(n, 2, -1):
-            der[j - 1] = (2 * j) * c[j]
-            c[j - 2] += (j * c[j]) / (j - 2)
-        if n > 1:
-            der[1] = 4 * c[2]
-        der[0] = c[1]
-        c = der
-    return np.array(c)
+def _cheb_der_matrix(K: int) -> np.ndarray:
+    """D with D @ c the coefficients of d/du sum_j c_j T_j(u), j = 0..K, shape (K + 1, K + 1).
+
+    D[i, j] = 2j where j > i and j - i is odd, row 0 halved (the last row is
+    zero): chebder's recurrence summed in closed form.
+    """
+    i, j = np.ogrid[: K + 1, : K + 1]
+    d = np.where((j > i) & ((j - i) % 2 == 1), 2.0 * j, 0.0)
+    d[0] *= 0.5
+    return d
 
 
 @dataclass(frozen=True)
@@ -206,20 +207,38 @@ class BestApproxSolution:
         return tuple(x for x, s in zip(self.alternation_points, self.alternation_signs) if s > 0)
 
 
+def _guarded_solve(A: np.ndarray, rhs: np.ndarray, limit: float, what: str) -> tuple[np.ndarray, float]:
+    """x with A x = rhs through one inverse, and the condition estimate ||A||_F ||A^-1||_F.
+
+    For an n-square A that estimate is at least the 2-norm condition number
+    and at most n times it, so a guard on it is never looser than one on the
+    SVD's.  Past ``limit``, non-finite, or exactly singular: ConditioningError.
+    """
+    try:
+        inv = np.linalg.inv(A)
+    except np.linalg.LinAlgError:
+        raise ConditioningError(f"{what} is singular", condition_estimate=math.inf) from None
+    # Python floats: a product past the double range is inf, with no warning
+    cond = math.sqrt(float(np.vdot(A, A)) * float(np.vdot(inv, inv)))
+    if not cond <= limit:   # NaN too
+        raise ConditioningError(
+            f"{what} has condition estimate {cond:.3e}, past the limit {limit:.0e}", condition_estimate=cond
+        )
+    return inv @ rhs, cond
+
+
 def _solve_levelled(ref: np.ndarray, K: int) -> tuple[np.ndarray, float, float]:
     """Solve the exchange system on one reference set.
 
     Finds b_0..b_K and lam with  sum_j b_j T_j(2r_i^2-1) + (-1)^i lam = r_i,
-    so that the error r - p(r) equals (-1)^i * lam on the reference.
+    so that the error r - p(r) equals (-1)^i * lam on the reference.  Also
+    returns the system's condition estimate ||Phi||_F ||Phi^-1||_F
+    (``_guarded_solve``), which past _COND_LIMIT raises ConditioningError.
     """
-    phi = np.column_stack([_even_cheb_table(ref, K), (-1.0) ** np.arange(len(ref))])
-    cond = float(np.linalg.cond(phi))
-    if not np.isfinite(cond) or cond > _COND_LIMIT:
-        raise ConditioningError(
-            f"exchange system condition estimate {cond:.3e} exceeds {_COND_LIMIT:.0e}",
-            condition_estimate=cond,
-        )
-    sol = np.linalg.solve(phi, ref)
+    phi = np.empty((K + 2, K + 2))
+    phi[:, : K + 1] = _even_cheb_table(ref, K)
+    phi[:, K + 1] = _ALTERNATING[: K + 2]
+    sol, cond = _guarded_solve(phi, ref, _COND_LIMIT, "exchange system")
     return sol[: K + 1], float(sol[K + 1]), cond
 
 
@@ -229,10 +248,11 @@ def _pick_candidates(e: np.ndarray, K: int) -> np.ndarray:
     A segment's index is the first of its largest |e|, as argmax gives it,
     and its first NaN if it holds one.
     """
-    s = np.where(e >= 0.0, 1, -1)
-    starts = np.concatenate(([0], np.flatnonzero(np.diff(s)) + 1))
+    pos = e >= 0.0
+    starts = np.flatnonzero(np.concatenate(([True], pos[1:] != pos[:-1])))
+    ends = np.append(starts[1:], len(e))
     a = np.abs(e)
-    peak = np.repeat(np.maximum.reduceat(a, starts), np.diff(starts, append=len(e)))
+    peak = np.repeat(np.maximum.reduceat(a, starts), ends - starts)
     hits = np.flatnonzero((a == peak) | np.isnan(a))
     idx = hits[np.searchsorted(hits, starts)]
     if len(idx) < K + 2:
@@ -275,7 +295,9 @@ def remez_best_approx(K: int) -> BestApproxSolution:
     (fewer than K + 2 segments raise ConvergenceError), until the spread of
     |error| over the new reference is below _REMEZ_TOL * delta.  The largest
     sample of each sign segment takes Newton steps on e'(x) = 0 in x, with
-    p'(x) = 4x q'(u) and p''(x) = 4q'(u) + 16x^2 q''(u) for u = 2x^2 - 1.
+    p'(x) = 4x q'(u) and p''(x) = 4q'(u) + 16x^2 q''(u) for u = 2x^2 - 1;
+    q' and q'' come from the derivative matrices D and D^2, stacked once per
+    call, so each step is one table and one matrix product.
     """
     K = check_int("K", K, low=1)
     if K > _MAX_REMEZ_K:
@@ -284,6 +306,8 @@ def remez_best_approx(K: int) -> BestApproxSolution:
     # sin(pi / 2) rounds to 1.0, so both endpoints are exact
     grid = np.sin(0.5 * np.pi * np.linspace(0.0, 1.0, _GRID_PER_REF * (K + 2) + 1))
     vander = _even_cheb_table(grid, K)
+    d = _cheb_der_matrix(K)
+    derivs = np.stack([d, d @ d])
 
     ref = _start_reference(K)
     last_spread = math.inf
@@ -303,12 +327,11 @@ def remez_best_approx(K: int) -> BestApproxSolution:
         ref, es = grid[idx], e[idx]
         inner = (idx > 0) & (idx < grid.size - 1)
         lo, x, hi = grid[idx[inner] - 1], ref[inner], grid[idx[inner] + 1]
-        d1, d2 = _cheb_der(b), _cheb_der(b, 2)
+        coef = (derivs @ b).T                                           # q', q'' in u
         for _ in range(_NEWTON_STEPS):
-            t = _even_cheb_table(x, K)
-            q1 = t[:, :K] @ d1
-            slope = 1.0 - 4.0 * x * q1                                  # e'(x)
-            curve = 4.0 * q1 + 16.0 * x * x * (t[:, : d2.size] @ d2)    # -e''(x)
+            q = _even_cheb_table(x, K) @ coef
+            slope = 1.0 - 4.0 * x * q[:, 0]                             # e'(x)
+            curve = 4.0 * q[:, 0] + 16.0 * x * x * q[:, 1]              # -e''(x)
             x = np.clip(x + np.divide(slope, curve, out=np.zeros_like(x), where=curve != 0.0), lo, hi)
         ex = x - _even_cheb_table(x, K) @ b
         better = np.abs(ex) >= np.abs(es[inner])

@@ -11,9 +11,9 @@ from absmean.estimators import EstimatorSpec
 from absmean.harness import AlternationAtoms, CustomVector, RunConfig, Scenario, TwoSpike, render_csv, run_config
 
 # SHA-256 over the float.hex of every record field, for each (k, n, M) below
-_PIPELINE_DIGEST = "6b3f57f861adc9cca1335bf445a2380044935bb6cd5cac800874b0e267324770"
+_PIPELINE_DIGEST = "c0a6940efaafde965b166cdea2248f97be6f90026e73073e1d4735e72d94dddf"
 # SHA-256 of render_csv over the reports of _config()
-_REPORT_DIGEST = "d4f1fd2c061d85ed850a9852ee0f20b788e393944db00d6008b67afc5a991320"
+_REPORT_DIGEST = "84420fb35c7621b9375c128ef5eb0317cc79b0a0320b6c3907e10b3715ca07d3"
 
 
 def test_lower_bound_records_are_pinned_bit_for_bit():

@@ -15,7 +15,7 @@ from numpy.polynomial.chebyshev import chebder, chebvander
 from numpy.polynomial.polynomial import polyval
 
 from absmean import lowerbound, polyapprox
-from absmean.errors import ConvergenceError, DomainError, RangeError
+from absmean.errors import ConditioningError, ConvergenceError, DomainError, RangeError
 from absmean.estimators import approx_coefficients
 from absmean.polyapprox import (
     _COND_LIMIT,
@@ -24,7 +24,7 @@ from absmean.polyapprox import (
     _MAX_REMEZ_K,
     _REMEZ_MAX_ITER,
     _REMEZ_TOL,
-    _cheb_der,
+    _cheb_der_matrix,
     _cheb_to_monomial,
     _even_cheb_table,
     _pick_candidates,
@@ -197,6 +197,31 @@ def test_exchange_diagnostics_are_filled(K):
     assert sol == dataclasses.replace(sol, iterations=0, spread=1.0, max_condition=0.0)
 
 
+def test_the_guard_bounds_the_svd_condition_within_k_plus_2():
+    # ||Phi||_F ||Phi^-1||_F lies between the 2-norm condition and K + 2 times it
+    for K in range(1, _MAX_REMEZ_K + 1):
+        ref = _start_reference(K)
+        phi = np.column_stack([_even_cheb_table(ref, K), (-1.0) ** np.arange(K + 2)])
+        cond, svd = _solve_levelled(ref, K)[2], np.linalg.cond(phi)
+        assert svd <= cond <= (K + 2) * svd, K
+
+
+@pytest.mark.parametrize("ref", [[0.5, 0.7, 0.5, 1.0], [0.0, 0.5, math.nan, 1.0]])
+def test_singular_or_non_finite_exchange_system_raises_conditioning_error(ref):
+    # rows 0 and 2 of the first system are equal; a NaN poisons the second
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConditioningError, match="exchange system"):
+            _solve_levelled(np.array(ref), 2)
+
+
+def test_exchange_past_the_condition_limit_raises(monkeypatch):
+    monkeypatch.setattr(polyapprox, "_COND_LIMIT", 1.0)
+    with pytest.raises(ConditioningError) as info:
+        remez_best_approx(3)
+    assert info.value.condition_estimate > 1.0
+
+
 def test_best_never_worse_than_truncation():
     for K in (1, 2, 5, 10):
         assert uniform_error(remez_best_approx(K).poly) <= uniform_error(build_G_K(K)) * ULP
@@ -247,7 +272,7 @@ def test_k_range_validation():
 
 # ---------------------------------------------------------------------------
 # the package's Chebyshev helpers against numpy.polynomial.chebyshev: the
-# derivative bit for bit, the table to 1e-13
+# derivative matrix to a few eps, the table to 1e-13
 
 def _hexes(values):
     return [float(v).hex() for v in np.ravel(values)]
@@ -290,16 +315,31 @@ def test_even_cheb_table_is_close_on_the_exchange_grids_and_alternation_points()
             _assert_table_close(np.abs(remez_best_approx(K).alternation_points), K)
 
 
-@given(st.lists(_COEFF, min_size=1, max_size=24), st.integers(1, 3))
+def _assert_der_close(b):
+    """D b and D^2 b against chebder(b, m), within 8(K+1) eps (|D^m| |b|) entrywise.
+
+    D is nonnegative, so |D|^2 = |D^2| bounds chebder's twice-applied
+    recurrence too; underflow adds at most tiny per operation.
+    """
+    b = np.asarray(b, dtype=np.float64)
+    d = _cheb_der_matrix(len(b) - 1)
+    for m, dm in ((1, d), (2, d @ d)):
+        want = chebder(b, m)
+        got = dm @ b
+        bound = 8 * len(b) * (np.finfo(float).eps * (dm @ np.abs(b)) + np.finfo(float).tiny)
+        assert np.all(got[want.size :] == 0.0), m
+        assert np.all(np.abs(got[: want.size] - want) <= bound[: want.size]), m
+
+
+@given(st.lists(_COEFF, min_size=1, max_size=24))
 @settings(max_examples=300, deadline=None)
-def test_cheb_der_matches_chebder_bits(c, m):
-    assert _hexes(_cheb_der(c, m)) == _hexes(chebder(np.asarray(c), m))
+def test_cheb_der_matrix_matches_chebder(c):
+    _assert_der_close(c)
 
 
 def test_helpers_match_numpy_on_every_series_the_package_uses():
     for basis, K, b in _exchange_series():
-        for m in (1, 2):
-            assert _hexes(_cheb_der(b, m)) == _hexes(chebder(b, m)), (basis, K, m)
+        _assert_der_close(b)
 
 
 def test_fraction_conversion_matches_the_exact_oracle():
@@ -309,8 +349,8 @@ def test_fraction_conversion_matches_the_exact_oracle():
 
 
 # SHA-256 over the float.hex of every remez_best_approx(K) output, K = 1..40,
-# taken once the exchange started from the closed-form reference
-_REMEZ_DIGEST = "7c002c276fc65e1bad19ee85211f6fbd2697c0eedec57c29936720968dc45f04"
+# taken once the exchange solved through one inverse and a derivative matrix
+_REMEZ_DIGEST = "df3abab12a4c93624c5756a8f13cd935dbadde45af60e188af4d560b474fb262"
 
 
 def test_remez_outputs_are_pinned_bit_for_bit():
