@@ -16,7 +16,7 @@ import numpy as np
 
 from ..errors import MAX_COUNT, DomainError, check_int, check_real
 from ..estimators import EstimatorSpec, resolve_parameters
-from ..lowerbound import SymmetricDiscretePrior, construct_prior_pair, scale_prior
+from ..lowerbound import construct_prior_pair, scale_prior
 
 
 @dataclass(frozen=True)
@@ -61,9 +61,6 @@ class AlternationAtoms:
         check_real("M", self.M, above=0.0)
         nu0, nu1, _ = construct_prior_pair(self.k)   # validates k
         object.__setattr__(self, "_scaled", scale_prior(nu0 if self.prior == "nu0" else nu1, self.M))
-
-    def scaled_prior(self) -> SymmetricDiscretePrior:
-        return self._scaled
 
     def add_to(self, y: np.ndarray, rng) -> float:
         w = np.asarray(self._scaled.weights)

@@ -20,7 +20,9 @@ Three ingredients:
   composite Gauss-Legendre rule on equal panels across the window, whatever
   the number of atoms, with a two-resolution error estimate for one
   coordinate, evaluated in log space so that tails and far-apart atoms
-  keep their value (+inf past the double range).  When both mixtures are
+  keep their value (+inf past the double range).  The exponents fill a
+  contiguous atoms-by-nodes block; each node is scaled by its column
+  maximum, the exponent of its nearest atom.  When both mixtures are
   exactly mirror-symmetric, as the scaled prior pairs are by construction,
   the integrand is even and only the half window [0, hi] is integrated and
   doubled.  For n independent coordinates, the exact product identity
@@ -37,6 +39,10 @@ Three ingredients:
 the pair (k, M) alone: delta_k, |m1 - m0|, Var_{mu0}|theta|, I_1^2 and its
 tail bound are plain floats computed once per pair (a bounded cache) and
 reused for every n, which enters only through v0^2 = Var / n and the product identity.
+The prior pair is built and checked once per k; each M scales it without a
+second check (exactly mirror-symmetric on [-1, 1], it stays finite and
+mirrored), and chi_square_mixture_1d integrates priors, checked when built,
+without repeating chi_square_gaussian_mixtures's argument checks.
 Where I_1^2 may be cancellation roundoff in f1 - f0 (at most
 _ROUNDOFF_FLOOR), the pipeline uses the smaller of it and the proven tail
 bound, which keeps the lower bound valid at any n.
@@ -162,6 +168,14 @@ def scale_prior(prior: SymmetricDiscretePrior, M: float) -> SymmetricDiscretePri
     return SymmetricDiscretePrior(tuple(M * t for t in prior.positions), prior.weights)
 
 
+def _prior_unchecked(positions: tuple[float, ...], weights: tuple[float, ...]) -> SymmetricDiscretePrior:
+    """A SymmetricDiscretePrior built without __post_init__, for atoms valid by construction."""
+    prior = object.__new__(SymmetricDiscretePrior)
+    object.__setattr__(prior, "positions", positions)
+    object.__setattr__(prior, "weights", weights)
+    return prior
+
+
 @lru_cache(maxsize=None)
 def _prior_pair_data(k: int) -> tuple[SymmetricDiscretePrior, SymmetricDiscretePrior, float]:
     """The validated pair for an even k in 2..80, built once per k (the priors are frozen)."""
@@ -171,7 +185,7 @@ def _prior_pair_data(k: int) -> tuple[SymmetricDiscretePrior, SymmetricDiscreteP
     half = [(x, s) for x, s in zip(sol.alternation_points, sol.alternation_signs) if x >= 0.0]
     pts = np.asarray([x for x, _ in half])
     signs = np.asarray([s for _, s in half], dtype=float)
-    if pts[0] != 0.0 or len(pts) != K + 2:
+    if pts[0] != 0.0 or len(pts) != K + 2 or pts.max() > 1.0:
         raise ConstructionError("unexpected alternation structure from the exchange solve")
 
     # Unknown magnitudes v_j >= 0 of the signed measure with weight v_0 at 0
@@ -263,6 +277,12 @@ def chi_square_gaussian_mixtures(positions0, weights0, positions1, weights1) -> 
             raise DomainError("mixture positions must be finite and aligned with the weights")
         if not (w >= 0).all() or abs(w.sum() - 1.0) > 1e-9:   # NaN included
             raise DomainError("mixture weights must be nonnegative and sum to 1")
+    return _chi_square(p0, w0, p1, w1)
+
+
+def _chi_square(p0: np.ndarray, w0: np.ndarray, p1: np.ndarray, w1: np.ndarray) -> float:
+    """chi_square_gaussian_mixtures on checked float arrays: finite 1-d positions aligned
+    with nonnegative weights that sum to 1."""
     # weightless atoms change neither density, but would set a node's scale
     p0, w0, p1, w1 = p0[w0 > 0], w0[w0 > 0], p1[w1 > 0], w1[w1 > 0]
     (a0, b0), (a1, b1) = ((float(p.min()), float(p.max())) for p in (p0, p1))   # Python floats overflow to inf quietly
@@ -270,7 +290,7 @@ def chi_square_gaussian_mixtures(positions0, weights0, positions1, weights1) -> 
     hi = max(b0, b1, 2.0 * b1 - a0) + 10.0
     # two mirror-symmetric mixtures give an even integrand: integrate [0, hi] and double it
     sorted0, mirror0 = _sort_atoms(p0, w0)
-    sorted1, mirror1 = _sort_atoms(p1, w1)
+    _, mirror1 = _sort_atoms(p1, w1)
     fold = 2.0 if mirror0 and mirror1 else 1.0
     if fold == 2.0:
         lo = 0.0
@@ -297,19 +317,20 @@ def chi_square_gaussian_mixtures(positions0, weights0, positions1, weights1) -> 
     # one block buffer per call: a block per pass keeps two alive at once, and
     # freeing them lets the allocator return the pages, which the next call
     # then faults in again
-    block = np.empty((min(step, nodes.size), atoms.size))
+    buf = np.empty(min(step, nodes.size) * atoms.size)
     for start in range(0, nodes.size, step):
         y = nodes[start:start + step]
-        z = np.subtract(y[:, None], atoms, out=block[: y.size])
+        # atoms by nodes, contiguous: every pass runs along rows, the scales broadcast as a row
+        z = np.subtract(atoms[:, None], y, out=buf[: atoms.size * y.size].reshape(atoms.size, y.size))
         z *= z
         z *= -0.5
-        s0 = _nearest_exponent(y, sorted0)
-        s1 = _nearest_exponent(y, sorted1)
-        z[:, :n0] -= s0[:, None]
-        z[:, n0:] -= s1[:, None]
+        s0 = z[:n0].max(axis=0)   # each node's exponent of its nearest atom of f0
+        s1 = z[n0:].max(axis=0)
+        z[:n0] -= s0
+        z[n0:] -= s1
         np.exp(z, out=z)
-        f0 = z[:, :n0] @ w0   # f0 e^{-s0}, at least the weight of the nearest atom
-        f1 = z[:, n0:] @ w1   # f1 e^{-s1}
+        f0 = w0 @ z[:n0]   # f0 e^{-s0}, at least the weight of the nearest atom
+        f1 = w1 @ z[n0:]   # f1 e^{-s1}
         c = np.maximum(s1 - s0, 0.0)
         diff = f1 * np.exp(s1 - s0 - c) - f0 * np.exp(-c)
         q[start:start + step] = diff * diff / f0
@@ -336,14 +357,6 @@ def _sort_atoms(p: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, bool]:
     return p, bool(np.array_equal(p, -p[::-1]) and np.array_equal(w, w[::-1]))
 
 
-def _nearest_exponent(y: np.ndarray, atoms: np.ndarray) -> np.ndarray:
-    """max_j -(y - atoms_j)^2 / 2 for sorted atoms: the exponent of the nearest one."""
-    i = np.searchsorted(atoms, y)
-    left = atoms[np.maximum(i - 1, 0)] - y
-    right = atoms[np.minimum(i, atoms.size - 1)] - y
-    return -0.5 * np.minimum(left * left, right * right)
-
-
 def _unscale(x: float, top: float) -> float:
     """x e^top for x >= 0, or +inf past the double range."""
     if x == 0.0:
@@ -353,7 +366,15 @@ def _unscale(x: float, top: float) -> float:
 
 
 def chi_square_mixture_1d(mu0: SymmetricDiscretePrior, mu1: SymmetricDiscretePrior) -> float:
-    """Squared chi-square distance for one coordinate under the two priors."""
+    """Squared chi-square distance for one coordinate under the two priors.
+
+    Two SymmetricDiscretePriors passed chi_square_gaussian_mixtures's checks when they were
+    built, so their atoms go straight to its quadrature; anything else with positions and
+    weights is checked there.
+    """
+    if isinstance(mu0, SymmetricDiscretePrior) and isinstance(mu1, SymmetricDiscretePrior):
+        return _chi_square(*(np.asarray(a, dtype=float)
+                             for a in (mu0.positions, mu0.weights, mu1.positions, mu1.weights)))
     return chi_square_gaussian_mixtures(mu0.positions, mu0.weights, mu1.positions, mu1.weights)
 
 
@@ -592,8 +613,9 @@ def lower_bound_pipeline(n: int, M: float, k_n: int | None = None) -> dict:
 def _pair_terms(k: int, M: float) -> tuple[float, float, float, float, float]:
     """(delta_k, |m1 - m0|, Var_{mu0}|theta|, I_1^2, tail bound) for checked (k, M)."""
     nu0, nu1, delta = construct_prior_pair(k)
-    mu0 = scale_prior(nu0, M)
-    mu1 = scale_prior(nu1, M)
+    # the pair is exactly mirror-symmetric on [-1, 1], so for every M that check_real
+    # accepts, M t is finite and mirrored: scale_prior's result, without its second check
+    mu0, mu1 = (_prior_unchecked(tuple(M * t for t in nu.positions), nu.weights) for nu in (nu0, nu1))
     tail = chi_square_tail_bound_1d(M, k)
     I1_sq = chi_square_mixture_1d(mu0, mu1)
     if I1_sq <= _ROUNDOFF_FLOOR:

@@ -76,7 +76,7 @@ def test_draw_theta_alternation_prior_support():
 def test_draw_theta_alternation_is_one_multinomial_draw():
     # the atom counts come from one multinomial draw; equal atoms are adjacent
     fam = AlternationAtoms(k=6, M=1.5, prior="nu0")
-    prior = fam.scaled_prior()
+    prior = scale_prior(construct_prior_pair(6)[0], 1.5)
     atoms, weights = np.asarray(prior.positions), np.asarray(prior.weights)
     rng, replay = stream(3, LANE_THETA), stream(3, LANE_THETA)
     for n in (1, 50, 1000):

@@ -88,8 +88,9 @@ def test_construct_prior_pair_validation():
 
 
 def test_ill_conditioned_prior_system_raises(monkeypatch):
-    # every supported k solves with condition number ~10; past the limit the
-    # construction refuses instead of returning untrusted weights
+    # every supported k solves with a guard estimate ||A||_F ||A^-1||_F of at most 56
+    # (condition number at most 10.6); past the limit the construction refuses
+    # instead of returning untrusted weights
     monkeypatch.setattr(lowerbound, "_COND_LIMIT", 1.0)
     lowerbound._prior_pair_data.cache_clear()
     with pytest.raises(ConditioningError):
@@ -536,6 +537,64 @@ def test_pipeline_computes_the_distance_once_per_pair(monkeypatch, fresh_pair_ca
     lower_bound_pipeline(100, np.float64(0.5), k_n=np.int64(4))
     lower_bound_pipeline(100, 1, k_n=4)
     assert len(seen) == len(pairs)
+
+def test_pair_terms_match_the_public_path_on_every_sweep_pair(fresh_pair_cache):
+    # the pipeline scales the pair without re-checking it; the checked path gives the same bits
+    for k in range(2, 81, 2):
+        nu0, nu1, delta = construct_prior_pair(k)
+        for M in (0.5, 1.0, 2.0):
+            mu0, mu1 = scale_prior(nu0, M), scale_prior(nu1, M)
+            I1_sq = chi_square_gaussian_mixtures(mu0.positions, mu0.weights, mu1.positions, mu1.weights)
+            tail = chi_square_tail_bound_1d(M, k)
+            if I1_sq <= lowerbound._ROUNDOFF_FLOOR:
+                I1_sq = min(I1_sq, tail)
+            m0 = mu0.mean_abs()
+            want = (delta, abs(mu1.mean_abs() - m0), max(mu0.moment(2) - m0 * m0, 0.0), I1_sq, tail)
+            got = lowerbound._pair_terms(k, M)
+            assert [x.hex() for x in got] == [x.hex() for x in want], (k, M)
+
+
+def test_new_pair_builds_no_prior_and_public_entry_points_keep_their_checks(monkeypatch, fresh_pair_cache):
+    for k in (6, 80):
+        construct_prior_pair(k)   # the prior-pair cache is warm
+    built = []
+    check = SymmetricDiscretePrior.__post_init__
+
+    def counted(prior):
+        built.append(prior.positions)
+        check(prior)
+
+    monkeypatch.setattr(SymmetricDiscretePrior, "__post_init__", counted)
+    lower_bound_pipeline(100, 1.5, k_n=6)
+    lower_bound_pipeline(10**6, 0.75, k_n=80)
+    assert built == []
+    nu0, nu1, _ = construct_prior_pair(6)
+    scale_prior(nu0, 1.5)
+    assert len(built) == 1   # the public path still builds and checks
+
+    def mixture(positions, weights):   # an object that is not a prior
+        return type("Mixture", (), {"positions": positions, "weights": weights})()
+
+    bad = {
+        "infinite positions": mixture((-math.inf, math.inf), (0.5, 0.5)),
+        "NaN positions": mixture((math.nan, math.nan), (0.5, 0.5)),
+        "bool positions": mixture((True, True), (0.5, 0.5)),
+        "mass 1.4": mixture((-0.5, 0.5), (0.7, 0.7)),
+        "negative weight": mixture((-0.5, 0.0, 0.5), (0.5, -0.5, 1.0)),
+        "NaN weights": mixture((-0.5, 0.5), (math.nan, math.nan)),
+    }
+    for why, mu in bad.items():
+        with pytest.raises(ConstructionError):
+            scale_prior(mu, 2.0)
+        for args in ((mu, nu1), (nu0, mu), (mu, mu)):
+            with pytest.raises(DomainError):
+                chi_square_mixture_1d(*args)
+        with pytest.raises(DomainError):
+            chi_square_gaussian_mixtures(mu.positions, mu.weights, nu1.positions, nu1.weights)
+    for M in (math.nan, math.inf, True, 0.0):
+        with pytest.raises(DomainError):
+            scale_prior(nu0, M)
+
 
 # ---------------------------------------------------------------------------
 # constrained risk inequality by exact enumeration
