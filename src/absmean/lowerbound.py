@@ -5,16 +5,14 @@ Three ingredients:
 * A constructive pair of symmetric priors on [-1, 1] whose moments agree
   up to order k while their means of |t| differ by 2 * delta_k, where
   delta_k is the best uniform error of degree-k even polynomial
-  approximation to |x|.  The construction solves a small linear system on
-  the alternation points of the best approximation, with the alternation
-  signs prescribing which prior receives each atom.  The system is written
-  in the Chebyshev basis T_i(2t^2 - 1), tabulated by the exchange's own
-  table (polyapprox._even_cheb_table, cos(i arccos u) within about 5e-14
-  of numpy's chebvander), and stays well conditioned for every supported k
-  (||A||_F ||A^-1||_F, an upper bound on the condition number, is at most
-  56 up to k = 80); it is solved by the exchange's ``_guarded_solve``, and
-  a system past the condition limit, singular or non-finite raises
-  ConditioningError rather than returning untrusted weights.
+  approximation to |x|.  The atoms are the alternation points of the best
+  approximation, the alternation signs prescribing which prior receives
+  each atom.  On the K + 2 = k/2 + 2 nonnegative ones t_j, the signed
+  measure that annihilates every polynomial of degree <= K in
+  u = 2t^2 - 1 is unique up to scale and has a closed form, the
+  divided-difference weights 1 / prod_{i != j} (u_j - u_i); no linear
+  system is solved.  Signs that do not alternate like those weights raise
+  ConstructionError.
 
 * Chi-square distances between the induced Gaussian mixtures: a fixed
   composite Gauss-Legendre rule on equal panels across the window, whatever
@@ -69,7 +67,7 @@ from .errors import (
     check_real,
     check_real_array,
 )
-from .polyapprox import _COND_LIMIT, _even_cheb_table, _guarded_solve, remez_best_approx
+from .polyapprox import remez_best_approx
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _LOG_MAX = math.log(np.finfo(float).max)
@@ -111,17 +109,18 @@ class SymmetricDiscretePrior:
     """Finitely supported symmetric probability measure.
 
     positions/weights list every atom (mirror atoms listed explicitly);
-    construction validates real entries, symmetry and total mass 1.
+    construction validates real entries, total mass 1 and symmetry: with
+    atoms merged at 12 decimals, each mass equals its mirror's within 1e-9.
     """
 
     positions: tuple[float, ...]
     weights: tuple[float, ...]
 
     def __post_init__(self):
-        if len(self.positions) != len(self.weights) or len(self.positions) == 0:
-            raise ConstructionError("positions and weights must be nonempty and aligned")
         p = check_real_array("prior positions", self.positions, ConstructionError)
         w = check_real_array("prior weights", self.weights, ConstructionError)
+        if p.ndim != 1 or p.shape != w.shape or p.size == 0:
+            raise ConstructionError("positions and weights must be nonempty, one-dimensional and aligned")
         finite = np.isfinite(p)
         if not finite.all():
             raise ConstructionError(f"prior positions must be finite, got {p[np.argmin(finite)]}")
@@ -130,20 +129,13 @@ class SymmetricDiscretePrior:
         total = sum(self.weights)
         if abs(total - 1.0) > 1e-9:
             raise ConstructionError(f"prior weights sum to {total}, expected 1")
-        # atoms merged at 12 decimals (a no-op from 2^13 on, where doubles lie
-        # more than 1e-12 apart, and there t * 1e12 could overflow); entered
-        # once more at -t with weight -w, each merged atom sums to mass(t) - mass(-t)
-        small = np.abs(p) < 8192.0
-        keys = np.where(small, np.where(small, p, 0.0).round(12), p)
-        both = np.concatenate((keys, -keys))
-        order = both.argsort()
-        ranked = both[order]
-        atom = np.empty(both.size, dtype=np.intp)
-        atom[order] = np.cumsum(np.concatenate(([0], ranked[1:] != ranked[:-1])))
-        net = np.bincount(atom, weights=np.concatenate((w, -w)))
-        bad = np.flatnonzero(np.abs(net[atom[: keys.size]]) > 1e-9)
-        if bad.size:
-            raise ConstructionError(f"prior is not symmetric at t = {keys[bad[0]]}")
+        # the first merged atom, in order of appearance, whose mirror's mass differs is reported
+        mass = {}
+        for t, m in zip(p.tolist(), w.tolist()):
+            mass[round(t, 12)] = mass.get(round(t, 12), 0.0) + m
+        for t, m in mass.items():
+            if abs(mass.get(-t, 0.0) - m) > 1e-9:
+                raise ConstructionError(f"prior is not symmetric at t = {t}")
 
     def moment(self, order: int) -> float:
         """sum_j w_j t_j^order; RangeError where that leaves the double range."""
@@ -179,40 +171,37 @@ def _prior_unchecked(positions: tuple[float, ...], weights: tuple[float, ...]) -
 @lru_cache(maxsize=None)
 def _prior_pair_data(k: int) -> tuple[SymmetricDiscretePrior, SymmetricDiscretePrior, float]:
     """The validated pair for an even k in 2..80, built once per k (the priors are frozen)."""
-    sol = remez_best_approx(k // 2)
     K = k // 2
-    # nonnegative alternation points with their error signs
-    half = [(x, s) for x, s in zip(sol.alternation_points, sol.alternation_signs) if x >= 0.0]
-    pts = np.asarray([x for x, _ in half])
-    signs = np.asarray([s for _, s in half], dtype=float)
-    if pts[0] != 0.0 or len(pts) != K + 2 or pts.max() > 1.0:
+    sol = remez_best_approx(K)
+    # the nonnegative half of the alternation set, 0 = t_0 < ... < t_{K+1} <= 1, with its error signs
+    t = np.asarray(sol.alternation_points[K + 1:])
+    signs = np.asarray(sol.alternation_signs[K + 1:], dtype=float)
+    if len(t) != K + 2 or t[0] != 0.0 or not np.all(t[1:] > t[:-1]) or t[-1] > 1.0:
         raise ConstructionError("unexpected alternation structure from the exchange solve")
 
-    # Unknown magnitudes v_j >= 0 of the signed measure with weight v_0 at 0
-    # and v_j at each of +-t_j.  Moment conditions are expressed through
-    # T_i(2t^2 - 1) (same span as the monomials t^{2i}, i <= K, but well
-    # conditioned); the last row fixes total variation 2.
-    mult = np.where(pts > 0.0, 2.0, 1.0)   # mirror atoms counted once
-    A = np.vstack([((signs * mult)[:, None] * _even_cheb_table(pts, K)).T, mult])
-    b = np.zeros(K + 2)
-    b[K + 1] = 2.0
-
-    mag, _ = _guarded_solve(A, b, _COND_LIMIT, f"prior-pair system for k={k}")
-    if np.any(mag < -1e-9):
-        raise ConstructionError(f"negative weight where a positive one was expected: {mag}")
-    mag = np.clip(mag, 0.0, None)
+    # On the K + 2 distinct nodes u_j = 2 t_j^2 - 1, the signed measure that annihilates every
+    # polynomial of degree <= K in u (so every even one of degree <= k in t) is unique up to
+    # scale: the divided-difference weights y_j = 1 / prod_{i != j} (u_j - u_i), written with
+    # u_j - u_i = 2 (t_j - t_i)(t_j + t_i) to avoid cancellation (the common 2^{K+1} dropped).
+    # Their signs alternate, and must be the error signs up to one overall sign.
+    factors = (t[:, None] - t) * (t[:, None] + t)
+    np.fill_diagonal(factors, 1.0)
+    y = 1.0 / factors.prod(axis=1)
+    if not (np.all(signs * y > 0.0) or np.all(signs * y < 0.0)):
+        raise ConstructionError(f"alternation signs for k={k} do not alternate like the divided-difference weights")
+    mass = np.abs(y) * (2.0 / np.abs(y).sum())   # total variation 2: mass 1 on each side
 
     def collect(which_sign):
         pts_out, w_out = [], []
-        for t, s, w in zip(pts, signs, mag):
-            if s != which_sign or w == 0.0:
+        for tj, s, m in zip(t.tolist(), signs, mass.tolist()):
+            if s != which_sign:
                 continue
-            if t == 0.0:
+            if tj == 0.0:
                 pts_out.append(0.0)
-                w_out.append(float(w))
+                w_out.append(m)
             else:
-                pts_out.extend([-float(t), float(t)])
-                w_out.extend([float(w), float(w)])
+                pts_out.extend([-tj, tj])
+                w_out.extend([0.5 * m, 0.5 * m])
         total = sum(w_out)
         if abs(total - 1.0) > 1e-8:
             raise ConstructionError(f"prior part sums to {total}, expected 1")
@@ -411,8 +400,6 @@ def chi_square_tail_bound_1d(M: float, k_n: int) -> float:
             return math.inf
         k += 1
         log_term += log_m2 - math.log(k)
-        if k > k_n + 10000:
-            break
     return math.exp(0.5 * m2 + log_total)
 
 

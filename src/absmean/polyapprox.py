@@ -28,15 +28,15 @@ converts on first read; ``coefficient_error`` bounds what their rounding
 costs.  Two helpers spare the exchange numpy.polynomial's per-call overhead:
 ``_cheb_der_matrix`` is chebder's recurrence as a matrix, so the Newton
 steps take q' and q'' from one product per iteration, and ``_even_cheb_table``
-tabulates T_j(2x^2 - 1) on [-1, 1], for the prior pair too, as
-cos(j arccos u), T_0 and T_1 exactly: a fixed number of numpy calls for any
-K, within about 5e-14 of numpy's chebvander recurrence up to K = 60.
+tabulates T_j(2x^2 - 1) on [-1, 1] as cos(j arccos u), T_0 and T_1 exactly:
+a fixed number of numpy calls for any K, within about 5e-14 of numpy's
+chebvander recurrence up to K = 60.
 
-The exchange's linear systems, and the prior pair's in lowerbound, are
-solved through one inverse (``_guarded_solve``), whose Frobenius norm also
-gives the guard: ||A||_F ||A^-1||_F is at least the 2-norm condition number and
-at most n times it for n unknowns, so no SVD is needed to refuse a system
-past _COND_LIMIT.  A singular or non-finite system raises ConditioningError.
+Each exchange system is solved through one inverse, whose Frobenius norm
+also gives the guard: ||A||_F ||A^-1||_F is at least the 2-norm condition
+number and at most n times it for n unknowns, so no SVD is needed to refuse a
+system past _COND_LIMIT.  A singular or non-finite system raises
+ConditioningError.
 """
 
 from __future__ import annotations
@@ -207,38 +207,31 @@ class BestApproxSolution:
         return tuple(x for x, s in zip(self.alternation_points, self.alternation_signs) if s > 0)
 
 
-def _guarded_solve(A: np.ndarray, rhs: np.ndarray, limit: float, what: str) -> tuple[np.ndarray, float]:
-    """x with A x = rhs through one inverse, and the condition estimate ||A||_F ||A^-1||_F.
-
-    For an n-square A that estimate is at least the 2-norm condition number
-    and at most n times it, so a guard on it is never looser than one on the
-    SVD's.  Past ``limit``, non-finite, or exactly singular: ConditioningError.
-    """
-    try:
-        inv = np.linalg.inv(A)
-    except np.linalg.LinAlgError:
-        raise ConditioningError(f"{what} is singular", condition_estimate=math.inf) from None
-    # Python floats: a product past the double range is inf, with no warning
-    cond = math.sqrt(float(np.vdot(A, A)) * float(np.vdot(inv, inv)))
-    if not cond <= limit:   # NaN too
-        raise ConditioningError(
-            f"{what} has condition estimate {cond:.3e}, past the limit {limit:.0e}", condition_estimate=cond
-        )
-    return inv @ rhs, cond
-
-
 def _solve_levelled(ref: np.ndarray, K: int) -> tuple[np.ndarray, float, float]:
     """Solve the exchange system on one reference set.
 
     Finds b_0..b_K and lam with  sum_j b_j T_j(2r_i^2-1) + (-1)^i lam = r_i,
-    so that the error r - p(r) equals (-1)^i * lam on the reference.  Also
-    returns the system's condition estimate ||Phi||_F ||Phi^-1||_F
-    (``_guarded_solve``), which past _COND_LIMIT raises ConditioningError.
+    so that the error r - p(r) equals (-1)^i * lam on the reference, through
+    one inverse of the (K+2)-square system Phi.  Also returns the condition
+    estimate ||Phi||_F ||Phi^-1||_F: at least the 2-norm condition number and
+    at most K + 2 times it, so a guard on it is never looser than one on the
+    SVD's.  Past _COND_LIMIT, non-finite, or exactly singular: ConditioningError.
     """
     phi = np.empty((K + 2, K + 2))
     phi[:, : K + 1] = _even_cheb_table(ref, K)
     phi[:, K + 1] = _ALTERNATING[: K + 2]
-    sol, cond = _guarded_solve(phi, ref, _COND_LIMIT, "exchange system")
+    try:
+        inv = np.linalg.inv(phi)
+    except np.linalg.LinAlgError:
+        raise ConditioningError("exchange system is singular", condition_estimate=math.inf) from None
+    # Python floats: a product past the double range is inf, with no warning
+    cond = math.sqrt(float(np.vdot(phi, phi)) * float(np.vdot(inv, inv)))
+    if not cond <= _COND_LIMIT:   # NaN too
+        raise ConditioningError(
+            f"exchange system has condition estimate {cond:.3e}, past the limit {_COND_LIMIT:.0e}",
+            condition_estimate=cond,
+        )
+    sol = inv @ ref
     return sol[: K + 1], float(sol[K + 1]), cond
 
 

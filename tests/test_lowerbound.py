@@ -1,8 +1,10 @@
 """Prior pairs, chi-square distances, and the constrained risk inequality."""
 
+import dataclasses
 import math
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,7 +13,6 @@ from scipy.integrate import quad
 
 from absmean import lowerbound
 from absmean.errors import (
-    ConditioningError,
     ConstructionError,
     DomainError,
     IntegrationError,
@@ -87,14 +88,46 @@ def test_construct_prior_pair_validation():
             construct_prior_pair(bad)
 
 
-def test_ill_conditioned_prior_system_raises(monkeypatch):
-    # every supported k solves with a guard estimate ||A||_F ||A^-1||_F of at most 56
-    # (condition number at most 10.6); past the limit the construction refuses
-    # instead of returning untrusted weights
-    monkeypatch.setattr(lowerbound, "_COND_LIMIT", 1.0)
+@pytest.mark.parametrize("k", range(2, 81, 2))
+def test_prior_masses_are_the_exact_divided_differences(k):
+    # on the float alternation points 0 = t_0 < ... < t_{K+1}, the mass at |t_j| is
+    # proportional to 1 / prod_{i != j} (u_j - u_i), u = 2t^2 - 1, computed exactly here
+    K = k // 2
+    sol = remez_best_approx(K)
+    t = [Fraction(x) for x in sol.alternation_points[K + 1:]]
+    signs = sol.alternation_signs[K + 1:]
+    exact = [abs(1 / math.prod(2 * (tj - ti) * (tj + ti) for i, ti in enumerate(t) if i != j))
+             for j, tj in enumerate(t)]
+    for prior, sign in zip(construct_prior_pair(k)[:2], (-1, 1)):
+        total = sum(e for e, s in zip(exact, signs) if s == sign)
+        got = {}
+        for pos, w in zip(prior.positions, prior.weights):
+            got[abs(pos)] = got.get(abs(pos), 0.0) + w
+        want = {float(tj): float(e / total) for tj, e, s in zip(t, exact, signs) if s == sign}
+        assert got.keys() == want.keys()
+        for tj, w in want.items():
+            assert math.isclose(got[tj], w, rel_tol=1e-13, abs_tol=0.0), (k, tj)
+
+
+def test_prior_pair_refuses_a_malformed_alternation_set(monkeypatch):
+    # the exchange's own condition guard is covered in test_polyapprox.py; the pair
+    # itself solves no system, and refuses signs that do not alternate like its
+    # divided-difference weights, or points that are not strictly increasing
+    sol = remez_best_approx(2)   # 7 points, the half set 0 < t_1 < t_2 < 1 at indices 3..6
+    signs, points = list(sol.alternation_signs), list(sol.alternation_points)
+    flipped = signs[:5] + [-signs[5]] + signs[6:]
+    repeated = points[:5] + [points[4]] + points[6:]
+    for bad in (dataclasses.replace(sol, alternation_signs=tuple(flipped)),
+                dataclasses.replace(sol, alternation_points=tuple(repeated))):
+        monkeypatch.setattr(lowerbound, "remez_best_approx", lambda K, bad=bad: bad)
+        lowerbound._prior_pair_data.cache_clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConstructionError):
+                construct_prior_pair(4)
+    monkeypatch.undo()
     lowerbound._prior_pair_data.cache_clear()
-    with pytest.raises(ConditioningError):
-        construct_prior_pair(4)
+    assert construct_prior_pair(4)[2] == sol.delta
 
 
 def test_prior_validation():
@@ -108,6 +141,15 @@ def test_prior_validation():
         SymmetricDiscretePrior((), ())
     with pytest.raises(ConstructionError):
         SymmetricDiscretePrior((0.0,), (math.nan,))       # NaN mass
+
+
+def test_prior_refuses_nested_positions_or_weights():
+    for positions, weights in ((((-1.0,), (1.0,)), (0.5, 0.5)),
+                               ((-1.0, 1.0), ((0.5,), (0.5,))),
+                               (((-1.0,), (1.0,)), ((0.5,), (0.5,))),
+                               (1.0, 1.0)):
+        with pytest.raises(ConstructionError, match="one-dimensional and aligned"):
+            SymmetricDiscretePrior(positions, weights)
 
 
 def test_prior_validation_merges_atoms_at_12_decimals():
@@ -364,7 +406,7 @@ def test_tail_bound_dominates_matched_pair_distance(k_n, M):
     assert I1_sq <= chi_square_tail_bound_1d(M, k_n) * (1.0 + 1e-9)
 
 
-@pytest.mark.parametrize(("M", "k_n"), [(0.5, 2), (1.0, 2), (3.0, 4), (5.0, 20), (10.0, 90)])
+@pytest.mark.parametrize(("M", "k_n"), [(0.5, 2), (1.0, 2), (3.0, 4), (5.0, 20), (10.0, 90), (21.7, 1)])
 def test_tail_bound_matches_the_closed_form(M, k_n):
     # sum_{k > k_n} M^{2k}/k! = e^{M^2} - sum_{k <= k_n} M^{2k}/k!, no cancellation here
     m2 = M * M

@@ -11,7 +11,7 @@ from absmean.estimators import EstimatorSpec
 from absmean.harness import AlternationAtoms, CustomVector, RunConfig, Scenario, TwoSpike, render_csv, run_config
 
 # SHA-256 over the float.hex of every record field, for each (k, n, M) below
-_PIPELINE_DIGEST = "352bda2335c0b75b94771697c65308ed67a0816480fe683c9b1633f9e1ab38ee"
+_PIPELINE_DIGEST = "52c509772e86b486555346882be0fde81f8491b2d1e59be15ad2001326a206f0"
 # SHA-256 of render_csv over the reports of _config()
 _REPORT_DIGEST = "84420fb35c7621b9375c128ef5eb0317cc79b0a0320b6c3907e10b3715ca07d3"
 
