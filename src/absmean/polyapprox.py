@@ -13,9 +13,12 @@ Two constructions are provided:
   degree 2K, computed by Remez exchange.  Because |x| and the approximant
   are even, the exchange runs on the half interval [0, 1] against f(x) = x
   in the even-Chebyshev basis T_j(2x^2 - 1), which keeps every linear solve
-  well conditioned.  It starts from the closed-form reference 0 and
-  cos(pi j / (2K + 1/2)), j = 0..K, and levels in 4 iterations for every
-  K >= 2 (158 over K = 1..40).  The best degree-2K error delta_{2K} satisfies
+  well conditioned.  It starts from a committed reference per K
+  (``_exchange_start``): the one on which the exchange run from the closed
+  form 0 and cos(pi j / (2K + 1/2)), j = 0..K, does its last levelling solve.
+  So every K levels in one iteration (40 over K = 1..40; 158 from the closed
+  form) with the same outputs bit for bit, and the loop still certifies each
+  result on the full grid.  The best degree-2K error delta_{2K} satisfies
   2K * delta_{2K} -> 0.280169499 (the Bernstein constant) as K grows.
 
 Numerical note: monomial coefficients of either polynomial grow like 2^{3K},
@@ -49,6 +52,7 @@ from functools import cached_property
 import numpy as np
 from numpy.polynomial.chebyshev import cheb2poly, chebval
 
+from . import _exchange_start
 from .errors import (
     ConditioningError,
     ConvergenceError,
@@ -266,12 +270,11 @@ def _pick_candidates(e: np.ndarray, K: int) -> np.ndarray:
 
 
 def _start_reference(K: int) -> np.ndarray:
-    """The exchange's first reference: 0 and x_j = cos(pi j / (2K + 1/2)), j = 0..K.
+    """The exchange's first reference: K + 2 increasing points of [0, 1], 0.0 and 1.0 exact.
 
-    Written as sin(pi s / 2), like the grid, with s = 0 and
-    s_i = (i - 3/4) / (K + 1/4) for i = 1..K+1, so that 0.0 and 1.0 are exact.
+    A fresh array of the committed ``_exchange_start.REFERENCES[K - 1]``.
     """
-    return np.sin(0.5 * np.pi * np.concatenate(([0.0], (np.arange(1.0, K + 2.0) - 0.75) / (K + 0.25))))
+    return np.array(_exchange_start.REFERENCES[K - 1])
 
 
 def remez_best_approx(K: int) -> BestApproxSolution:
@@ -281,9 +284,10 @@ def remez_best_approx(K: int) -> BestApproxSolution:
     T_j(2x^2 - 1) (``_even_cheb_table``, the cosine form), tabulated once per
     call on _GRID_PER_REF points per reference point at x = sin(pi s / 2),
     s uniform on [0, 1] (clustered toward 1 like the alternation points).
-    The reference starts at the closed form 0 and x_j = cos(pi j / (2K + 1/2)),
-    j = 0..K: K + 2 points, from which every K >= 2 levels in 4 iterations
-    (K = 1 in 2).  Each iteration re-levels the error on the reference and
+    The reference starts at ``_start_reference(K)``, the committed reference
+    of the last levelling solve from the closed form 0 and cos(pi j / (2K + 1/2)),
+    j = 0..K, so every K levels in one iteration (the closed form took 4 for
+    K >= 2, 2 for K = 1).  Each iteration re-levels the error on the reference and
     exchanges it against the extrema of the error curve, one per sign segment
     (fewer than K + 2 segments raise ConvergenceError), until the spread of
     |error| over the new reference is below _REMEZ_TOL * delta.  The largest

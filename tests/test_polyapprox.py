@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import textwrap
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -14,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.polynomial.chebyshev import chebder, chebvander
 from numpy.polynomial.polynomial import polyval
 
-from absmean import lowerbound, polyapprox
+from absmean import _exchange_start, lowerbound, polyapprox
 from absmean.errors import ConditioningError, ConvergenceError, DomainError, RangeError
 from absmean.estimators import approx_coefficients
 from absmean.polyapprox import (
@@ -200,7 +201,7 @@ def test_exchange_diagnostics_are_filled(K):
 def test_the_guard_bounds_the_svd_condition_within_k_plus_2():
     # ||Phi||_F ||Phi^-1||_F lies between the 2-norm condition and K + 2 times it
     for K in range(1, _MAX_REMEZ_K + 1):
-        ref = _start_reference(K)
+        ref = _closed_form_start(K)
         phi = np.column_stack([_even_cheb_table(ref, K), (-1.0) ** np.arange(K + 2)])
         cond, svd = _solve_levelled(ref, K)[2], np.linalg.cond(phi)
         assert svd <= cond <= (K + 2) * svd, K
@@ -349,19 +350,33 @@ def test_fraction_conversion_matches_the_exact_oracle():
 
 
 # SHA-256 over the float.hex of every remez_best_approx(K) output, K = 1..40,
-# taken once the exchange solved through one inverse and a derivative matrix
-_REMEZ_DIGEST = "df3abab12a4c93624c5756a8f13cd935dbadde45af60e188af4d560b474fb262"
+# retaken once the exchange started from the committed table: one iteration
+# each, and max_condition is the final system's estimate
+_REMEZ_DIGEST = "7e90a62017e2d9b5da7c5c641364b12652648c96e48658c3dcfa6f587a2a5b8f"
+# the same without iterations and max_condition, taken while the exchange
+# still started from the closed form; the table start keeps it
+_REMEZ_SOLUTION_DIGEST = "82f4dba6bda3343d0eee5aef6f39d4e5f385a79a5343b373290843326faecfe8"
 
 
-def test_remez_outputs_are_pinned_bit_for_bit():
+def _remez_digest(diagnostics):
     h = hashlib.sha256()
     for K in range(1, 41):
         sol = remez_best_approx(K)
         floats = (sol.delta, *sol.alternation_points, *sol.poly.half_coeffs,
-                  *sol.poly.cheb_half_coeffs, sol.spread, sol.max_condition)
-        ints = (K, sol.iterations, *sol.alternation_signs)
+                  *sol.poly.cheb_half_coeffs, sol.spread)
+        ints = (K, *sol.alternation_signs)
+        if diagnostics:
+            floats, ints = (*floats, sol.max_condition), (K, sol.iterations, *sol.alternation_signs)
         h.update((" ".join(map(float.hex, floats)) + "|" + " ".join(map(str, ints)) + "\n").encode())
-    assert h.hexdigest() == _REMEZ_DIGEST
+    return h.hexdigest()
+
+
+def test_remez_outputs_are_pinned_bit_for_bit():
+    assert _remez_digest(diagnostics=True) == _REMEZ_DIGEST
+
+
+def test_remez_solutions_are_bit_identical_to_the_closed_form_start():
+    assert _remez_digest(diagnostics=False) == _REMEZ_SOLUTION_DIGEST
 
 
 # the exchange as it ran before it started from the truncation error and
@@ -381,8 +396,9 @@ def test_remez_agrees_with_the_anchor_in_fewer_iterations():
         assert "".join("+" if s > 0 else "-" for _, s in half) == want["signs"], K
         assert sol.iterations <= want["iterations"], K
         total += sol.iterations
-        assert sol.iterations == (2 if K == 1 else 4), K
-    assert total <= 158   # 193 from the truncation error, 228 from the extrema of T_{2K+2}
+        assert sol.iterations == 1, K
+    # 158 from the closed-form start, 193 from the truncation error, 228 from the extrema of T_{2K+2}
+    assert total == 40
     # K = 1 keeps every bit
     sol = remez_best_approx(1)
     assert sol.delta.hex() == _ANCHOR["1"]["delta"]
@@ -392,13 +408,13 @@ def test_remez_agrees_with_the_anchor_in_fewer_iterations():
 
 @pytest.mark.parametrize("K", range(1, 41))
 def test_truncation_error_starts_the_exchange_with_k_plus_2_segments(K):
-    # the truncation error |x| - G_K, the exchange's former start, has K + 2
-    # sign segments on the exchange grid; so has the error levelled on the
-    # closed-form start, which starts within 0.3 delta of level
+    # the truncation error |x| - G_K, an earlier start, has K + 2 sign segments
+    # on the exchange grid; so has the error levelled on the closed-form start
+    # that derives the table, which starts within 0.3 delta of level
     grid = _exchange_grid(K)
     vander = _even_cheb_table(grid, K)
     truncation = grid - vander @ np.asarray(build_G_K(K).cheb_half_coeffs)
-    first = grid - vander @ _solve_levelled(_start_reference(K), K)[0]
+    first = grid - vander @ _solve_levelled(_closed_form_start(K), K)[0]
     for e in (truncation, first):
         assert 1 + np.count_nonzero(np.diff(np.where(e >= 0.0, 1, -1))) == K + 2
         assert len(_pick_candidates(e, K)) == K + 2
@@ -406,13 +422,100 @@ def test_truncation_error_starts_the_exchange_with_k_plus_2_segments(K):
 
 
 def test_the_start_is_k_plus_2_increasing_points_with_exact_ends():
+    assert len(_exchange_start.REFERENCES) == _MAX_REMEZ_K
     for K in range(1, _MAX_REMEZ_K + 1):
-        ref = _start_reference(K)
-        assert ref.shape == (K + 2,), K
-        assert np.all(np.diff(ref) > 0.0), K
-        assert ref[0] == 0.0 and ref[-1] == 1.0, K
-        # x_j = cos(pi j / (2K + 1/2)) for j = K..0
+        for ref in (_start_reference(K), _closed_form_start(K)):
+            assert ref.shape == (K + 2,), K
+            assert np.all(np.diff(ref) > 0.0), K
+            assert ref[0] == 0.0 and ref[-1] == 1.0, K
+        # the closed form: x_j = cos(pi j / (2K + 1/2)) for j = K..0
+        ref = _closed_form_start(K)
         assert np.max(np.abs(ref[1:] - np.cos(np.pi * np.arange(K, -1, -1) / (2 * K + 0.5)))) <= 1e-15, K
+    # each call hands out a fresh array
+    _start_reference(3)[1] = 0.25
+    assert _start_reference(3)[1] == _exchange_start.REFERENCES[2][1] != 0.25
+
+
+def _closed_form_start(K):
+    """The reference that derives the table: 0 and x_j = cos(pi j / (2K + 1/2)), j = 0..K.
+
+    Written as sin(pi s / 2), like the grid, with s = 0 and
+    s_i = (i - 3/4) / (K + 1/4) for i = 1..K+1, so that 0.0 and 1.0 are exact.
+    From it every K >= 2 levels in 4 iterations, K = 1 in 2.
+    """
+    return np.sin(0.5 * np.pi * np.concatenate(([0.0], (np.arange(1.0, K + 2.0) - 0.75) / (K + 0.25))))
+
+
+def _last_levelled_references(mp):
+    """For K = 1..40, the reference of the last levelling solve of the exchange
+    run from the closed-form start (patched in through ``mp``, a MonkeyPatch)."""
+    seen = {}
+    solve = polyapprox._solve_levelled
+
+    def spy(ref, K):
+        seen[K] = ref.copy()
+        return solve(ref, K)
+
+    mp.setattr(polyapprox, "_start_reference", _closed_form_start)
+    mp.setattr(polyapprox, "_solve_levelled", spy)
+    for K in range(1, _MAX_REMEZ_K + 1):
+        remez_best_approx(K)
+    return [seen[K] for K in range(1, _MAX_REMEZ_K + 1)]
+
+
+_START_HEADER = '''"""Starting references of the Remez exchange in ``polyapprox.remez_best_approx``.
+
+REFERENCES[K - 1], for K = 1..40, holds the K + 2 increasing points of [0, 1]
+on which the exchange run from the closed-form start 0 and
+cos(pi j / (2K + 1/2)), j = 0..K, does its last levelling solve.  Started
+there, the exchange levels in one iteration, with the same outputs bit for
+bit.  Every literal is a float's repr, which reads back exactly.
+
+Generated; do not edit.  After a change to the exchange, rewrite this file with
+
+    PYTHONPATH=src python tests/test_polyapprox.py
+
+and check it with
+
+    PYTHONPATH=src python -m pytest tests/test_polyapprox.py -k start_table
+"""
+'''
+
+
+def _start_module_text(table):
+    """The text of ``_exchange_start.py`` for the references ``table``, K = 1..40."""
+    rows = []
+    for K, ref in enumerate(table, 1):
+        body = "\n     ".join(textwrap.wrap(", ".join(map(repr, ref.tolist())), width=91))
+        rows.append(f"    # K = {K}\n    ({body}),\n")
+    return _START_HEADER + "\nREFERENCES = (\n" + "".join(rows) + ")\n"
+
+
+def test_the_start_table_is_the_last_levelled_reference_from_the_closed_form(monkeypatch):
+    table = _last_levelled_references(monkeypatch)
+    stale = [K for K, ref in enumerate(table, 1) if _hexes(ref) != _hexes(_exchange_start.REFERENCES[K - 1])]
+    assert not stale, f"the start table is stale at K = {stale[0]} (first of {len(stale)} stale K)"
+    assert Path(_exchange_start.__file__).read_text() == _start_module_text(table)
+
+
+@pytest.mark.parametrize("K", [1, 2, 9, 40])
+@pytest.mark.parametrize("start", ["closed form", "perturbed"])
+def test_the_loop_certifies_a_stale_start(monkeypatch, start, K):
+    # the table only saves iterations: from a stale entry the exchange levels
+    # again on the full grid, to the same delta
+    want = remez_best_approx(K)
+    assert want.iterations == 1
+    ref = np.array(_exchange_start.REFERENCES[K - 1])
+    if start == "closed form":
+        ref = _closed_form_start(K)
+    else:
+        ref[1:-1] += 1e-3 * np.diff(ref)[1:]   # each inner point a little toward the next
+    table = list(_exchange_start.REFERENCES)
+    table[K - 1] = tuple(ref.tolist())
+    monkeypatch.setattr(_exchange_start, "REFERENCES", tuple(table))
+    sol = remez_best_approx(K)
+    assert sol.iterations > 1
+    assert math.isclose(sol.delta, want.delta, rel_tol=1e-12, abs_tol=0.0)
 
 
 def test_too_few_sign_segments_in_the_exchange_raise(monkeypatch):
@@ -471,3 +574,10 @@ def test_pick_candidates_on_error_curves():
         assert np.array_equal(got, _pick_by_argmax(e, K))
     e = np.array([1.0, 3.0, 3.0, -3.0, -3.0, 0.0, 2.0, 2.0])
     assert _pick_candidates(e, 1).tolist() == [1, 3, 6]
+
+
+if __name__ == "__main__":
+    # rewrite src/absmean/_exchange_start.py from the closed-form start
+    with pytest.MonkeyPatch.context() as mp:
+        text = _start_module_text(_last_levelled_references(mp))
+    (Path(__file__).resolve().parents[1] / "src" / "absmean" / "_exchange_start.py").write_text(text)
