@@ -5,7 +5,8 @@ T(theta) = n^{-1} sum_i |theta_i|.  The package provides:
 
 * Hermite polynomial tools (`hermite`): unbiased estimation of mean powers.
 * Polynomial approximation of |x| (`polyapprox`): the Chebyshev truncation
-  and the true minimax polynomial via a Remez exchange.
+  and the true minimax polynomial, read from a committed table that a Remez
+  exchange in the tests derives and certifies.
 * Four estimator variants (`estimators`): bounded means, slowly growing
   bound, fully unbounded via sample splitting, and a sparse-normalized form.
 * Minimax lower bounds (`lowerbound`): least-favorable prior pairs,

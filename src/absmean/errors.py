@@ -52,7 +52,11 @@ class DataError(AbsmeanError, ValueError):
 
 
 class ConvergenceError(AbsmeanError, RuntimeError):
-    """An iterative routine exhausted its iteration budget."""
+    """An iterative routine exhausted its iteration budget.
+
+    Kept as public API (exit code 4).  Only the Remez exchange in
+    tests/remez.py, which derives the committed best approximations, raises it.
+    """
 
     def __init__(self, message: str, last_spread: float | None = None):
         super().__init__(message)
@@ -60,7 +64,11 @@ class ConvergenceError(AbsmeanError, RuntimeError):
 
 
 class ConditioningError(AbsmeanError, RuntimeError):
-    """A linear system is too ill-conditioned to trust."""
+    """A linear system is too ill-conditioned to trust.
+
+    Kept as public API (exit code 4).  Only the Remez exchange in
+    tests/remez.py, which derives the committed best approximations, raises it.
+    """
 
     def __init__(self, message: str, condition_estimate: float | None = None):
         super().__init__(message)

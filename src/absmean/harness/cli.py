@@ -20,7 +20,10 @@ Exit codes:
   3  data errors: unparseable or non-finite observations (an input that is
      not UTF-8 is unparseable), or data on which the series overflows the
      double range
-  4  convergence failures
+  4  convergence failures: IntegrationError from the chi-square
+     quadrature; ConvergenceError and ConditioningError map here too,
+     although only the Remez exchange in tests/remez.py, which derives the
+     committed best approximations, raises them now
 """
 
 from __future__ import annotations
@@ -102,8 +105,6 @@ def _cmd_approx(args) -> int:
     print(f"delta {delta:.17g}")
     if args.best:
         print("alternation " + " ".join(f"{x:.17g}" for x in sol.alternation_points))
-        print(f"exchange: iterations {sol.iterations}, spread {sol.spread:.3g}, "
-              f"max_condition {sol.max_condition:.3g}", file=sys.stderr)
     return 0
 
 

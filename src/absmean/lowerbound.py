@@ -177,7 +177,7 @@ def _prior_pair_data(k: int) -> tuple[SymmetricDiscretePrior, SymmetricDiscreteP
     t = np.asarray(sol.alternation_points[K + 1:])
     signs = np.asarray(sol.alternation_signs[K + 1:], dtype=float)
     if len(t) != K + 2 or t[0] != 0.0 or not np.all(t[1:] > t[:-1]) or t[-1] > 1.0:
-        raise ConstructionError("unexpected alternation structure from the exchange solve")
+        raise ConstructionError("unexpected alternation structure from remez_best_approx")
 
     # On the K + 2 distinct nodes u_j = 2 t_j^2 - 1, the signed measure that annihilates every
     # polynomial of degree <= K in u (so every even one of degree <= k in t) is unique up to

@@ -1,10 +1,9 @@
 """Polynomial approximation of |x|: series construction and the exchange solve."""
 
-import dataclasses
+import functools
 import hashlib
 import json
 import math
-import textwrap
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -15,31 +14,34 @@ from hypothesis import given, settings, strategies as st
 from numpy.polynomial.chebyshev import chebder, chebvander
 from numpy.polynomial.polynomial import polyval
 
-from absmean import _exchange_start, lowerbound, polyapprox
+import remez
+from absmean import _best_approx, lowerbound, polyapprox
 from absmean.errors import ConditioningError, ConvergenceError, DomainError, RangeError
 from absmean.estimators import approx_coefficients
 from absmean.polyapprox import (
-    _COND_LIMIT,
-    _GRID_PER_REF,
     _MAX_GK,
     _MAX_REMEZ_K,
-    _REMEZ_MAX_ITER,
-    _REMEZ_TOL,
-    _cheb_der_matrix,
     _cheb_to_monomial,
-    _even_cheb_table,
-    _pick_candidates,
-    _solve_levelled,
-    _start_reference,
     BERNSTEIN_CONSTANT,
     EvenPolynomial,
-    bernstein_estimate,
     build_G_K,
     coefficient_error,
     remez_best_approx,
     uniform_error,
 )
 from oracles import chebyshev_even_exact, lp_minimax_delta
+from remez import (
+    _COND_LIMIT,
+    _REMEZ_MAX_ITER,
+    _REMEZ_TOL,
+    _cheb_der_matrix,
+    _closed_form_start,
+    _even_cheb_table,
+    _exchange_grid,
+    _pick_candidates,
+    _solve_levelled,
+    remez_exchange,
+)
 
 # grid comparisons sit exactly at the sup in places; one ulp of slack
 ULP = 1.0 + 1e-12
@@ -188,14 +190,20 @@ def test_de_la_vallee_poussin_bracket_on_a_dense_grid(K):
     assert np.min(np.abs(np.abs(pts) - sol.poly(pts))) >= sol.delta * (1.0 - 1e-10)
 
 
+@functools.cache
+def _derived():
+    """remez_exchange(K) from the closed form, K = 1..40: (solution, iterations, max condition)."""
+    return tuple(remez_exchange(K) for K in range(1, _MAX_REMEZ_K + 1))
+
+
 @pytest.mark.parametrize("K", [1, 2, 10, 40])
 def test_exchange_diagnostics_are_filled(K):
-    sol = remez_best_approx(K)
-    assert 1 <= sol.iterations <= _REMEZ_MAX_ITER
+    # the exchange that derives the table reports its run; the table keeps its spread
+    sol, iterations, max_condition = _derived()[K - 1]
+    assert 1 <= iterations <= _REMEZ_MAX_ITER
     assert 0.0 <= sol.spread <= _REMEZ_TOL * sol.delta
-    assert 1.0 <= sol.max_condition <= _COND_LIMIT
-    # diagnostics take no part in equality
-    assert sol == dataclasses.replace(sol, iterations=0, spread=1.0, max_condition=0.0)
+    assert 1.0 <= max_condition <= _COND_LIMIT
+    assert sol == remez_best_approx(K)
 
 
 def test_the_guard_bounds_the_svd_condition_within_k_plus_2():
@@ -217,9 +225,9 @@ def test_singular_or_non_finite_exchange_system_raises_conditioning_error(ref):
 
 
 def test_exchange_past_the_condition_limit_raises(monkeypatch):
-    monkeypatch.setattr(polyapprox, "_COND_LIMIT", 1.0)
+    monkeypatch.setattr(remez, "_COND_LIMIT", 1.0)
     with pytest.raises(ConditioningError) as info:
-        remez_best_approx(3)
+        remez_exchange(3)
     assert info.value.condition_estimate > 1.0
 
 
@@ -252,12 +260,6 @@ def test_error_scaling_toward_reference_constant():
     assert all(0.25 <= s <= 0.30 for s in scaled)
     gaps = [abs(s - BERNSTEIN_CONSTANT) for s in scaled]
     assert all(a > b for a, b in zip(gaps, gaps[1:]))
-
-
-def test_bernstein_estimate_rows():
-    rows = bernstein_estimate([5, 10])
-    assert rows[0][0] == 10 and rows[1][0] == 20
-    assert math.isclose(rows[0][1], 10 * remez_best_approx(5).delta, rel_tol=1e-12)
 
 
 def test_k_range_validation():
@@ -305,10 +307,6 @@ def test_even_cheb_table_is_close_to_chebvander(x, K):
     _assert_table_close(x, K)
 
 
-def _exchange_grid(K):
-    return np.sin(0.5 * np.pi * np.linspace(0.0, 1.0, _GRID_PER_REF * (K + 2) + 1))
-
-
 def test_even_cheb_table_is_close_on_the_exchange_grids_and_alternation_points():
     for K in range(1, _MAX_GK + 1):
         _assert_table_close(_exchange_grid(K), K)
@@ -350,33 +348,28 @@ def test_fraction_conversion_matches_the_exact_oracle():
 
 
 # SHA-256 over the float.hex of every remez_best_approx(K) output, K = 1..40,
-# retaken once the exchange started from the committed table: one iteration
-# each, and max_condition is the final system's estimate
-_REMEZ_DIGEST = "7e90a62017e2d9b5da7c5c641364b12652648c96e48658c3dcfa6f587a2a5b8f"
-# the same without iterations and max_condition, taken while the exchange
-# still started from the closed form; the table start keeps it
+# taken while the library still ran the exchange from the closed form
 _REMEZ_SOLUTION_DIGEST = "82f4dba6bda3343d0eee5aef6f39d4e5f385a79a5343b373290843326faecfe8"
 
 
-def _remez_digest(diagnostics):
+def _remez_digest(solutions):
     h = hashlib.sha256()
-    for K in range(1, 41):
-        sol = remez_best_approx(K)
+    for K, sol in enumerate(solutions, 1):
         floats = (sol.delta, *sol.alternation_points, *sol.poly.half_coeffs,
                   *sol.poly.cheb_half_coeffs, sol.spread)
         ints = (K, *sol.alternation_signs)
-        if diagnostics:
-            floats, ints = (*floats, sol.max_condition), (K, sol.iterations, *sol.alternation_signs)
         h.update((" ".join(map(float.hex, floats)) + "|" + " ".join(map(str, ints)) + "\n").encode())
     return h.hexdigest()
 
 
 def test_remez_outputs_are_pinned_bit_for_bit():
-    assert _remez_digest(diagnostics=True) == _REMEZ_DIGEST
+    # the table read
+    assert _remez_digest(remez_best_approx(K) for K in range(1, _MAX_REMEZ_K + 1)) == _REMEZ_SOLUTION_DIGEST
 
 
 def test_remez_solutions_are_bit_identical_to_the_closed_form_start():
-    assert _remez_digest(diagnostics=False) == _REMEZ_SOLUTION_DIGEST
+    # the exchange that derives the table
+    assert _remez_digest(sol for sol, _, _ in _derived()) == _REMEZ_SOLUTION_DIGEST
 
 
 # the exchange as it ran before it started from the truncation error and
@@ -394,11 +387,12 @@ def test_remez_agrees_with_the_anchor_in_fewer_iterations():
         assert len(half) == len(points), K
         assert np.max(np.abs(np.array([x for x, _ in half]) - points)) <= 1e-12, K
         assert "".join("+" if s > 0 else "-" for _, s in half) == want["signs"], K
-        assert sol.iterations <= want["iterations"], K
-        total += sol.iterations
-        assert sol.iterations == 1, K
+        # the exchange that derives the table, from the closed-form start
+        iterations = _derived()[K - 1][1]
+        assert iterations <= want["iterations"], K
+        total += iterations
     # 158 from the closed-form start, 193 from the truncation error, 228 from the extrema of T_{2K+2}
-    assert total == 40
+    assert total == 158
     # K = 1 keeps every bit
     sol = remez_best_approx(1)
     assert sol.delta.hex() == _ANCHOR["1"]["delta"]
@@ -422,107 +416,73 @@ def test_truncation_error_starts_the_exchange_with_k_plus_2_segments(K):
 
 
 def test_the_start_is_k_plus_2_increasing_points_with_exact_ends():
-    assert len(_exchange_start.REFERENCES) == _MAX_REMEZ_K
+    assert len(_best_approx.SOLUTIONS) == _MAX_REMEZ_K
     for K in range(1, _MAX_REMEZ_K + 1):
-        for ref in (_start_reference(K), _closed_form_start(K)):
+        # the closed form that derives the table, and the table's half alternation set
+        for ref in (_closed_form_start(K), np.asarray(_best_approx.SOLUTIONS[K - 1][3])):
             assert ref.shape == (K + 2,), K
             assert np.all(np.diff(ref) > 0.0), K
             assert ref[0] == 0.0 and ref[-1] == 1.0, K
         # the closed form: x_j = cos(pi j / (2K + 1/2)) for j = K..0
         ref = _closed_form_start(K)
         assert np.max(np.abs(ref[1:] - np.cos(np.pi * np.arange(K, -1, -1) / (2 * K + 0.5)))) <= 1e-15, K
-    # each call hands out a fresh array
-    _start_reference(3)[1] = 0.25
-    assert _start_reference(3)[1] == _exchange_start.REFERENCES[2][1] != 0.25
 
 
-def _closed_form_start(K):
-    """The reference that derives the table: 0 and x_j = cos(pi j / (2K + 1/2)), j = 0..K.
-
-    Written as sin(pi s / 2), like the grid, with s = 0 and
-    s_i = (i - 3/4) / (K + 1/4) for i = 1..K+1, so that 0.0 and 1.0 are exact.
-    From it every K >= 2 levels in 4 iterations, K = 1 in 2.
-    """
-    return np.sin(0.5 * np.pi * np.concatenate(([0.0], (np.arange(1.0, K + 2.0) - 0.75) / (K + 0.25))))
+def _record(sol):
+    """Every stored value of a solution, floats as float.hex, and its signs."""
+    floats = (sol.delta, sol.spread, *sol.poly.cheb_half_coeffs, *sol.alternation_points)
+    return [float(v).hex() for v in floats], list(sol.alternation_signs)
 
 
-def _last_levelled_references(mp):
-    """For K = 1..40, the reference of the last levelling solve of the exchange
-    run from the closed-form start (patched in through ``mp``, a MonkeyPatch)."""
-    seen = {}
-    solve = polyapprox._solve_levelled
+def test_the_table_is_what_the_exchange_derives_from_the_closed_form():
+    derived = [sol for sol, _, _ in _derived()]
+    stale = [K for K, sol in enumerate(derived, 1) if _record(sol) != _record(remez_best_approx(K))]
+    assert not stale, f"the best-approximation table is stale at K = {stale[0]} (first of {len(stale)} stale K)"
+    assert Path(_best_approx.__file__).read_text() == remez.module_text(derived)
 
-    def spy(ref, K):
-        seen[K] = ref.copy()
-        return solve(ref, K)
 
-    mp.setattr(polyapprox, "_start_reference", _closed_form_start)
-    mp.setattr(polyapprox, "_solve_levelled", spy)
+def test_every_stored_delta_is_certified_within_0_7_percent():
+    # Below, de la Vallee Poussin: the error alternates in sign at the K + 2 half
+    # points, so the best error E_K is at least min |e(t_j)|.  Above, Bernstein:
+    # with t = (1 + cos phi) / 2 the error is a trigonometric polynomial of degree
+    # 2K in phi, so on angles h apart E_K <= max |e| <= grid max / (1 - K h).
+    phi = np.linspace(0.0, np.pi, 20001)
+    h = np.pi / 20000
+    t = 0.5 * (1.0 + np.cos(phi))
     for K in range(1, _MAX_REMEZ_K + 1):
-        remez_best_approx(K)
-    return [seen[K] for K in range(1, _MAX_REMEZ_K + 1)]
-
-
-_START_HEADER = '''"""Starting references of the Remez exchange in ``polyapprox.remez_best_approx``.
-
-REFERENCES[K - 1], for K = 1..40, holds the K + 2 increasing points of [0, 1]
-on which the exchange run from the closed-form start 0 and
-cos(pi j / (2K + 1/2)), j = 0..K, does its last levelling solve.  Started
-there, the exchange levels in one iteration, with the same outputs bit for
-bit.  Every literal is a float's repr, which reads back exactly.
-
-Generated; do not edit.  After a change to the exchange, rewrite this file with
-
-    PYTHONPATH=src python tests/test_polyapprox.py
-
-and check it with
-
-    PYTHONPATH=src python -m pytest tests/test_polyapprox.py -k start_table
-"""
-'''
-
-
-def _start_module_text(table):
-    """The text of ``_exchange_start.py`` for the references ``table``, K = 1..40."""
-    rows = []
-    for K, ref in enumerate(table, 1):
-        body = "\n     ".join(textwrap.wrap(", ".join(map(repr, ref.tolist())), width=91))
-        rows.append(f"    # K = {K}\n    ({body}),\n")
-    return _START_HEADER + "\nREFERENCES = (\n" + "".join(rows) + ")\n"
-
-
-def test_the_start_table_is_the_last_levelled_reference_from_the_closed_form(monkeypatch):
-    table = _last_levelled_references(monkeypatch)
-    stale = [K for K, ref in enumerate(table, 1) if _hexes(ref) != _hexes(_exchange_start.REFERENCES[K - 1])]
-    assert not stale, f"the start table is stale at K = {stale[0]} (first of {len(stale)} stale K)"
-    assert Path(_exchange_start.__file__).read_text() == _start_module_text(table)
+        sol = remez_best_approx(K)
+        half = np.asarray(sol.alternation_points[K + 1 :])
+        e = half - sol.poly(half)
+        assert np.array_equal(np.sign(e), (-1.0) ** np.arange(1, K + 3)), K
+        lower = float(np.min(np.abs(e)))
+        upper = float(np.max(np.abs(t - sol.poly(t)))) / (1.0 - K * h)
+        assert lower <= sol.delta * (1.0 + 1e-12), K
+        assert sol.delta <= upper, K
+        assert upper - lower <= 0.007 * sol.delta, K
 
 
 @pytest.mark.parametrize("K", [1, 2, 9, 40])
 @pytest.mark.parametrize("start", ["closed form", "perturbed"])
-def test_the_loop_certifies_a_stale_start(monkeypatch, start, K):
-    # the table only saves iterations: from a stale entry the exchange levels
-    # again on the full grid, to the same delta
+def test_the_loop_certifies_a_stale_start(start, K):
+    # from the closed form, or from the table's half points with each inner point
+    # moved 1e-3 of the way to the next, the exchange levels again on the full
+    # grid, to the stored delta
     want = remez_best_approx(K)
-    assert want.iterations == 1
-    ref = np.array(_exchange_start.REFERENCES[K - 1])
     if start == "closed form":
         ref = _closed_form_start(K)
     else:
-        ref[1:-1] += 1e-3 * np.diff(ref)[1:]   # each inner point a little toward the next
-    table = list(_exchange_start.REFERENCES)
-    table[K - 1] = tuple(ref.tolist())
-    monkeypatch.setattr(_exchange_start, "REFERENCES", tuple(table))
-    sol = remez_best_approx(K)
-    assert sol.iterations > 1
+        ref = np.array(want.alternation_points[K + 1 :])
+        ref[1:-1] += 1e-3 * np.diff(ref)[1:]
+    sol, iterations, _ = remez_exchange(K, ref)
+    assert iterations > 1
     assert math.isclose(sol.delta, want.delta, rel_tol=1e-12, abs_tol=0.0)
 
 
 def test_too_few_sign_segments_in_the_exchange_raise(monkeypatch):
     # the loop refuses an error curve with fewer than K + 2 sign segments
-    monkeypatch.setattr(polyapprox, "_pick_candidates", lambda e, K: np.arange(K + 1))
+    monkeypatch.setattr(remez, "_pick_candidates", lambda e, K: np.arange(K + 1))
     with pytest.raises(ConvergenceError, match="only 4 sign segments, need 5") as info:
-        remez_best_approx(3)
+        remez_exchange(3)
     assert info.value.last_spread == math.inf
 
 
@@ -575,9 +535,3 @@ def test_pick_candidates_on_error_curves():
     e = np.array([1.0, 3.0, 3.0, -3.0, -3.0, 0.0, 2.0, 2.0])
     assert _pick_candidates(e, 1).tolist() == [1, 3, 6]
 
-
-if __name__ == "__main__":
-    # rewrite src/absmean/_exchange_start.py from the closed-form start
-    with pytest.MonkeyPatch.context() as mp:
-        text = _start_module_text(_last_levelled_references(mp))
-    (Path(__file__).resolve().parents[1] / "src" / "absmean" / "_exchange_start.py").write_text(text)
