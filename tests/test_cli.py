@@ -14,6 +14,7 @@ import pytest
 import absmean
 from absmean.errors import ConvergenceError
 from absmean.harness.cli import main
+from absmean.polyapprox import remez_best_approx
 
 
 def _write_data(tmp_path, values, name="data.txt"):
@@ -44,17 +45,26 @@ def test_approx_chebyshev_K1(capsys):
     assert float(lines[2].split()[1]) == pytest.approx(2.0 / (3.0 * math.pi), rel=1e-12)
 
 
+@pytest.mark.parametrize("K", [1, 3, 12])
+def test_approx_best_prints_exchange_diagnostics_on_stderr_only(capsys, K):
+    # --best used to run the exchange and print its diagnostics on stderr.
+    # It now reads the committed table, which describes no run, so stderr is
+    # empty and stdout is the table's solution, byte for byte as before.
+    assert main(["approx", "--K", str(K), "--best"]) == 0
+    out, err = capsys.readouterr()
+    sol = remez_best_approx(K)
+    if K == 1:
+        assert out == "0 0.125\n2 1\ndelta 0.125\nalternation -1 -0.5 0 0.5 1\n"
+    assert out.count("\n") == K + 3 and "exchange" not in out
+    lines = out.split("\n")
+    assert lines[K + 1] == f"delta {sol.delta:.17g}"
+    assert lines[K + 2] == "alternation " + " ".join(f"{x:.17g}" for x in sol.alternation_points)
+    assert err == ""
+
+
 def test_approx_chebyshev_writes_nothing_to_stderr(capsys):
     assert main(["approx", "--K", "4"]) == 0
     assert capsys.readouterr().err == ""
-    # nor does --best, which reads the committed table: K + 1 coefficients,
-    # delta and the alternation line on stdout
-    for K in (1, 3, 12):
-        assert main(["approx", "--K", str(K), "--best"]) == 0
-        out, err = capsys.readouterr()
-        if K == 1:
-            assert out == "0 0.125\n2 1\ndelta 0.125\nalternation -1 -0.5 0 0.5 1\n"
-        assert out.count("\n") == K + 3 and err == ""
 
 
 def test_approx_rejects_out_of_range_K(capsys):
