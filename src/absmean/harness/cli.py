@@ -76,8 +76,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--M", type=float, default=1.0, help="mean bound for the bounded variant")
     p.add_argument("--K", type=int, default=None, help="series cutoff override")
     p.add_argument("--kn", type=int, default=None, help="support size for the sparse variant")
-    p.add_argument("--seed", type=int, default=0, help="seed for the sample-splitting draw")
-    p.add_argument("--c", type=float, default=2.0, help="radius constant for the growing variant")
+    p.add_argument("--seed", type=int, default=EstimatorSpec.seed, help="seed for the sample-splitting draw")
+    p.add_argument("--c", type=float, default=EstimatorSpec.c, help="radius constant for the growing variant")
     p.add_argument("--basis", choices=["best", "chebyshev"], default=None)
 
     p = sub.add_parser("risk", help="run scenarios from a JSON config")

@@ -10,7 +10,7 @@ Configurations come from JSON documents; the schema is in the package README.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -111,12 +111,14 @@ class CustomVector:
 
 # Each family's add_to(y, rng) adds its theta in place to y, a float64 vector of
 # a length _check_fit accepts, and returns mean |theta|; only random families draw.
-FAMILIES = (ZeroVector, ConstantAt, AlternationAtoms, TwoSpike, CustomVector)
+# The keys are the JSON config's family kinds.
+FAMILIES = {"zero": ZeroVector, "constant": ConstantAt, "alternation": AlternationAtoms,
+            "two_spike": TwoSpike, "custom": CustomVector}
 
 
 def _check_fit(family, n: int) -> None:
     """Raise DomainError unless `family` is one of FAMILIES and fits length n."""
-    if not isinstance(family, FAMILIES):
+    if not isinstance(family, tuple(FAMILIES.values())):
         raise DomainError(f"unknown theta family {family!r}")
     if isinstance(family, TwoSpike) and family.count > n:
         raise DomainError(f"spike count {family.count} exceeds n = {n}")
@@ -187,71 +189,54 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 # JSON configuration
 
-_FAMILY_KINDS = {
-    "zero": (ZeroVector, ()),
-    "constant": (ConstantAt, ("value",)),
-    "alternation": (AlternationAtoms, ("k", "M", "prior")),
-    "two_spike": (TwoSpike, ("count", "value")),
-    "custom": (CustomVector, ("values",)),
-}
+# The JSON keys are the dataclass fields, but for these two names.
+_JSON_NAMES = {"K_override": "K", "k_n": "kn"}
+
+
+def _build(cls, obj, what: str, **parse):
+    """`cls` from the JSON object `obj`, whose keys are the JSON names of cls's
+    fields; a field with no default is required, and parse[field] turns a
+    nested value into the field's value."""
+    if not isinstance(obj, dict):
+        raise DomainError(f"{what} must be a JSON object")
+    keys = {_JSON_NAMES.get(f.name, f.name): f for f in fields(cls)}
+    extra = set(obj) - set(keys)
+    if extra:
+        raise DomainError(f"unexpected keys {sorted(extra)} in {what}")
+    missing = [key for key, f in keys.items() if key not in obj and f.default is MISSING]
+    if missing:
+        raise DomainError(f"{what} missing keys {missing}")
+    return cls(**{f.name: parse[f.name](obj[key]) if f.name in parse else obj[key]
+                  for key, f in keys.items() if key in obj})
+
+
+def _tuple_of(name: str, item=lambda value: value):
+    """Parser of a JSON list field into a tuple of item(entry)."""
+    def parse(value) -> tuple:
+        if not isinstance(value, list):
+            raise DomainError(f"{name!r} must be a list")
+        return tuple(item(entry) for entry in value)
+    return parse
 
 
 def _parse_family(obj) -> object:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise DomainError("family must be an object with a 'kind' key")
     kind = obj["kind"]
-    if not isinstance(kind, str) or kind not in _FAMILY_KINDS:
-        raise DomainError(f"unknown family kind {kind!r}; expected one of {sorted(_FAMILY_KINDS)}")
-    cls, fields = _FAMILY_KINDS[kind]
-    extra = set(obj) - {"kind"} - set(fields)
-    if extra:
-        raise DomainError(f"unexpected keys {sorted(extra)} in family {kind!r}")
-    kwargs = {k: obj[k] for k in fields if k in obj}
-    if kind == "custom":
-        if not isinstance(kwargs.get("values"), list):
-            raise DomainError("custom family needs a 'values' list")
-        kwargs["values"] = tuple(kwargs["values"])
-    try:
-        return cls(**kwargs)
-    except TypeError as e:
-        raise DomainError(f"bad family {kind!r}: {e}") from e
+    if not isinstance(kind, str) or kind not in FAMILIES:
+        raise DomainError(f"unknown family kind {kind!r}; expected one of {sorted(FAMILIES)}")
+    params = {key: value for key, value in obj.items() if key != "kind"}
+    return _build(FAMILIES[kind], params, f"family {kind!r}", values=_tuple_of("values"))
 
 
 def _parse_estimator(obj) -> EstimatorSpec:
-    if not isinstance(obj, dict) or "variant" not in obj:
-        raise DomainError("estimator must be an object with a 'variant' key")
-    if "seed" in obj:
+    if isinstance(obj, dict) and "seed" in obj:
         raise DomainError("the estimator takes no 'seed' key: the run seed drives the sample split")
-    extra = set(obj) - {"variant", "M", "K", "basis", "kn", "c"}
-    if extra:
-        raise DomainError(f"unexpected keys {sorted(extra)} in estimator")
-    return EstimatorSpec(
-        variant=obj["variant"],
-        M=obj.get("M"),
-        K_override=obj.get("K"),
-        basis=obj.get("basis"),
-        k_n=obj.get("kn"),
-        c=obj.get("c", 2.0),
-    )
+    return _build(EstimatorSpec, obj, "estimator")
 
 
 def _parse_scenario(obj) -> Scenario:
-    if not isinstance(obj, dict):
-        raise DomainError("each scenario must be a JSON object")
-    required = {"id", "family", "n", "replications", "estimator"}
-    missing = required - set(obj)
-    if missing:
-        raise DomainError(f"scenario missing keys {sorted(missing)}")
-    extra = set(obj) - required
-    if extra:
-        raise DomainError(f"unexpected keys {sorted(extra)} in scenario")
-    return Scenario(
-        id=obj["id"],
-        family=_parse_family(obj["family"]),
-        n=obj["n"],
-        replications=obj["replications"],
-        estimator=_parse_estimator(obj["estimator"]),
-    )
+    return _build(Scenario, obj, "scenario", family=_parse_family, estimator=_parse_estimator)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -260,25 +245,7 @@ def parse_config(text: str) -> RunConfig:
         doc = json.loads(text)
     except ValueError as e:   # also an integer past Python's digit limit
         raise DomainError(f"config is not valid JSON: {e}") from e
-    if not isinstance(doc, dict):
-        raise DomainError("config must be a JSON object")
-    allowed = {"scenarios", "seed", "output_path", "format", "workers", "compliance_slack"}
-    extra = set(doc) - allowed
-    if extra:
-        raise DomainError(f"unexpected config keys {sorted(extra)}")
-    for key in ("scenarios", "seed", "output_path"):
-        if key not in doc:
-            raise DomainError(f"config missing required key {key!r}")
-    if not isinstance(doc["scenarios"], list):
-        raise DomainError("'scenarios' must be a list")
-    return RunConfig(
-        scenarios=tuple(_parse_scenario(s) for s in doc["scenarios"]),
-        seed=doc["seed"],
-        output_path=doc["output_path"],
-        format=doc.get("format", "csv"),
-        workers=doc.get("workers", 1),
-        compliance_slack=doc.get("compliance_slack", 2.0),
-    )
+    return _build(RunConfig, doc, "config", scenarios=_tuple_of("scenarios", _parse_scenario))
 
 
 def load_config(path: str) -> RunConfig:

@@ -12,7 +12,10 @@ unbiased estimators of pure powers of the mean.  The exact second moment
     E H_k(X)^2 = k! * sum_{j=0..k} C(k, j) mu^{2j} / j!
 
 gives the variance control; it is bounded by e^{mu^2} k^k in general and by
-(2 M^2)^k when |mu| <= M with M^2 >= k.
+(2 M^2)^k when |mu| <= M with M^2 >= k.  `hermite_second_moment` sums it
+directly: no term is negative, so no partial sum exceeds the result, and
+it raises RangeError exactly where the result leaves the double range
+(always for k > 170, where k! alone does).
 
 Every function here takes degrees up to MAX_DEGREE and raises
 DegreeOverflowError past it.  `hermite_eval` and `hermite_eval_batch`
@@ -35,12 +38,6 @@ from numpy.polynomial.hermite_e import hermevander
 from .errors import DegreeOverflowError, DomainError, RangeError, check_int, check_real, check_real_array
 
 MAX_DEGREE = 200
-
-_MAX_FLOAT = np.finfo(np.float64).max
-_LOG_MAX_FLOAT = math.log(_MAX_FLOAT)
-# switch the second-moment accumulation to log-space before intermediates
-# can overflow
-_DIRECT_LIMIT = 1e300
 
 
 def _check_degree(k: int) -> int:
@@ -81,40 +78,20 @@ def hermite_eval_batch(k_max: int, y) -> np.ndarray:
 def hermite_second_moment(k: int, mu: float) -> float:
     """Exact E H_k(X)^2 for X ~ N(mu, 1).
 
-    Uses the closed form k! * sum_j C(k,j) mu^{2j} / j!, accumulated
-    multiplicatively; switches to log-space (logsumexp) if any intermediate
-    would exceed the direct-evaluation range.  Raises RangeError when even
-    the final value overflows double precision.
+    Sums the closed form k! * sum_j C(k,j) mu^{2j} / j! term by term.  No
+    term is negative, so the running total is the largest number formed and
+    overflows only when the result does; RangeError then.
     """
     k = _check_degree(k)
     mu = check_real("mu", mu)
-
-    if k <= 170:  # k! representable, try the direct accumulation
-        term = float(math.factorial(k))
-        total = term
+    total = math.inf
+    if k <= 170:   # past that, the j = 0 term k! alone leaves the double range
+        term = total = float(math.factorial(k))
         mu2 = mu * mu
-        ok = True
         for j in range(k):
             # term ratio: C(k,j+1)/C(k,j) * mu^2 * j!/(j+1)! = mu^2 (k-j)/(j+1)^2
             term *= mu2 * (k - j) / ((j + 1) * (j + 1))
             total += term
-            if total > _DIRECT_LIMIT:
-                ok = False
-                break
-        if ok:
-            return total
-
-    # log-space path
-    if mu == 0.0:
-        log_terms = [math.lgamma(k + 1)]
-    else:
-        log_mu2 = 2.0 * math.log(abs(mu))
-        log_terms = []
-        for j in range(k + 1):
-            log_c = math.lgamma(k + 1) - math.lgamma(j + 1) - math.lgamma(k - j + 1)
-            log_terms.append(log_c + j * log_mu2 + math.lgamma(k + 1) - math.lgamma(j + 1))
-    peak = max(log_terms)
-    log_total = peak + math.log(sum(math.exp(t - peak) for t in log_terms))
-    if log_total > _LOG_MAX_FLOAT:
+    if not math.isfinite(total):
         raise RangeError(f"second moment overflows double range for k={k}, mu={mu}")
-    return math.exp(log_total)
+    return total

@@ -567,8 +567,8 @@ def lower_bound_pipeline(n: int, M: float, k_n: int | None = None) -> dict:
 
     Returns the record emitted by the command-line `lowerbound` subcommand:
     keys k_n, delta_k, m_gap, v0_sq, I, bound_value.  The arguments are
-    checked first (k_n even in 2..80, default select_kn_bounded(n); M a
-    finite real > 0; n an integer in 1..MAX_N).  The priors, their moments,
+    checked first (k_n even in 2..80, default select_kn_bounded(n), which
+    passes 80 from n = 1e143; M a finite real > 0; n an integer in 1..MAX_N).  The priors, their moments,
     delta_k, I_1^2 and its tail bound depend on (k_n, M) alone and are
     computed once per pair; n enters through v0^2 = Var / n and the product
     identity.  Where I_1^2 is at the roundoff floor, the smaller of it and
@@ -576,6 +576,9 @@ def lower_bound_pipeline(n: int, M: float, k_n: int | None = None) -> dict:
     """
     if k_n is None:
         k_n = select_kn_bounded(n)
+        if k_n > 80:
+            raise DomainError(f"select_kn_bounded(n) = {k_n} at n = {n:.6g} exceeds the largest prior "
+                              "order 80; pass k_n")
     k_n = _check_k(k_n)
     M = check_real("M", M, above=0.0)
     n = check_int("n", n, 1, MAX_N)

@@ -80,10 +80,6 @@ class EvenPolynomial:
     def half_coeffs(self) -> tuple[float, ...]:
         return tuple(_cheb_to_monomial(np.asarray(self.cheb_half_coeffs, dtype=np.float64)).tolist())
 
-    @property
-    def degree(self) -> int:
-        return 2 * (len(self.half_coeffs) - 1)
-
     def __call__(self, x):
         """p(x) at finite real x (DomainError otherwise); RangeError where it overflows."""
         arr = check_real_array("x", x)

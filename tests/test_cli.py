@@ -13,6 +13,7 @@ import pytest
 
 import absmean
 from absmean.errors import ConvergenceError
+from absmean.harness import parse_config
 from absmean.harness.cli import main
 from absmean.polyapprox import remez_best_approx
 
@@ -395,6 +396,17 @@ def test_lowerbound_bad_kn(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_lowerbound_default_kn_past_80_names_the_rule(capsys):
+    # select_kn_bounded(n) passes 80 from n = 1e143; the caller passed no k_n, so the
+    # error names the rule and its value instead of an argument k
+    assert main(["lowerbound", "--n", str(10**200), "--M", "1.0"]) == 2
+    err = capsys.readouterr().err
+    assert "select_kn_bounded(n) = 106" in err and "pass k_n" in err and "k must be" not in err
+    assert main(["lowerbound", "--n", str(10**142), "--M", "1.0"]) == 0
+    assert json.loads(capsys.readouterr().out)["k_n"] == 80
+    assert main(["lowerbound", "--n", str(10**200), "--M", "1.0", "--kn", "80"]) == 0
+
+
 # ---------------------------------------------------------------------------
 # selftest
 
@@ -416,16 +428,28 @@ def test_library_and_cli_load_without_scipy():
     assert out.stdout.strip() == "False"
 
 
-def test_readme_quick_start_runs_on_the_package_surface(capsys):
-    # the README's library example runs as written, importing only names in absmean.__all__
+def _readme_block(pattern: str) -> str:
     readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
     with open(readme, encoding="utf-8") as f:
-        block = re.search(r"## Library quick start\s+```python\n(.*?)```", f.read(), re.S)
+        block = re.search(pattern, f.read(), re.S)
     assert block is not None
-    tree = ast.parse(block.group(1))
+    return block.group(1)
+
+
+def test_readme_quick_start_runs_on_the_package_surface(capsys):
+    # the README's library example runs as written, importing only names in absmean.__all__
+    tree = ast.parse(_readme_block(r"## Library quick start\s+```python\n(.*?)```"))
     imported = {alias.name for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom) and node.module == "absmean" for alias in node.names}
     assert imported and imported <= set(absmean.__all__)
     exec(compile(tree, "README.md", "exec"), {})
     printed = capsys.readouterr().out.split()
     assert len(printed) == 4 and all(math.isfinite(float(v)) for v in printed)
+
+
+def test_readme_risk_configuration_parses_as_written():
+    # the documented config is a document parse_config accepts, so the README's
+    # schema cannot drift from the dataclasses it is read into
+    cfg = parse_config(_readme_block(r"### Risk configuration\n.*?```json\n(.*?)```"))
+    assert [s.id for s in cfg.scenarios] == ["zero-bounded", "spikes"]
+    assert cfg.scenarios[1].estimator.k_n == 8 and cfg.workers == 2

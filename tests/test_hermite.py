@@ -77,12 +77,13 @@ def test_second_moment_matches_exact_formula(k, mu):
     assert math.isclose(hermite_second_moment(k, mu), exact, rel_tol=1e-12)
 
 
-def test_second_moment_log_space_branch():
-    # k=170, mu=1/8: the running term passes the direct-evaluation limit, so
-    # the log-space branch produces the value; the result still fits a double.
+def test_second_moment_near_the_double_limit_sums_directly():
+    # k=170, mu=1/8: the total passes 1e300 and still fits a double; every
+    # term is positive, so the direct sum is exact to rounding this close to
+    # the overflow.
     val = hermite_second_moment(170, 0.125)
     exact = hermite_second_moment_exact(170, Fraction(1, 8))
-    assert math.isfinite(val)
+    assert 1e300 < val < math.inf
     assert math.isclose(val, float(exact), rel_tol=1e-10)
 
 
