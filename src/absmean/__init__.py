@@ -23,9 +23,7 @@ __version__ = "0.1.0"
 
 from .errors import (
     AbsmeanError,
-    ConditioningError,
     ConstructionError,
-    ConvergenceError,
     DataError,
     DegreeOverflowError,
     DomainError,
@@ -49,9 +47,7 @@ from .lowerbound import construct_prior_pair, lower_bound_pipeline, scale_prior,
 
 __all__ = [
     "AbsmeanError",
-    "ConditioningError",
     "ConstructionError",
-    "ConvergenceError",
     "DataError",
     "DegreeOverflowError",
     "DomainError",

@@ -14,6 +14,10 @@ double holds; a count that sizes an array or a loop is at most MAX_COUNT,
 numpy's largest index.  Observation vectors are data, not
 arguments: non-numeric, complex, ragged, 2-d or empty observations raise
 DataError, and a non-finite one raises DataError with its index.
+
+The command line maps DataError and RangeError (a result past the double
+range) to exit 3, IntegrationError (the chi-square quadrature) to exit 4,
+and every other AbsmeanError to exit 2.
 """
 
 from __future__ import annotations
@@ -49,30 +53,6 @@ class DataError(AbsmeanError, ValueError):
     def __init__(self, message: str, index: int | None = None):
         super().__init__(message)
         self.index = index
-
-
-class ConvergenceError(AbsmeanError, RuntimeError):
-    """An iterative routine exhausted its iteration budget.
-
-    Kept as public API (exit code 4).  Only the Remez exchange in
-    tests/remez.py, which derives the committed best approximations, raises it.
-    """
-
-    def __init__(self, message: str, last_spread: float | None = None):
-        super().__init__(message)
-        self.last_spread = last_spread
-
-
-class ConditioningError(AbsmeanError, RuntimeError):
-    """A linear system is too ill-conditioned to trust.
-
-    Kept as public API (exit code 4).  Only the Remez exchange in
-    tests/remez.py, which derives the committed best approximations, raises it.
-    """
-
-    def __init__(self, message: str, condition_estimate: float | None = None):
-        super().__init__(message)
-        self.condition_estimate = condition_estimate
 
 
 class IntegrationError(AbsmeanError, RuntimeError):

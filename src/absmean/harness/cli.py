@@ -17,13 +17,12 @@ Exit codes:
      be read (a directory, no read permission, or for risk a config that is
      not UTF-8); for risk, also an output_path whose directory is missing or
      unwritable, or that names a directory, checked before any scenario runs
-  3  data errors: unparseable or non-finite observations (an input that is
-     not UTF-8 is unparseable), or data on which the series overflows the
-     double range
-  4  convergence failures: IntegrationError from the chi-square
-     quadrature; ConvergenceError and ConditioningError map here too,
-     although only the Remez exchange in tests/remez.py, which derives the
-     committed best approximations, raises them now
+  3  data errors (DataError, RangeError): unparseable or non-finite
+     observations (an input that is not UTF-8 is unparseable), data on
+     which the series overflows the double range, or for risk a report
+     bound past the double range, checked before any scenario runs
+  4  IntegrationError: the chi-square quadrature missed its tolerance or
+     needs more panels than it evaluates
 """
 
 from __future__ import annotations
@@ -36,14 +35,7 @@ import warnings
 
 import numpy as np
 
-from ..errors import (
-    AbsmeanError,
-    ConditioningError,
-    ConvergenceError,
-    DataError,
-    IntegrationError,
-    RangeError,
-)
+from ..errors import AbsmeanError, DataError, IntegrationError, RangeError
 from ..estimators import VARIANTS, EstimatorSpec, run_estimator
 from ..lowerbound import lower_bound_pipeline
 from ..polyapprox import build_G_K, remez_best_approx, uniform_error
@@ -181,7 +173,7 @@ def main(argv=None) -> int:
         if args.command == "lowerbound":
             return _cmd_lowerbound(args)
         return 0 if run_selftest() else 1
-    except (ConvergenceError, ConditioningError, IntegrationError) as e:
+    except IntegrationError as e:
         print(f"error: {e}", file=sys.stderr)
         return 4
     except (DataError, RangeError) as e:

@@ -46,7 +46,7 @@ from functools import lru_cache
 import numpy as np
 
 from .. import __version__
-from ..errors import MAX_COUNT, AbsmeanError, DomainError, check_int, check_real
+from ..errors import MAX_COUNT, AbsmeanError, DomainError, RangeError, check_int, check_real
 from ..estimators import EstimatorSpec, resolve_parameters, run_estimator
 from ..polyapprox import build_G_K, coefficient_error, remez_best_approx
 # derive_seed and draw_theta are unused here but stay importable: perfbench/session.py traces this module's names
@@ -97,8 +97,23 @@ def analytic_bounds(spec: EstimatorSpec, n: int) -> tuple[float, float]:
               |x|-branch excess E|N(mu,1)| - |mu| < 1; var: 2 (ln n)^5 / sqrt(n).
     sparse    same shapes scaled by n/k_n (the renormalized sum has k_n in
               the denominator but n noisy coordinates).
+    A bound past the double range raises RangeError (e^{M^2} alone passes
+    it from M = 26.64).
     """
     K, M = resolve_parameters(spec, n)
+    try:
+        bounds = _variant_bounds(spec, n, K, M)
+    except OverflowError:   # math.exp(M * M) past the double range
+        bounds = (math.inf, math.inf)
+    if not all(map(math.isfinite, bounds)):
+        raise RangeError(
+            f"the {spec.variant} variant's analytic bounds pass the double range "
+            f"at K = {K}, M = {M:g}, n = {n}"
+        )
+    return bounds
+
+
+def _variant_bounds(spec: EstimatorSpec, n: int, K: int, M: float) -> tuple[float, float]:
     series = M * _series_error(K, spec.resolved_basis)
     if spec.variant == "bounded":
         return series, 2.0 * math.exp(M * M) * 2.0 ** (8 * K) * float(K) ** (2 * K) / n
@@ -156,7 +171,7 @@ def _run_block(task) -> list[tuple[float, float]]:
     return out
 
 
-def _report(s: Scenario, rows: list[tuple[float, float]]) -> RiskReport:
+def _report(s: Scenario, rows: list[tuple[float, float]], bias_bound: float, var_bound: float) -> RiskReport:
     R = s.replications
     estimates, truths = np.array(rows).T
     errors = estimates - truths
@@ -165,7 +180,6 @@ def _report(s: Scenario, rows: list[tuple[float, float]]) -> RiskReport:
     variance = max(mse - bias * bias, 0.0)
     mc_stderr = float(np.std(errors ** 2, ddof=1) / math.sqrt(R))
     K, M = resolve_parameters(s.estimator, s.n)
-    bias_bound, var_bound = analytic_bounds(s.estimator, s.n)
     return RiskReport(
         scenario_id=s.id, n=s.n, variant=s.estimator.variant, K=K, M=M, replications=R,
         estimate_mean=float(np.mean(estimates)), bias=bias, variance=variance, mse=mse,
@@ -176,12 +190,24 @@ def _report(s: Scenario, rows: list[tuple[float, float]]) -> RiskReport:
 def _run(indexed: list[tuple[int, Scenario]], seed: int, workers: int) -> list[RiskReport]:
     """Run every block of the (scenario index, scenario) pairs, then aggregate.
 
+    Each scenario's analytic bounds are computed first, so a bound past the
+    double range fails the run before any replication.
+
     Tasks go out largest n first (a stable sort, so equal n keep their
     order), each scenario's blocks together and in order.  One pool of at
     most min(workers, blocks, os.cpu_count()) processes takes them in
     chunks of ceil(tasks / (C * workers)); with one process the same list
     runs here.  Either way the first failing task in that order raises.
     """
+    bounds = {}
+    for i, s in indexed:
+        try:
+            bounds[i] = analytic_bounds(s.estimator, s.n)
+        except RangeError as e:
+            e.args = (f"scenario {s.id!r}: {e.args[0]}",) + e.args[1:]
+            raise
+        except DomainError:   # a spec that cannot run at n: replication 0 raises the same error
+            pass
     order = sorted(indexed, key=lambda pair: pair[1].n, reverse=True)
     tasks = [(s, seed, i, b) for i, s in order for b in range(-(-s.replications // B))]
     workers = min(workers, len(tasks), os.cpu_count() or 1)
@@ -194,7 +220,7 @@ def _run(indexed: list[tuple[int, Scenario]], seed: int, workers: int) -> list[R
     rows = {i: [] for i, _ in indexed}
     for (_, _, i, _), block in zip(tasks, blocks):
         rows[i].extend(block)   # pool.map keeps task order, so replication order
-    return [_report(s, rows[i]) for i, s in indexed]
+    return [_report(s, rows[i], *bounds[i]) for i, s in indexed]
 
 
 def run_scenario(s: Scenario, seed: int, scenario_index: int = 0, workers: int = 1) -> RiskReport:

@@ -135,16 +135,6 @@ class BestApproxSolution:
     alternation_signs: tuple[int, ...]   # sign of |x| - poly(x) at each point
     spread: float
 
-    @property
-    def a0(self) -> tuple[float, ...]:
-        """Alternation points where the error equals -delta."""
-        return tuple(x for x, s in zip(self.alternation_points, self.alternation_signs) if s < 0)
-
-    @property
-    def a1(self) -> tuple[float, ...]:
-        """Alternation points where the error equals +delta."""
-        return tuple(x for x, s in zip(self.alternation_points, self.alternation_signs) if s > 0)
-
 
 def remez_best_approx(K: int) -> BestApproxSolution:
     """Best uniform approximation of |x| on [-1, 1] by even polynomials of degree 2K.

@@ -39,7 +39,6 @@ from pathlib import Path
 
 import numpy as np
 
-from absmean.errors import ConditioningError, ConvergenceError
 from absmean.polyapprox import _MAX_REMEZ_K, BestApproxSolution, EvenPolynomial
 
 _REMEZ_MAX_ITER = 200
@@ -51,6 +50,23 @@ _GRID_PER_REF = 16
 _NEWTON_STEPS = 3
 # the exchange system's last column, (-1)^i
 _ALTERNATING = (-1.0) ** np.arange(_MAX_REMEZ_K + 2)
+
+
+class ConvergenceError(RuntimeError):
+    """The exchange exhausted its iterations or lost its alternation."""
+
+    def __init__(self, message: str, last_spread: float | None = None):
+        super().__init__(message)
+        self.last_spread = last_spread
+
+
+class ConditioningError(RuntimeError):
+    """An exchange system is singular, non-finite or too ill-conditioned to trust."""
+
+    def __init__(self, message: str, condition_estimate: float | None = None):
+        super().__init__(message)
+        self.condition_estimate = condition_estimate
+
 
 def _even_cheb_table(x: np.ndarray, K: int) -> np.ndarray:
     """T_j(2x^2 - 1) for j = 0..K (K >= 1) at each x in [-1, 1], shape (len(x), K + 1).

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 import absmean
-from absmean.errors import ConvergenceError
 from absmean.harness import parse_config
 from absmean.harness.cli import main
 from absmean.polyapprox import remez_best_approx
@@ -73,15 +72,6 @@ def test_approx_rejects_out_of_range_K(capsys):
     assert main(["approx", "--K", "0"]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
-
-
-def test_approx_convergence_failure_exit_code(capsys, monkeypatch):
-    def exploding(K):
-        raise ConvergenceError("exchange stalled", last_spread=0.3)
-
-    monkeypatch.setattr("absmean.harness.cli.remez_best_approx", exploding)
-    assert main(["approx", "--K", "2", "--best"]) == 4
-    assert "exchange stalled" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +329,26 @@ def test_risk_bad_output_path_fails_before_running(tmp_path, capsys, monkeypatch
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("M", [27.0, 26.6])
+def test_risk_bounds_past_the_double_range_exit_3_before_any_replication(tmp_path, capsys, monkeypatch, M):
+    # the bounded variance bound 2 e^{M^2} 2^{8K} K^{2K} / n passes the double
+    # range: math.exp overflows at M = 27, the product at M = 26.6
+    def no_replication(*args):
+        raise AssertionError("a replication ran")
+
+    monkeypatch.setattr("absmean.harness.engine.run_replication", no_replication)
+    scenario = {"id": "big-M", "family": {"kind": "zero"}, "n": 64, "replications": 4,
+                "estimator": {"variant": "bounded", "M": M, "K": 1}}
+    cfg, out = _risk_config(tmp_path, [scenario], fmt="json")
+    assert main(["risk", "--config", cfg]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: scenario 'big-M': ") and captured.err.count("\n") == 1
+    assert "double range" in captured.err
+    assert not out.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
 # ---------------------------------------------------------------------------
 # lowerbound
 
@@ -417,15 +427,35 @@ def test_selftest_passes(capsys):
 
 
 # ---------------------------------------------------------------------------
+# exit codes
+
+_EXPORTED_ERRORS = [obj for obj in (getattr(absmean, name) for name in absmean.__all__)
+                    if isinstance(obj, type) and issubclass(obj, absmean.AbsmeanError)]
+# the table in the module docstring of absmean.harness.cli and in the README
+_EXIT_CODES = {absmean.DataError: 3, absmean.RangeError: 3, absmean.IntegrationError: 4}
+
+
+@pytest.mark.parametrize("error", _EXPORTED_ERRORS, ids=lambda e: e.__name__)
+def test_every_exported_error_maps_to_its_documented_exit_code(capsys, monkeypatch, error):
+    def failing(*args, **kwargs):
+        raise error("planted failure")
+
+    monkeypatch.setattr("absmean.harness.cli.lower_bound_pipeline", failing)
+    assert main(["lowerbound", "--n", "1000", "--M", "1.0"]) == _EXIT_CODES.get(error, 2)
+    assert capsys.readouterr().err == "error: planted failure\n"
+
+
+# ---------------------------------------------------------------------------
 # start-up
 
 def test_library_and_cli_load_without_scipy():
     # scipy is a test dependency only; importing it would cost every command its start-up
     src = os.path.dirname(os.path.dirname(absmean.__file__))
-    code = "import sys, absmean, absmean.harness.cli; print('scipy' in sys.modules)"
+    code = ("import sys, absmean, absmean.harness.cli; "
+            "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 def _readme_block(pattern: str) -> str:

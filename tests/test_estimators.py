@@ -410,6 +410,8 @@ def test_parameter_validation_errors():
         estimate_bounded(z, 1.0, 0)
     with pytest.raises(DomainError):
         estimate_bounded(z, 1.0, 1, basis="legendre")
+    with pytest.raises(DomainError, match="basis must be one of"):
+        approx_coefficients(2, "bogus")
     # K and basis are required: None does not fall back to the spec's defaults
     with pytest.raises(DomainError):
         estimate_bounded(z, 1.0, None)

@@ -173,6 +173,8 @@ def test_scenario_validation():
         Scenario(id="a", family=CustomVector((1.0,)), n=8, replications=5, estimator=est)
     with pytest.raises(DomainError):
         Scenario(id="a", family=TwoSpike(9, 1.0), n=8, replications=5, estimator=est)
+    with pytest.raises(DomainError, match="estimator must be an EstimatorSpec"):
+        Scenario(id="a", family=ZeroVector(), n=8, replications=5, estimator={"variant": "bounded"})
 
 
 def test_run_config_validation():
@@ -469,6 +471,38 @@ def test_analytic_bounds_sparse_scaling():
     assert math.isclose(bv, 2.0 * math.e * 256.0 / n, rel_tol=1e-12)
 
 
+@pytest.mark.parametrize("n", [10**2, 10**4, 10**6])
+def test_growing_bounds_hold_against_the_exact_risk(n):
+    spec = EstimatorSpec(variant="growing")
+    K, M = resolve_parameters(spec, n)
+    bias_bound, var_bound = analytic_bounds(spec, n)
+    scaled = _scaled(K, M, "chebyshev")
+    for t in (0.0, M / 2, M):
+        bias, err_var, _ = exact_series_risk([t], [1.0], scaled, n)
+        assert abs(bias) <= bias_bound
+        assert err_var <= var_bound
+        if t == 0.0:   # the truncation's error is largest at the origin
+            assert abs(bias) == pytest.approx(bias_bound, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("M", [27.0, 26.6])
+def test_bounds_past_the_double_range_fail_before_any_replication(M, monkeypatch):
+    # e^{M^2} overflows math.exp at M = 27; at M = 26.6 it is finite but the
+    # product is not.  Either way the run stops before its first replication.
+    spec = EstimatorSpec(variant="bounded", M=M, K_override=1)
+    with pytest.raises(RangeError, match="double range"):
+        analytic_bounds(spec, 64)
+
+    def no_replication(*args):
+        raise AssertionError("a replication ran")
+
+    monkeypatch.setattr(engine, "run_replication", no_replication)
+    s = Scenario(id="big-M", family=ZeroVector(), n=64, replications=4, estimator=spec)
+    with pytest.raises(RangeError) as exc_info:
+        run_scenario(s, seed=1)
+    assert str(exc_info.value).startswith("scenario 'big-M': ")
+
+
 @pytest.mark.parametrize("basis", ["best", "chebyshev"])
 @pytest.mark.parametrize("K", [5, 20, 25, 30, 40])
 def test_bounded_bias_bound_holds_for_the_coefficients_used(K, basis):
@@ -721,6 +755,21 @@ def test_csv_shape_and_round_trip(tmp_path):
     write_reports([rep], str(path), "csv")
     assert path.read_text(encoding="utf-8") == text
     assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]   # the temp file was renamed
+
+
+def test_a_failed_write_removes_its_temp_file(tmp_path, monkeypatch):
+    rep = run_scenario(_scenario(ZeroVector(), n=32, reps=4), seed=9)
+    path = tmp_path / "out.csv"
+    path.write_text("stale report")
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="disk full"):
+        write_reports([rep], str(path), "csv")
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+    assert path.read_text() == "stale report"
 
 
 def test_json_rendering_carries_metadata(tmp_path):

@@ -276,6 +276,14 @@ def test_chi_square_refuses_a_window_it_cannot_cover():
         chi_square_gaussian_mixtures([0.0], [math.nan], [1.0], [1.0])
 
 
+def test_chi_square_error_estimate_past_the_tolerance_raises(monkeypatch):
+    # panels 16 wide leave the fine and coarse Gauss rules about 4.5e-8 apart on e - 1
+    monkeypatch.setattr(lowerbound, "_PANEL_WIDTH", 16.0)
+    with pytest.raises(IntegrationError, match="quadrature error estimate") as info:
+        chi_square_gaussian_mixtures((0.0,), (1.0,), (1.0,), (1.0,))
+    assert info.value.achieved_tolerance == pytest.approx(4.5e-8, rel=0.05)
+
+
 def test_chi_square_asymmetric_atoms_off_the_panel_grid():
     # no panel edge falls on an atom, and neither mixture is symmetric
     a = ([-0.3, 0.9, 2.2], [0.2, 0.5, 0.3])

@@ -16,7 +16,7 @@ from numpy.polynomial.polynomial import polyval
 
 import remez
 from absmean import _best_approx, lowerbound, polyapprox
-from absmean.errors import ConditioningError, ConvergenceError, DomainError, RangeError
+from absmean.errors import DomainError, RangeError
 from absmean.estimators import approx_coefficients
 from absmean.polyapprox import (
     _MAX_GK,
@@ -40,6 +40,8 @@ from remez import (
     _exchange_grid,
     _pick_candidates,
     _solve_levelled,
+    ConditioningError,
+    ConvergenceError,
     remez_exchange,
 )
 
@@ -239,17 +241,14 @@ def test_best_never_worse_than_truncation():
 @pytest.mark.parametrize("K", [1, 2, 3, 4])
 def test_alternation_partition_properties(K):
     sol = remez_best_approx(K)
-    assert sorted(sol.a0 + sol.a1) == sorted(sol.alternation_points)
-    assert 0.0 in sol.a0          # the origin always sits below the fit
+    sign = dict(zip(sol.alternation_points, sol.alternation_signs))
+    assert len(sign) == len(sol.alternation_points) == 2 * K + 3
+    assert set(sign.values()) == {-1, 1}
+    assert sign[0.0] == -1        # the origin always sits below the fit
     # endpoint side flips with K: 2K + 3 strictly alternating signs, -1 at 0
-    if K % 2 == 0:
-        assert 1.0 in sol.a1
-    else:
-        assert 1.0 in sol.a0
-    for x in sol.a0:
-        assert abs((abs(x) - sol.poly(x)) + sol.delta) < 1e-10
-    for x in sol.a1:
-        assert abs((abs(x) - sol.poly(x)) - sol.delta) < 1e-10
+    assert sign[1.0] == (1 if K % 2 == 0 else -1)
+    for x, s in sign.items():
+        assert abs((abs(x) - sol.poly(x)) - s * sol.delta) < 1e-10
 
 
 def test_error_scaling_toward_reference_constant():
