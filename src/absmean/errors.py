@@ -5,10 +5,11 @@ is a Python or numpy integer, a real is a finite Python or numpy integer or
 float, and a bool is neither.  Anything else raises DomainError (never
 TypeError, ValueError or OverflowError), which the command line maps to
 exit 2.  An array of reals (Hermite and polynomial arguments, mixture and
-prior atoms and weights, the constrained-risk model, priors and rule) goes
-through `check_real_array`, which refuses text, bools, complex numbers,
-other objects and ragged lists by the same rule; a bool is never a number,
-also as one entry of a list or tuple of numbers.  A sample
+prior atoms and weights, polynomial coefficients, the constrained-risk
+model, priors and rule) goes through `check_real_array`, which refuses text,
+bools, complex numbers, other objects, ragged lists and non-finite entries
+by the same rule; a bool is never a number, also as one entry of a list or
+tuple of numbers.  A sample
 size n that only enters formulas is at most MAX_N, the largest integer a
 double holds; a count that sizes an array or a loop is at most MAX_COUNT,
 numpy's largest index.  Observation vectors are data, not
@@ -29,6 +30,7 @@ import numpy as np
 MAX_N = int(np.finfo(np.float64).max)
 MAX_COUNT = int(np.iinfo(np.int64).max)
 _BOOLS = frozenset((bool, np.bool_))
+_REALS = (int, float, np.integer, np.floating)
 
 
 class AbsmeanError(Exception):
@@ -97,7 +99,7 @@ def check_int(name: str, value, low: int | None = None, high: int | None = None)
 
 def check_real(name: str, value, above: float | None = None) -> float:
     """Return `value` as a float, or raise DomainError unless it is a finite real > `above`."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+    if isinstance(value, bool) or not isinstance(value, _REALS):
         raise DomainError(f"{name} must be a real number, got {_shown(value)}")
     try:
         x = float(value)
@@ -110,15 +112,23 @@ def check_real(name: str, value, above: float | None = None) -> float:
 
 
 def check_real_array(name: str, values, error: type[AbsmeanError] = DomainError) -> np.ndarray:
-    """`values` as a float64 array, or `error` unless every entry is a Python or numpy
-    integer or float.  Finiteness and shape are the caller's to check."""
+    """`values` as a float64 array, or `error` unless every entry is a finite Python or
+    numpy integer or float, as `check_real` takes it.  Shape is the caller's to check."""
     try:
         arr = np.asarray(values)
+        if arr.dtype.kind == "O" and all(isinstance(v, _REALS) and type(v) is not bool for v in arr.flat):
+            arr = arr.astype(np.float64)   # Python integers past 64 bits, which numpy keeps as objects
         real = arr.dtype.kind in "iuf"
     except ValueError:   # ragged nesting
         real = False
+    except OverflowError:   # the astype met an integer past the double range
+        raise error(f"{name} must be finite, got an integer past the double range") from None
     if real and isinstance(values, (list, tuple)):   # numpy reads [0.5, True] as two floats
         real = _BOOLS.isdisjoint(map(type, np.asarray(values, dtype=object).flat))
     if not real:
         raise error(f"{name} must hold real numbers, not text, bools, complex values or ragged lists")
-    return arr.astype(np.float64, copy=False)
+    arr = arr.astype(np.float64, copy=False)
+    finite = np.isfinite(arr)
+    if not finite.all():
+        raise error(f"{name} must be finite, got {float(arr.flat[np.argmin(finite)])}")
+    return arr

@@ -40,11 +40,12 @@ elementwise, so a coordinate gets the bits it gets in the pass).  `_as_data`
 is the one check of observations, at all four entry points.
 
 There is one estimator body, `run_estimator`, and every `estimate_*` is a
-call to it with an EstimatorSpec.  `resolve_parameters` is the one place
-that turns a spec and n into the (K, M) the estimator runs with, and
-`_scaled_coefficients` the one place that turns them into the scaled
-coefficients g_{2k} M^{1-2k} (without the constant term for the sparse
-variant); the hybrid components use it with the unbounded spec.  The
+call to it with an EstimatorSpec.  The spec fixes the estimator; the split
+seed of the hybrids is an argument of the call.  `resolve_parameters` is
+the one place that turns a spec and n into the (K, M) the estimator runs
+with, and `_scaled_coefficients` the one place that turns them into the
+scaled coefficients g_{2k} M^{1-2k} (without the constant term for the
+sparse variant); the hybrid components use it with the unbounded spec.  The
 parameters are resolved, and so validated, on every call; the scaled
 array is built once per (K, M, basis, constant term) and shared read-only.
 """
@@ -170,6 +171,63 @@ def _clenshaw(x: np.ndarray, scaled: np.ndarray, out: np.ndarray, u: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
+# declarative estimator description used by the harness and the CLI
+
+@dataclass(frozen=True)
+class EstimatorSpec:
+    """Which estimator to run and with what parameters.
+
+    `K_override` replaces the variant's cutoff rule.  `basis` is honored by
+    the bounded variant (default "best"); the other variants are defined
+    through the Chebyshev coefficients.  `c` must exceed 1 whatever the
+    variant; only the growing variant reads it.  Numeric fields are checked
+    by the package's argument policy and stored as Python ints and floats.
+    The hybrids' split seed is an argument of `run_estimator`, not a field.
+    """
+
+    variant: str
+    M: float | None = None
+    K_override: int | None = None
+    basis: str | None = None
+    k_n: int | None = None
+    c: float = 2.0
+
+    def __post_init__(self):
+        if self.variant not in VARIANTS:
+            raise DomainError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
+        _store_checked(self, "c", check_real("c", self.c, above=1.0))
+        if self.M is not None or self.variant == "bounded":
+            _store_checked(self, "M", check_real("M", self.M, above=0.0))
+        if self.k_n is not None or self.variant == "sparse":
+            _store_checked(self, "k_n", check_int("k_n", self.k_n, 1, MAX_COUNT))
+        if self.K_override is not None:
+            _store_checked(self, "K_override", check_int("K_override", self.K_override, 1, MAX_COUNT))
+            if self.variant in ("unbounded", "sparse"):
+                raise DomainError(f"the {self.variant!r} variant fixes its own cutoff from n")
+        if self.basis is not None:
+            if self.basis not in BASES:
+                raise DomainError(f"basis must be one of {BASES}, got {self.basis!r}")
+            if self.variant != "bounded" and self.basis != "chebyshev":
+                raise DomainError(f"variant {self.variant!r} is defined with chebyshev coefficients")
+
+    @property
+    def resolved_basis(self) -> str:
+        if self.variant == "bounded":
+            return self.basis or "best"
+        return "chebyshev"
+
+
+def _store_checked(spec: EstimatorSpec, name: str, value) -> None:
+    """Store a checked field back on the frozen spec as the Python int or float
+    the check returned, unless that is the argument itself (the common case)."""
+    if value is not getattr(spec, name):
+        object.__setattr__(spec, name, value)
+
+
+_UNBOUNDED = EstimatorSpec("unbounded")
+
+
+# ---------------------------------------------------------------------------
 # estimators
 
 def estimate_bounded(y, M: float, K: int, basis: str = "best") -> float:
@@ -186,7 +244,7 @@ def estimate_bounded(y, M: float, K: int, basis: str = "best") -> float:
     return run_estimator(EstimatorSpec("bounded", M=M, K_override=check_int("K", K, low=1), basis=basis), y)
 
 
-def estimate_growing(y, c: float = 2.0, K: int | None = None) -> float:
+def estimate_growing(y, c: float = EstimatorSpec.c, K: int | None = None) -> float:
     """Bounded-variant series on the slowly growing interval M_n = sqrt(c ln n)."""
     return run_estimator(EstimatorSpec("growing", K_override=K, c=c), y)
 
@@ -292,7 +350,7 @@ def estimate_unbounded(y, seed: int) -> float:
     when |x2| <= 2 sqrt(2 ln n) and |x1| itself otherwise; the sqrt(2)
     factor undoes the split's rescaling of the means.
     """
-    return run_estimator(EstimatorSpec("unbounded", seed=seed), y)
+    return run_estimator(_UNBOUNDED, y, seed=seed)
 
 
 def estimate_sparse(y, k_n: int, seed: int) -> float:
@@ -303,62 +361,7 @@ def estimate_sparse(y, k_n: int, seed: int) -> float:
     in expectation), truncates at n^2 instead of n, and the sum is
     normalized by the known support size k_n.
     """
-    return run_estimator(EstimatorSpec("sparse", k_n=k_n, seed=seed), y)
-
-
-# ---------------------------------------------------------------------------
-# declarative estimator description used by the harness and the CLI
-
-@dataclass(frozen=True)
-class EstimatorSpec:
-    """Which estimator to run and with what parameters.
-
-    `K_override` replaces the variant's cutoff rule.  `basis` is honored by
-    the bounded variant (default "best"); the other variants are defined
-    through the Chebyshev coefficients.  `c` must exceed 1 whatever the
-    variant; only the growing variant reads it.  Numeric fields are checked
-    by the package's argument policy and stored as Python ints and floats.
-    """
-
-    variant: str
-    M: float | None = None
-    K_override: int | None = None
-    basis: str | None = None
-    k_n: int | None = None
-    c: float = 2.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise DomainError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        _store_checked(self, "c", check_real("c", self.c, above=1.0))
-        _store_checked(self, "seed", check_int("seed", self.seed, 0, MAX_SEED))
-        if self.M is not None or self.variant == "bounded":
-            _store_checked(self, "M", check_real("M", self.M, above=0.0))
-        if self.k_n is not None or self.variant == "sparse":
-            _store_checked(self, "k_n", check_int("k_n", self.k_n, 1, MAX_COUNT))
-        if self.K_override is not None:
-            _store_checked(self, "K_override", check_int("K_override", self.K_override, 1, MAX_COUNT))
-            if self.variant in ("unbounded", "sparse"):
-                raise DomainError(f"the {self.variant!r} variant fixes its own cutoff from n")
-        if self.basis is not None:
-            if self.basis not in BASES:
-                raise DomainError(f"basis must be one of {BASES}, got {self.basis!r}")
-            if self.variant != "bounded" and self.basis != "chebyshev":
-                raise DomainError(f"variant {self.variant!r} is defined with chebyshev coefficients")
-
-    @property
-    def resolved_basis(self) -> str:
-        if self.variant == "bounded":
-            return self.basis or "best"
-        return "chebyshev"
-
-
-def _store_checked(spec: EstimatorSpec, name: str, value) -> None:
-    """Store a checked field back on the frozen spec as the Python int or float
-    the check returned, unless that is the argument itself (the common case)."""
-    if value is not getattr(spec, name):
-        object.__setattr__(spec, name, value)
+    return run_estimator(EstimatorSpec("sparse", k_n=k_n), y, seed=seed)
 
 
 def resolve_parameters(spec: EstimatorSpec, n: int) -> tuple[int, float]:
@@ -404,7 +407,7 @@ def _scaled_coefficients(spec: EstimatorSpec, n: int) -> tuple[np.ndarray, float
 def _coefficient_table(K: int, M: float, basis: str, sparse: bool) -> np.ndarray:
     """The scaled coefficients for (K, M, basis), read-only, since every
     estimate with these parameters shares the array.  Keyed on the
-    parameters, never on a spec: a spec carries the split seed."""
+    parameters, never on a spec."""
     scaled = np.asarray(approx_coefficients(K, basis)) * M ** (1.0 - 2.0 * np.arange(K + 1))
     if sparse:
         scaled[0] = 0.0   # constant term omitted
@@ -412,23 +415,21 @@ def _coefficient_table(K: int, M: float, basis: str, sparse: bool) -> np.ndarray
     return scaled
 
 
-_UNBOUNDED = EstimatorSpec("unbounded")
-
-
-def run_estimator(spec: EstimatorSpec, y, seed: int | None = None) -> float:
+def run_estimator(spec: EstimatorSpec, y, seed: int = 0) -> float:
     """Apply the estimator described by `spec` to the data vector.
 
     The bounded and growing variants average the even series over the
-    coordinates; the hybrids split the sample and combine the capped terms.
-    `seed`, when given, replaces the spec's seed for the split.  Every public
-    estimator runs through here.
+    coordinates; the hybrids split the sample with the stream of `seed`,
+    and combine the capped terms.  `seed` is checked for every variant.
+    Every public estimator runs through here.
     """
     arr = _as_data(y)
+    seed = check_int("seed", seed, 0, MAX_SEED)
     n = arr.size
     scaled, threshold = _scaled_coefficients(spec, n)
     hybrid = spec.variant in ("unbounded", "sparse")
     if hybrid:
-        gen = stream(spec.seed if seed is None else seed)
+        gen = stream(seed)
         cap = float(n) if spec.variant == "unbounded" else float(n) ** 2
     part, u, o, t, x1, x2 = np.empty((6, min(n, _CHUNK)))   # x1 and x2 only for the hybrids
     large = np.empty(u.size, dtype=bool)

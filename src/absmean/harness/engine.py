@@ -206,8 +206,6 @@ def _run(indexed: list[tuple[int, Scenario]], seed: int, workers: int) -> list[R
         except RangeError as e:
             e.args = (f"scenario {s.id!r}: {e.args[0]}",) + e.args[1:]
             raise
-        except DomainError:   # a spec that cannot run at n: replication 0 raises the same error
-            pass
     order = sorted(indexed, key=lambda pair: pair[1].n, reverse=True)
     tasks = [(s, seed, i, b) for i, s in order for b in range(-(-s.replications // B))]
     workers = min(workers, len(tasks), os.cpu_count() or 1)

@@ -14,7 +14,7 @@ from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
-from ..errors import MAX_COUNT, DomainError, check_int, check_real
+from ..errors import MAX_COUNT, DomainError, check_int, check_real, check_real_array
 from ..estimators import EstimatorSpec, resolve_parameters
 from ..lowerbound import construct_prior_pair, scale_prior
 
@@ -98,10 +98,9 @@ class CustomVector:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        if len(self.values) == 0:
-            raise DomainError("values must not be empty")
-        for v in self.values:
-            check_real("values", v)
+        values = check_real_array("values", self.values)
+        if values.ndim != 1 or values.size == 0:
+            raise DomainError("values must be a nonempty 1-d list of reals")
 
     def add_to(self, y: np.ndarray, rng) -> float:
         theta = np.array(self.values, dtype=np.float64)
@@ -153,6 +152,11 @@ class Scenario:
         _check_fit(self.family, self.n)
         if not isinstance(self.estimator, EstimatorSpec):
             raise DomainError("estimator must be an EstimatorSpec")
+        try:   # the estimator must run at n; cutoff arithmetic only
+            resolve_parameters(self.estimator, self.n)
+        except DomainError as e:
+            e.args = (f"scenario {self.id!r}: {e.args[0]}",) + e.args[1:]
+            raise
 
 
 @dataclass(frozen=True)
@@ -172,11 +176,6 @@ class RunConfig:
             if s.id in seen:
                 raise DomainError(f"duplicate scenario id {s.id!r}")
             seen.add(s.id)
-            try:   # the estimator must run at n; cutoff arithmetic only
-                resolve_parameters(s.estimator, s.n)
-            except DomainError as e:
-                e.args = (f"scenario {s.id!r}: {e.args[0]}",) + e.args[1:]
-                raise
         check_int("seed", self.seed, 0, (1 << 64) - 1)
         if not isinstance(self.output_path, str) or not self.output_path:
             raise DomainError(f"output_path must be a nonempty string, got {self.output_path!r}")
@@ -229,14 +228,9 @@ def _parse_family(obj) -> object:
     return _build(FAMILIES[kind], params, f"family {kind!r}", values=_tuple_of("values"))
 
 
-def _parse_estimator(obj) -> EstimatorSpec:
-    if isinstance(obj, dict) and "seed" in obj:
-        raise DomainError("the estimator takes no 'seed' key: the run seed drives the sample split")
-    return _build(EstimatorSpec, obj, "estimator")
-
-
 def _parse_scenario(obj) -> Scenario:
-    return _build(Scenario, obj, "scenario", family=_parse_family, estimator=_parse_estimator)
+    return _build(Scenario, obj, "scenario", family=_parse_family,
+                  estimator=lambda spec: _build(EstimatorSpec, spec, "estimator"))
 
 
 def parse_config(text: str) -> RunConfig:

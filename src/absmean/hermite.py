@@ -35,7 +35,7 @@ import math
 import numpy as np
 from numpy.polynomial.hermite_e import hermevander
 
-from .errors import DegreeOverflowError, DomainError, RangeError, check_int, check_real, check_real_array
+from .errors import DegreeOverflowError, RangeError, check_int, check_real, check_real_array
 
 MAX_DEGREE = 200
 
@@ -58,14 +58,12 @@ def hermite_eval_batch(k_max: int, y) -> np.ndarray:
     `y` may be a scalar or an ndarray; the output has shape
     (k_max + 1,) + shape(y).  Element j agrees exactly with
     hermite_eval(j, y): both read the same recurrence table.  Entries of
-    `y` must be Python or numpy integers or floats; text, bools and other
-    objects raise DomainError, and a value past the double range raises
-    RangeError.
+    `y` must be finite Python or numpy integers or floats; text, bools,
+    other objects, inf and nan raise DomainError, and an H_k(y) past the
+    double range raises RangeError.
     """
     k_max = _check_degree(k_max)
     arr = check_real_array("y", y)
-    if not np.all(np.isfinite(arr)):
-        raise DomainError("y must be finite")
     with np.errstate(over="ignore", invalid="ignore"):
         table = hermevander(arr, k_max)
     if not np.all(np.isfinite(table)):

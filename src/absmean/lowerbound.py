@@ -109,7 +109,7 @@ class SymmetricDiscretePrior:
     """Finitely supported symmetric probability measure.
 
     positions/weights list every atom (mirror atoms listed explicitly);
-    construction validates real entries, total mass 1 and symmetry: with
+    construction validates finite real entries, total mass 1 and symmetry: with
     atoms merged at 12 decimals, each mass equals its mirror's within 1e-9.
     """
 
@@ -121,10 +121,7 @@ class SymmetricDiscretePrior:
         w = check_real_array("prior weights", self.weights, ConstructionError)
         if p.ndim != 1 or p.shape != w.shape or p.size == 0:
             raise ConstructionError("positions and weights must be nonempty, one-dimensional and aligned")
-        finite = np.isfinite(p)
-        if not finite.all():
-            raise ConstructionError(f"prior positions must be finite, got {p[np.argmin(finite)]}")
-        if not (w >= 0).all():   # NaN included
+        if not (w >= 0).all():
             raise ConstructionError("prior weights must be nonnegative")
         total = sum(self.weights)
         if abs(total - 1.0) > 1e-9:
@@ -254,17 +251,17 @@ def chi_square_gaussian_mixtures(positions0, weights0, positions1, weights1) -> 
     nodes, and the difference is the error estimate: IntegrationError when
     it exceeds max(1e-10, 1e-8 * value), or when the window integrated
     needs more than 2^14 panels.  A distance past the double range is +inf.
-    Positions and weights must be Python or numpy integers or floats (text
-    raises DomainError).
+    Positions and weights must be finite Python or numpy integers or floats
+    (DomainError otherwise).
     """
     p0 = check_real_array("positions0", positions0)
     w0 = check_real_array("weights0", weights0)
     p1 = check_real_array("positions1", positions1)
     w1 = check_real_array("weights1", weights1)
     for p, w in ((p0, w0), (p1, w1)):
-        if p.ndim != 1 or p.shape != w.shape or not np.all(np.isfinite(p)):
-            raise DomainError("mixture positions must be finite and aligned with the weights")
-        if not (w >= 0).all() or abs(w.sum() - 1.0) > 1e-9:   # NaN included
+        if p.ndim != 1 or p.shape != w.shape:
+            raise DomainError("mixture positions must be one-dimensional and aligned with the weights")
+        if not (w >= 0).all() or abs(w.sum() - 1.0) > 1e-9:
             raise DomainError("mixture weights must be nonnegative and sum to 1")
     return _chi_square(p0, w0, p1, w1)
 
@@ -448,9 +445,7 @@ class DiscreteModel:
         P = check_real_array("observation rows", self.obs_probs, ConstructionError)
         if T.ndim != 1 or T.size == 0 or P.ndim != 2 or len(P) != T.size:
             raise ConstructionError("need one observation row per parameter")
-        if not np.isfinite(T).all():
-            raise ConstructionError("T_values must be finite")
-        if not (P > 0).all() or np.any(np.abs(P.sum(axis=1) - 1.0) > 1e-9):   # NaN included
+        if not (P > 0).all() or np.any(np.abs(P.sum(axis=1) - 1.0) > 1e-9):
             raise ConstructionError("observation rows must be positive and sum to 1")
 
 
@@ -500,8 +495,6 @@ def verify_constrained_risk(model: DiscreteModel, mu0, mu1, rule, eps: float) ->
     u0 = check_real_array("mu0", mu0)
     u1 = check_real_array("mu1", mu1)
     d = check_real_array("rule", rule)
-    if not all(np.isfinite(v).all() for v in (u0, u1, d)):
-        raise DomainError("priors and rule must be finite")
     for u in (u0, u1):
         if u.shape != T.shape or np.any(u < 0) or abs(u.sum() - 1.0) > 1e-9:
             raise DomainError("priors must be distributions over the parameter set")

@@ -67,13 +67,17 @@ class EvenPolynomial:
     them.  ``half_coeffs``, the monomial form p(x) = sum_k half_coeffs[k] *
     x^{2k} that only the estimators read, is converted on first read
     (trailing zero coefficients trimmed, as numpy's cheb2poly does).
-    Evenness is structural: only even powers can be represented.
+    Evenness is structural: only even powers can be represented.  The
+    coefficients are a nonempty tuple of finite reals (DomainError otherwise).
     """
 
     cheb_half_coeffs: tuple[float, ...]
 
     def __post_init__(self):
-        if len(self.cheb_half_coeffs) == 0:
+        c = check_real_array("coefficients", self.cheb_half_coeffs)
+        if not isinstance(self.cheb_half_coeffs, tuple) or c.ndim != 1:
+            raise DomainError("coefficients must be a tuple of reals")
+        if c.size == 0:
             raise DomainError("an even polynomial needs at least one coefficient")
 
     @cached_property
@@ -83,8 +87,6 @@ class EvenPolynomial:
     def __call__(self, x):
         """p(x) at finite real x (DomainError otherwise); RangeError where it overflows."""
         arr = check_real_array("x", x)
-        if not np.all(np.isfinite(arr)):
-            raise DomainError("x must be finite")
         scalar = arr.ndim == 0
         arr = np.atleast_1d(arr)
         with np.errstate(over="ignore", invalid="ignore"):

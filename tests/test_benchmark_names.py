@@ -1,11 +1,14 @@
-"""The benchmark session looks library names up at run time: each must resolve.
+"""The benchmark session looks library names up at run time: each must resolve,
+and the estimators and sizes it builds its Monte Carlo suites from must parse.
 
 perfbench/session.py is parsed, not imported, so a name that was deleted or
-moved fails here instead of as an AttributeError in a traced benchmark run.
+moved, or a config key the parser no longer takes, fails here instead of as
+an error in a benchmark run.
 """
 
 import ast
 import importlib
+import json
 import os
 
 import absmean
@@ -28,10 +31,17 @@ def _chain(node: ast.expr) -> tuple[str, ...] | None:
     return (node.id, *reversed(names)) if isinstance(node, ast.Name) else None
 
 
+def _assigned(name: str):
+    """The value of the session's module-level constant `name`, a literal
+    expression; it may hold powers such as 10**6, which literal_eval refuses,
+    so it is evaluated with no names in scope."""
+    (value,) = [node.value for node in ast.walk(_session_tree()) if isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == name for t in node.targets)]
+    return eval(compile(ast.Expression(value), SESSION, "eval"), {"__builtins__": {}})
+
+
 def test_every_traced_name_resolves():
-    (wraps,) = [node.value for node in ast.walk(_session_tree()) if isinstance(node, ast.Assign)
-                and any(isinstance(t, ast.Name) and t.id == "WRAPS" for t in node.targets)]
-    entries = ast.literal_eval(wraps)
+    entries = _assigned("WRAPS")
     assert len(entries) > 0
     missing = [(module, attr) for module, attr, _ in entries if not hasattr(importlib.import_module(module), attr)]
     assert missing == []
@@ -52,3 +62,13 @@ def test_every_library_attribute_the_session_reads_resolves():
                 break
             obj = getattr(obj, name)
     assert missing == []
+
+
+def test_every_benchmark_estimator_parses_at_every_benchmark_size():
+    estimators, sizes = _assigned("ESTIMATORS"), _assigned("MC_SIZES")
+    scenarios = [{"id": f"{workload}-{variant}-n{n}", "family": {"kind": "zero"}, "n": n,
+                  "replications": replications, "estimator": spec}
+                 for workload, suite in sizes.items() for n, replications in suite
+                 for variant, spec in estimators.items()]
+    cfg = harness.parse_config(json.dumps({"scenarios": scenarios, "seed": 1, "output_path": "unused.csv"}))
+    assert len(cfg.scenarios) == len(estimators) * sum(map(len, sizes.values())) > 0

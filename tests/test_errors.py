@@ -1,4 +1,4 @@
-"""The argument policy: check_int / check_real and every entry point that uses them."""
+"""The argument policy: check_int / check_real / check_real_array and every entry point that uses them."""
 
 import math
 
@@ -14,6 +14,7 @@ from absmean.estimators import (
     estimate_unbounded,
     growing_radius,
     hybrid_component,
+    run_estimator,
     select_K_growing,
     select_K_star,
     unbounded_params,
@@ -45,7 +46,7 @@ from absmean.lowerbound import (
     select_kn_bounded,
     verify_constrained_risk,
 )
-from absmean.polyapprox import build_G_K, remez_best_approx
+from absmean.polyapprox import EvenPolynomial, build_G_K, remez_best_approx
 from absmean.rng import derive_seed, stream
 
 HUGE = 10**400   # an integer no double can hold
@@ -128,7 +129,7 @@ INT_ARGS = [
     ("hybrid_component.n", lambda v: hybrid_component(0.5, 0.0, v), 100),
     ("EstimatorSpec.K_override", lambda v: EstimatorSpec(variant="bounded", M=1.0, K_override=v), 2),
     ("EstimatorSpec.k_n", lambda v: EstimatorSpec(variant="sparse", k_n=v), 4),
-    ("EstimatorSpec.seed", lambda v: EstimatorSpec(variant="unbounded", seed=v), 0),
+    ("run_estimator.seed", lambda v: run_estimator(_SPEC, _Y, seed=v), 0),
     ("hermite_eval.k", lambda v: hermite_eval(v, 0.5), 3),
     ("hermite_eval_batch.k_max", lambda v: hermite_eval_batch(v, 0.5), 3),
     ("hermite_second_moment.k", lambda v: hermite_second_moment(v, 0.5), 3),
@@ -254,3 +255,74 @@ def test_prior_refuses_text():
         SymmetricDiscretePrior((-1.0, True), (0.5, 0.5))
     with pytest.raises(ConstructionError, match="prior weights must hold real numbers"):
         SymmetricDiscretePrior((-0.5, 0.5), ("0.5", "0.5"))
+
+
+# ---------------------------------------------------------------------------
+# array arguments: every entry finite
+
+_RULE = [0.0] * len(_MODEL.obs_probs[0])
+
+# (argument, call with v as the last entry of the array, a valid v, the documented error type)
+ARRAY_ARGS = [
+    ("hermite_eval_batch.y", lambda v: hermite_eval_batch(2, [0.5, v]), 0.5, DomainError),
+    ("EvenPolynomial.x", lambda v: _G3([0.5, v]), 0.5, DomainError),
+    ("EvenPolynomial.coefficients", lambda v: EvenPolynomial((0.5, v)), 0.5, DomainError),
+    ("chi_square_gaussian_mixtures.positions0",
+     lambda v: chi_square_gaussian_mixtures([0.0, v], [0.5, 0.5], [0.0], [1.0]), 0.0, DomainError),
+    ("chi_square_gaussian_mixtures.weights0",
+     lambda v: chi_square_gaussian_mixtures([0.0, 0.0], [0.5, v], [0.0], [1.0]), 0.5, DomainError),
+    ("chi_square_gaussian_mixtures.positions1",
+     lambda v: chi_square_gaussian_mixtures([0.0], [1.0], [0.0, v], [0.5, 0.5]), 0.0, DomainError),
+    ("chi_square_gaussian_mixtures.weights1",
+     lambda v: chi_square_gaussian_mixtures([0.0], [1.0], [0.0, 0.0], [0.5, v]), 0.5, DomainError),
+    ("SymmetricDiscretePrior.positions", lambda v: SymmetricDiscretePrior((-0.5, v), (0.5, 0.5)), 0.5,
+     ConstructionError),
+    ("SymmetricDiscretePrior.weights", lambda v: SymmetricDiscretePrior((-0.5, 0.5), (0.5, v)), 0.5,
+     ConstructionError),
+    ("DiscreteModel.T_values", lambda v: DiscreteModel((0.5, v), ((0.5, 0.5), (0.5, 0.5))), -0.5,
+     ConstructionError),
+    ("DiscreteModel.obs_probs", lambda v: DiscreteModel((0.5, -0.5), ((0.5, 0.5), (0.5, v))), 0.5,
+     ConstructionError),
+    ("verify_constrained_risk.mu0",
+     lambda v: verify_constrained_risk(_MODEL, [*_MU0[:-1], v], _MU1, _RULE, 10.0), _MU0[-1], DomainError),
+    ("verify_constrained_risk.mu1",
+     lambda v: verify_constrained_risk(_MODEL, _MU0, [*_MU1[:-1], v], _RULE, 10.0), _MU1[-1], DomainError),
+    ("verify_constrained_risk.rule",
+     lambda v: verify_constrained_risk(_MODEL, _MU0, _MU1, [*_RULE[:-1], v], 10.0), 0.0, DomainError),
+    ("CustomVector.values", lambda v: CustomVector((0.0, v)), 1.0, DomainError),
+]
+
+
+@pytest.mark.parametrize("call, good, error", [entry[1:] for entry in ARRAY_ARGS],
+                         ids=[entry[0] for entry in ARRAY_ARGS])
+def test_array_entry_point_refuses_non_finite_entries(call, good, error):
+    call(good)
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(error, match=f"must be finite, got {bad}$"):
+            call(bad)
+
+
+def test_array_integers_past_64_bits_are_reals():
+    # numpy keeps them as Python objects; each entry is read as check_real reads a scalar
+    assert hermite_eval_batch(1, [0.5, 2**64]).tolist() == [[1.0, 1.0], [0.5, 2.0**64]]
+    assert CustomVector((0.5, 10**30)).values == (0.5, 10**30)
+    with pytest.raises(ConstructionError, match="prior positions must be finite, got an integer past"):
+        SymmetricDiscretePrior((-HUGE, HUGE), (0.5, 0.5))
+    for y in ([True, 2**64], [None, 2**64]):
+        with pytest.raises(DomainError, match="y must hold real numbers"):
+            hermite_eval_batch(1, y)
+
+
+# ---------------------------------------------------------------------------
+# a scenario that exists can run
+
+def test_scenario_refuses_an_estimator_that_cannot_run_at_its_n():
+    for n, spec, message in (
+        (64, EstimatorSpec("sparse", k_n=70), "k_n must be an integer <= 64, got 70"),
+        (16, EstimatorSpec("unbounded"), "n must be an integer >= 17, got 16"),
+        (16, EstimatorSpec("bounded", M=1.0), "n must be an integer >= 17, got 16"),
+        (16, EstimatorSpec("growing"), "n must be an integer >= 17, got 16"),
+        (64, EstimatorSpec("bounded", M=1.0, K_override=41), "K = 41 exceeds the supported maximum 40"),
+    ):
+        with pytest.raises(DomainError, match=f"^scenario 'unrunnable': {message}$"):
+            Scenario(id="unrunnable", family=ZeroVector(), n=n, replications=2, estimator=spec)

@@ -313,7 +313,7 @@ def test_chunk_pass_matches_full_array_references():
     n, seed = CHUNKED_N, 6
     x1, x2 = split_samples(y, seed)
     _, _, threshold = unbounded_params(n)
-    sparse = EstimatorSpec("sparse", k_n=500, seed=seed)
+    sparse = EstimatorSpec("sparse", k_n=500)
     sparse_terms = np.minimum(_full_array_series(x1, sparse), float(n) ** 2)
     sparse_terms = np.where(np.abs(x2) > threshold, np.abs(x1), sparse_terms)
     assert 0 < np.count_nonzero(sparse_terms == np.abs(x1)) < n
@@ -321,11 +321,11 @@ def test_chunk_pass_matches_full_array_references():
     cases = [
         (bounded, np.mean(_full_array_series(y, bounded))),
         (growing, np.mean(_full_array_series(y, growing))),
-        (EstimatorSpec("unbounded", seed=seed), SQRT2 * np.mean(hybrid_component(x1, x2, n))),
+        (EstimatorSpec("unbounded"), SQRT2 * np.mean(hybrid_component(x1, x2, n))),
         (sparse, SQRT2 * sparse_terms.sum() / 500),
     ]
     for spec, reference in cases:
-        assert run_estimator(spec, y) == pytest.approx(float(reference), rel=1e-14, abs=0)
+        assert run_estimator(spec, y, seed=seed) == pytest.approx(float(reference), rel=1e-14, abs=0)
 
 
 class _EchoStream:
@@ -374,18 +374,18 @@ def test_abs_branch_overflow_in_a_later_chunk_is_silent():
 
 
 @pytest.mark.parametrize("spec", [EstimatorSpec("bounded", M=1.0), EstimatorSpec("growing"),
-                                  EstimatorSpec("unbounded", seed=2), EstimatorSpec("sparse", k_n=64, seed=2)],
+                                  EstimatorSpec("unbounded"), EstimatorSpec("sparse", k_n=64)],
                          ids=VARIANTS)
 def test_run_estimator_allocates_no_vector_of_length_n(spec):
     # beyond the data it is given, an estimate holds O(2^14) doubles of scratch
     # and one boolean finiteness mask; an n-length float temporary would need n * 8 bytes
     n = 2**20
     y = stream(4).standard_normal(n)
-    run_estimator(spec, y)   # builds and caches the coefficients
+    run_estimator(spec, y, seed=2)   # builds and caches the coefficients
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        run_estimator(spec, y)
+        run_estimator(spec, y, seed=2)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -449,12 +449,19 @@ def test_run_estimator_dispatch_matches_direct_calls():
         y, 1.0, select_K_star(1000), "best"
     )
     assert run_estimator(EstimatorSpec(variant="growing"), y) == estimate_growing(y)
-    assert run_estimator(EstimatorSpec(variant="unbounded", seed=4), y) == estimate_unbounded(y, 4)
-    assert run_estimator(EstimatorSpec(variant="sparse", k_n=10, seed=4), y) == estimate_sparse(
+    assert run_estimator(EstimatorSpec(variant="unbounded"), y, seed=4) == estimate_unbounded(y, 4)
+    assert run_estimator(EstimatorSpec(variant="sparse", k_n=10), y, seed=4) == estimate_sparse(
         y, 10, 4
     )
-    # an explicit seed argument wins over the stored one
-    assert run_estimator(EstimatorSpec(variant="unbounded", seed=4), y, seed=9) == estimate_unbounded(y, 9)
+
+
+def test_run_estimator_checks_the_seed_for_every_variant():
+    y = np.zeros(64)
+    for spec in (EstimatorSpec("bounded", M=1.0), EstimatorSpec("growing"), EstimatorSpec("unbounded"),
+                 EstimatorSpec("sparse", k_n=8)):
+        for seed in ("x", True, -1, 2**200, 1.5):
+            with pytest.raises(DomainError, match="^seed must be an integer"):
+                run_estimator(spec, y, seed=seed)
 
 
 def test_scaled_coefficients_are_shared_read_only():
@@ -463,7 +470,7 @@ def test_scaled_coefficients_are_shared_read_only():
     assert not scaled.flags.writeable
     with pytest.raises(ValueError):
         scaled[0] = 1.0
-    again, _ = estimators._scaled_coefficients(EstimatorSpec(variant="bounded", M=1.0, seed=7), 64)
+    again, _ = estimators._scaled_coefficients(EstimatorSpec(variant="bounded", M=1.0, c=7.0), 64)
     assert again is scaled
 
 

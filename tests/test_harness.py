@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from absmean.errors import MAX_COUNT, AbsmeanError, DomainError, RangeError
+from absmean.errors import MAX_COUNT, DomainError, RangeError
 from absmean.estimators import EstimatorSpec, approx_coefficients, estimate_unbounded, unbounded_params
 from absmean.harness import (
     CSV_HEADER,
@@ -866,15 +866,22 @@ def test_bound_compliance_report():
 
 
 def test_replication_errors_carry_scenario_context():
-    # k_n above the data length is only detectable once data flows
+    # k_n above the data length is arithmetic: the scenario is refused when it is built
+    with pytest.raises(DomainError, match=r"^scenario 'broken-sparse': k_n must be an integer <= 64, got 70$"):
+        Scenario(
+            id="broken-sparse",
+            family=ZeroVector(),
+            n=64,
+            replications=5,
+            estimator=EstimatorSpec(variant="sparse", k_n=70),
+        )
+    # a series that overflows on the data is only detectable once data flows
     s = Scenario(
-        id="broken-sparse",
-        family=ZeroVector(),
+        id="overflowing",
+        family=ConstantAt(1e200),
         n=64,
         replications=5,
-        estimator=EstimatorSpec(variant="sparse", k_n=70),
+        estimator=EstimatorSpec(variant="bounded", M=1.0, K_override=1),
     )
-    with pytest.raises(AbsmeanError) as exc_info:
+    with pytest.raises(RangeError, match=r"^scenario 'overflowing', replication 0: the degree-2 series overflows"):
         run_scenario(s, seed=1)
-    msg = str(exc_info.value)
-    assert "broken-sparse" in msg and "replication 0" in msg

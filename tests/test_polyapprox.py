@@ -66,6 +66,15 @@ def test_even_polynomial_empty_rejected():
         EvenPolynomial(())
 
 
+def test_even_polynomial_refuses_coefficients_that_are_not_finite_reals():
+    # each used to be accepted, or to fail only when called, with a bare numpy error or a false overflow
+    for coeffs, message in ((("a",), "must hold real numbers"), ((True, 1.0), "must hold real numbers"),
+                            ((math.nan,), "must be finite, got nan"), ((math.inf, 0.0), "must be finite, got inf"),
+                            (((1.0, 2.0),), "must be a tuple of reals"), ([0.5, 0.5], "must be a tuple of reals")):
+        with pytest.raises(DomainError, match=f"^coefficients {message}"):
+            EvenPolynomial(coeffs)
+
+
 def test_even_polynomial_call_refuses_non_finite_x_and_overflow():
     # text, bools and the rest of the argument policy: tests/test_errors.py
     poly = build_G_K(3)
