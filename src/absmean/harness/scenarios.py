@@ -34,11 +34,11 @@ class ConstantAt:
     value: float
 
     def __post_init__(self):
-        check_real("value", self.value)
+        object.__setattr__(self, "value", check_real("value", self.value))
 
     def add_to(self, y: np.ndarray, rng) -> float:
-        y += float(self.value)
-        return abs(float(self.value))
+        y += self.value
+        return abs(self.value)
 
 
 @dataclass(frozen=True)
@@ -47,8 +47,8 @@ class AlternationAtoms:
 
     The pair (nu0, nu1) matches moments to order k; `prior` picks which one
     feeds the scenario.  Redrawn every replication from one multinomial draw
-    of the atom counts, coordinates grouped by atom in `positions` order; the
-    scaled prior is built once, here.
+    of the atom counts, coordinates grouped by atom in position order; the
+    scaled positions and the normalised probabilities are built once, here.
     """
 
     k: int
@@ -58,14 +58,15 @@ class AlternationAtoms:
     def __post_init__(self):
         if self.prior not in ("nu0", "nu1"):
             raise DomainError(f"prior must be 'nu0' or 'nu1', got {self.prior!r}")
-        check_real("M", self.M, above=0.0)
         nu0, nu1, _ = construct_prior_pair(self.k)   # validates k
-        object.__setattr__(self, "_scaled", scale_prior(nu0 if self.prior == "nu0" else nu1, self.M))
+        scaled = scale_prior(nu0 if self.prior == "nu0" else nu1, self.M)   # validates M
+        w = np.asarray(scaled.weights)
+        object.__setattr__(self, "_positions", scaled.positions)
+        object.__setattr__(self, "_probs", w / w.sum())
 
     def add_to(self, y: np.ndarray, rng) -> float:
-        w = np.asarray(self._scaled.weights)
         start = total = 0
-        for t, c in zip(self._scaled.positions, rng.multinomial(y.size, w / w.sum()).tolist()):
+        for t, c in zip(self._positions, rng.multinomial(y.size, self._probs).tolist()):
             y[start:start + c] += t
             start += c
             total += c * abs(t)
@@ -81,31 +82,33 @@ class TwoSpike:
     value: float
 
     def __post_init__(self):
-        check_int("count", self.count, 1, MAX_COUNT)
-        check_real("value", self.value)
+        object.__setattr__(self, "count", check_int("count", self.count, 1, MAX_COUNT))
+        object.__setattr__(self, "value", check_real("value", self.value))
 
     def add_to(self, y: np.ndarray, rng) -> float:
-        value = float(self.value)
-        y[0:self.count:2] += value
-        y[1:self.count:2] -= value
-        return self.count * abs(value) / y.size
+        y[0:self.count:2] += self.value
+        y[1:self.count:2] -= self.value
+        return self.count * abs(self.value) / y.size
 
 
 @dataclass(frozen=True)
 class CustomVector:
-    """Explicit mean vector."""
+    """Explicit mean vector, kept as a tuple of Python floats; theta and its mean |theta| are built here."""
 
     values: tuple[float, ...]
 
     def __post_init__(self):
-        values = check_real_array("values", self.values)
-        if values.ndim != 1 or values.size == 0:
+        theta = check_real_array("values", self.values).copy()   # never the caller's array
+        if theta.ndim != 1 or theta.size == 0:
             raise DomainError("values must be a nonempty 1-d list of reals")
+        theta.flags.writeable = False
+        object.__setattr__(self, "values", tuple(theta.tolist()))
+        object.__setattr__(self, "_theta", theta)
+        object.__setattr__(self, "_truth", float(np.mean(np.abs(theta))))
 
     def add_to(self, y: np.ndarray, rng) -> float:
-        theta = np.array(self.values, dtype=np.float64)
-        y += theta
-        return float(np.mean(np.abs(theta)))
+        y += self._theta
+        return self._truth
 
 
 # Each family's add_to(y, rng) adds its theta in place to y, a float64 vector of
@@ -209,7 +212,7 @@ def _build(cls, obj, what: str, **parse):
                   for key, f in keys.items() if key in obj})
 
 
-def _tuple_of(name: str, item=lambda value: value):
+def _tuple_of(name: str, item):
     """Parser of a JSON list field into a tuple of item(entry)."""
     def parse(value) -> tuple:
         if not isinstance(value, list):
@@ -225,7 +228,7 @@ def _parse_family(obj) -> object:
     if not isinstance(kind, str) or kind not in FAMILIES:
         raise DomainError(f"unknown family kind {kind!r}; expected one of {sorted(FAMILIES)}")
     params = {key: value for key, value in obj.items() if key != "kind"}
-    return _build(FAMILIES[kind], params, f"family {kind!r}", values=_tuple_of("values"))
+    return _build(FAMILIES[kind], params, f"family {kind!r}")
 
 
 def _parse_scenario(obj) -> Scenario:

@@ -67,11 +67,12 @@ from .errors import (
     check_real,
     check_real_array,
 )
-from .polyapprox import remez_best_approx
+from .polyapprox import _MAX_REMEZ_K, remez_best_approx
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _LOG_MAX = math.log(np.finfo(float).max)
 _LOG_TINY = math.log(1e-30)
+_MAX_PRIOR_ORDER = 2 * _MAX_REMEZ_K   # the largest k: its atoms are those of the best degree-k approximation
 
 # Chi-square quadrature: the window tiled by equal panels, at most
 # _PANEL_WIDTH wide and at most _MAX_PANELS of them, with no break at the
@@ -167,7 +168,7 @@ def _prior_unchecked(positions: tuple[float, ...], weights: tuple[float, ...]) -
 
 @lru_cache(maxsize=None)
 def _prior_pair_data(k: int) -> tuple[SymmetricDiscretePrior, SymmetricDiscretePrior, float]:
-    """The validated pair for an even k in 2..80, built once per k (the priors are frozen)."""
+    """The validated pair for an even k that _check_k accepts, built once per k (the priors are frozen)."""
     K = k // 2
     sol = remez_best_approx(K)
     # the nonnegative half of the alternation set, 0 = t_0 < ... < t_{K+1} <= 1, with its error signs
@@ -221,8 +222,8 @@ def construct_prior_pair(k: int) -> tuple[SymmetricDiscretePrior, SymmetricDiscr
 
 
 def _check_k(k) -> int:
-    """The prior order as an int, or DomainError unless it is even and in 2..80."""
-    k = check_int("k", k, 2, 80)
+    """The prior order as an int, or DomainError unless it is even and in 2.._MAX_PRIOR_ORDER."""
+    k = check_int("k", k, 2, _MAX_PRIOR_ORDER)
     if k % 2 != 0:
         raise DomainError(f"k must be even, got {k}")
     return k
@@ -569,9 +570,9 @@ def lower_bound_pipeline(n: int, M: float, k_n: int | None = None) -> dict:
     """
     if k_n is None:
         k_n = select_kn_bounded(n)
-        if k_n > 80:
+        if k_n > _MAX_PRIOR_ORDER:
             raise DomainError(f"select_kn_bounded(n) = {k_n} at n = {n:.6g} exceeds the largest prior "
-                              "order 80; pass k_n")
+                              f"order {_MAX_PRIOR_ORDER}; pass k_n")
     k_n = _check_k(k_n)
     M = check_real("M", M, above=0.0)
     n = check_int("n", n, 1, MAX_N)

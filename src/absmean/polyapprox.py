@@ -125,24 +125,19 @@ def coefficient_error(poly: EvenPolynomial) -> float:
 
 @dataclass(frozen=True)
 class BestApproxSolution:
-    """Best uniform approximation of |x| by an even polynomial of degree 2K.
-
-    ``spread`` is the final spread of |error| over the alternation points in
-    the exchange that derived the solution, stored with it.
-    """
+    """Best uniform approximation of |x| by an even polynomial of degree 2K."""
 
     poly: EvenPolynomial
     delta: float
     alternation_points: tuple[float, ...]
     alternation_signs: tuple[int, ...]   # sign of |x| - poly(x) at each point
-    spread: float
 
 
 def remez_best_approx(K: int) -> BestApproxSolution:
     """Best uniform approximation of |x| on [-1, 1] by even polynomials of degree 2K.
 
     Read from the committed table ``_best_approx.SOLUTIONS[K - 1]``: delta,
-    spread, the Chebyshev coefficients and the half alternation points
+    the Chebyshev coefficients and the half alternation points
     0 = t_0 < ... < t_{K+1} = 1, where the error |x| - p(x) has the sign
     (-1)^(j+1).  The full point set is the half set mirrored, -t_{K+1} .. -t_1
     followed by t_0 .. t_{K+1}, and so are the signs.
@@ -150,7 +145,7 @@ def remez_best_approx(K: int) -> BestApproxSolution:
     K = check_int("K", K, low=1)
     if K > _MAX_REMEZ_K:
         raise DegreeOverflowError(f"K = {K} exceeds the supported maximum {_MAX_REMEZ_K}")
-    delta, spread, cheb, half = _best_approx.SOLUTIONS[K - 1]
+    delta, cheb, half = _best_approx.SOLUTIONS[K - 1]
     half_signs = tuple(1 if j % 2 else -1 for j in range(K + 2))
     points = tuple(-t for t in half[:0:-1]) + half
-    return BestApproxSolution(EvenPolynomial(cheb), delta, points, half_signs[:0:-1] + half_signs, spread)
+    return BestApproxSolution(EvenPolynomial(cheb), delta, points, half_signs[:0:-1] + half_signs)

@@ -168,8 +168,9 @@ def _exchange_grid(K: int) -> np.ndarray:
     return np.sin(0.5 * np.pi * np.linspace(0.0, 1.0, _GRID_PER_REF * (K + 2) + 1))
 
 
-def remez_exchange(K: int, start=None) -> tuple[BestApproxSolution, int, float]:
-    """The best even approximation of degree 2K, its iterations and its largest condition estimate.
+def remez_exchange(K: int, start=None) -> tuple[BestApproxSolution, float, int, float]:
+    """The best even approximation of degree 2K, the final spread of |error| over
+    its alternation points, its iterations and its largest condition estimate.
 
     Starts from ``start`` (K + 2 increasing points of [0, 1]), by default
     from ``_closed_form_start(K)``, which derives the committed table.
@@ -217,8 +218,8 @@ def remez_exchange(K: int, start=None) -> tuple[BestApproxSolution, int, float]:
             if np.any(signs[1:] == signs[:-1]):
                 raise ConvergenceError("alternation signs failed to alternate", last_spread=last_spread)
             poly = EvenPolynomial(tuple(float(c) for c in b))
-            sol = BestApproxSolution(poly, delta, tuple(points.tolist()), tuple(signs.tolist()), last_spread)
-            return sol, iteration, max_cond
+            sol = BestApproxSolution(poly, delta, tuple(points.tolist()), tuple(signs.tolist()))
+            return sol, last_spread, iteration, max_cond
 
     raise ConvergenceError(
         f"Remez exchange did not level within {_REMEZ_MAX_ITER} iterations",
@@ -228,10 +229,9 @@ def remez_exchange(K: int, start=None) -> tuple[BestApproxSolution, int, float]:
 
 _HEADER = '''"""Best even approximations of |x| on [-1, 1], read by ``polyapprox.remez_best_approx``.
 
-SOLUTIONS[K - 1], for K = 1..40, is (delta, spread, cheb, half):
+SOLUTIONS[K - 1], for K = 1..40, is (delta, cheb, half):
 
-* delta, the best error delta_{2K}, and spread, the exchange's final spread of
-  |error| over the alternation points;
+* delta, the best error delta_{2K};
 * cheb, the K + 1 coefficients of the best polynomial in T_j(2x^2 - 1), j = 0..K;
 * half, the K + 2 alternation points 0 = t_0 < ... < t_{K+1} = 1, at which
   |x| - p(x) is (-1)^(j+1) delta.
@@ -263,7 +263,7 @@ def module_text(solutions) -> str:
     for K, sol in enumerate(solutions, 1):
         cheb = _literal(sol.poly.cheb_half_coeffs)
         half = _literal(sol.alternation_points[K + 1 :])
-        rows.append(f"    # K = {K}\n    ({sol.delta!r}, {sol.spread!r},\n     {cheb},\n     {half}),\n")
+        rows.append(f"    # K = {K}\n    ({sol.delta!r},\n     {cheb},\n     {half}),\n")
     return _HEADER + "\nSOLUTIONS = (\n" + "".join(rows) + ")\n"
 
 

@@ -1,5 +1,6 @@
 """The benchmark session looks library names up at run time: each must resolve,
-and the estimators and sizes it builds its Monte Carlo suites from must parse.
+the estimators and sizes it builds its Monte Carlo suites from must parse, and
+each family attribute it reads must be a field of that family.
 
 perfbench/session.py is parsed, not imported, so a name that was deleted or
 moved, or a config key the parser no longer takes, fails here instead of as
@@ -7,6 +8,7 @@ an error in a benchmark run.
 """
 
 import ast
+import dataclasses
 import importlib
 import json
 import os
@@ -72,3 +74,24 @@ def test_every_benchmark_estimator_parses_at_every_benchmark_size():
                  for variant, spec in estimators.items()]
     cfg = harness.parse_config(json.dumps({"scenarios": scenarios, "seed": 1, "output_path": "unused.csv"}))
     assert len(cfg.scenarios) == len(estimators) * sum(map(len, sizes.values())) > 0
+
+
+def test_every_family_field_the_session_reads_is_a_dataclass_field():
+    # _iid_atoms branches on isinstance(family, harness.X) and reads family.<attr>
+    # in the branch; an attribute that is not a field of X (a renamed field, or
+    # one stored only by __post_init__) would first fail the benchmark's gate
+    (func,) = [node for node in ast.walk(_session_tree())
+               if isinstance(node, ast.FunctionDef) and node.name == "_iid_atoms"]
+    reads = set()
+    for branch in ast.walk(func):
+        if not (isinstance(branch, ast.If) and isinstance(branch.test, ast.Call)
+                and _chain(branch.test.func) == ("isinstance",)):
+            continue
+        cls = _chain(branch.test.args[1])
+        assert cls is not None and cls[0] == "harness" and len(cls) == 2, ast.unparse(branch.test)
+        reads |= {(cls[1], node.attr) for stmt in branch.body for node in ast.walk(stmt)
+                  if isinstance(node, ast.Attribute) and _chain(node) == ("family", node.attr)}
+    assert {attr for _, attr in reads} == {"value", "k", "M", "prior"}
+    missing = [(name, attr) for name, attr in sorted(reads)
+               if attr not in {f.name for f in dataclasses.fields(getattr(harness, name))}]
+    assert missing == []

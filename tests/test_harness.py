@@ -145,6 +145,35 @@ def test_replication_allocates_no_n_length_theta(family, est):
     assert peak < 2 * 2**20
 
 
+@pytest.mark.parametrize("make", list(_ADD_TO_CASES.values()), ids=list(_ADD_TO_CASES))
+def test_add_to_allocates_no_vector_of_length_n(make):
+    # what does not change between replications is built with the family, so
+    # an add holds no float64 vector of length n (n * 8 bytes)
+    n = 2**16
+    family, rng, y = make(n), stream(2, LANE_THETA), np.zeros(n)
+    family.add_to(y, rng)
+    tracemalloc.start()
+    try:
+        family.add_to(y, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * 8 / 4
+
+
+def test_custom_vector_from_any_sequence_compares_and_hashes_by_its_floats():
+    given = np.arange(64.0)
+    vectors = [CustomVector(given), CustomVector(list(range(64))), CustomVector(tuple(range(64)))]
+    given[0] = -1.0   # the caller's array stays its own, and writable
+    assert all(v == vectors[0] and hash(v) == hash(vectors[0]) for v in vectors)
+    assert draw_theta(vectors[0], 64, stream(0))[0] == 0.0
+    assert vectors[0].values == tuple(map(float, range(64)))
+    assert all(type(t) is float for t in vectors[0].values)
+    spec = EstimatorSpec(variant="bounded", M=1.0)
+    a, b = (Scenario(id="c", family=v, n=64, replications=2, estimator=spec) for v in vectors[:2])
+    assert a == b and hash(a) == hash(b)
+
+
 def test_family_validation():
     with pytest.raises(DomainError):
         ConstantAt(math.inf)

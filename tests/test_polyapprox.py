@@ -203,16 +203,16 @@ def test_de_la_vallee_poussin_bracket_on_a_dense_grid(K):
 
 @functools.cache
 def _derived():
-    """remez_exchange(K) from the closed form, K = 1..40: (solution, iterations, max condition)."""
+    """remez_exchange(K) from the closed form, K = 1..40: (solution, spread, iterations, max condition)."""
     return tuple(remez_exchange(K) for K in range(1, _MAX_REMEZ_K + 1))
 
 
 @pytest.mark.parametrize("K", [1, 2, 10, 40])
 def test_exchange_diagnostics_are_filled(K):
-    # the exchange that derives the table reports its run; the table keeps its spread
-    sol, iterations, max_condition = _derived()[K - 1]
+    # the exchange that derives the table reports its run
+    sol, spread, iterations, max_condition = _derived()[K - 1]
     assert 1 <= iterations <= _REMEZ_MAX_ITER
-    assert 0.0 <= sol.spread <= _REMEZ_TOL * sol.delta
+    assert 0.0 <= spread <= _REMEZ_TOL * sol.delta
     assert 1.0 <= max_condition <= _COND_LIMIT
     assert sol == remez_best_approx(K)
 
@@ -355,16 +355,15 @@ def test_fraction_conversion_matches_the_exact_oracle():
         assert list(got) == _exact_half_coeffs(EvenPolynomial(tuple(b))), (basis, K)
 
 
-# SHA-256 over the float.hex of every remez_best_approx(K) output, K = 1..40,
-# taken while the library still ran the exchange from the closed form
-_REMEZ_SOLUTION_DIGEST = "82f4dba6bda3343d0eee5aef6f39d4e5f385a79a5343b373290843326faecfe8"
+# SHA-256 over the float.hex of every remez_best_approx(K) output, K = 1..40, whose
+# values are those the library computed while it still ran the exchange from the closed form
+_REMEZ_SOLUTION_DIGEST = "89aa8053eee6ec6aece81558a4503c9d736a8bd0908b8b29339e81cb0a1f23b6"
 
 
 def _remez_digest(solutions):
     h = hashlib.sha256()
     for K, sol in enumerate(solutions, 1):
-        floats = (sol.delta, *sol.alternation_points, *sol.poly.half_coeffs,
-                  *sol.poly.cheb_half_coeffs, sol.spread)
+        floats = (sol.delta, *sol.alternation_points, *sol.poly.half_coeffs, *sol.poly.cheb_half_coeffs)
         ints = (K, *sol.alternation_signs)
         h.update((" ".join(map(float.hex, floats)) + "|" + " ".join(map(str, ints)) + "\n").encode())
     return h.hexdigest()
@@ -377,7 +376,7 @@ def test_remez_outputs_are_pinned_bit_for_bit():
 
 def test_remez_solutions_are_bit_identical_to_the_closed_form_start():
     # the exchange that derives the table
-    assert _remez_digest(sol for sol, _, _ in _derived()) == _REMEZ_SOLUTION_DIGEST
+    assert _remez_digest(sol for sol, *_ in _derived()) == _REMEZ_SOLUTION_DIGEST
 
 
 # the exchange as it ran before it started from the truncation error and
@@ -396,7 +395,7 @@ def test_remez_agrees_with_the_anchor_in_fewer_iterations():
         assert np.max(np.abs(np.array([x for x, _ in half]) - points)) <= 1e-12, K
         assert "".join("+" if s > 0 else "-" for _, s in half) == want["signs"], K
         # the exchange that derives the table, from the closed-form start
-        iterations = _derived()[K - 1][1]
+        iterations = _derived()[K - 1][2]
         assert iterations <= want["iterations"], K
         total += iterations
     # 158 from the closed-form start, 193 from the truncation error, 228 from the extrema of T_{2K+2}
@@ -409,7 +408,7 @@ def test_remez_agrees_with_the_anchor_in_fewer_iterations():
 
 
 @pytest.mark.parametrize("K", range(1, 41))
-def test_truncation_error_starts_the_exchange_with_k_plus_2_segments(K):
+def test_truncation_and_first_levelled_errors_have_k_plus_2_sign_segments(K):
     # the truncation error |x| - G_K, an earlier start, has K + 2 sign segments
     # on the exchange grid; so has the error levelled on the closed-form start
     # that derives the table, which starts within 0.3 delta of level
@@ -427,7 +426,7 @@ def test_the_start_is_k_plus_2_increasing_points_with_exact_ends():
     assert len(_best_approx.SOLUTIONS) == _MAX_REMEZ_K
     for K in range(1, _MAX_REMEZ_K + 1):
         # the closed form that derives the table, and the table's half alternation set
-        for ref in (_closed_form_start(K), np.asarray(_best_approx.SOLUTIONS[K - 1][3])):
+        for ref in (_closed_form_start(K), np.asarray(_best_approx.SOLUTIONS[K - 1][2])):
             assert ref.shape == (K + 2,), K
             assert np.all(np.diff(ref) > 0.0), K
             assert ref[0] == 0.0 and ref[-1] == 1.0, K
@@ -438,12 +437,12 @@ def test_the_start_is_k_plus_2_increasing_points_with_exact_ends():
 
 def _record(sol):
     """Every stored value of a solution, floats as float.hex, and its signs."""
-    floats = (sol.delta, sol.spread, *sol.poly.cheb_half_coeffs, *sol.alternation_points)
+    floats = (sol.delta, *sol.poly.cheb_half_coeffs, *sol.alternation_points)
     return [float(v).hex() for v in floats], list(sol.alternation_signs)
 
 
 def test_the_table_is_what_the_exchange_derives_from_the_closed_form():
-    derived = [sol for sol, _, _ in _derived()]
+    derived = [sol for sol, *_ in _derived()]
     stale = [K for K, sol in enumerate(derived, 1) if _record(sol) != _record(remez_best_approx(K))]
     assert not stale, f"the best-approximation table is stale at K = {stale[0]} (first of {len(stale)} stale K)"
     assert Path(_best_approx.__file__).read_text() == remez.module_text(derived)
@@ -481,7 +480,7 @@ def test_the_loop_certifies_a_stale_start(start, K):
     else:
         ref = np.array(want.alternation_points[K + 1 :])
         ref[1:-1] += 1e-3 * np.diff(ref)[1:]
-    sol, iterations, _ = remez_exchange(K, ref)
+    sol, _, iterations, _ = remez_exchange(K, ref)
     assert iterations > 1
     assert math.isclose(sol.delta, want.delta, rel_tol=1e-12, abs_tol=0.0)
 
