@@ -37,7 +37,9 @@ Three ingredients:
 the pair (k, M) alone: delta_k, |m1 - m0|, Var_{mu0}|theta|, I_1^2 and its
 tail bound are plain floats computed once per pair (a bounded cache) and
 reused for every n, which enters only through v0^2 = Var / n and the product identity.
-The prior pair is built and checked once per k; each M scales it without a
+The prior pair is built and checked once per k, and so is the layout the
+quadrature reads (weightless atoms dropped, sort order, mirror flag); each M
+scales the pair's arrays and that layout by one multiply each, without a
 second check (exactly mirror-symmetric on [-1, 1], it stays finite and
 mirrored), and chi_square_mixture_1d integrates priors, checked when built,
 without repeating chi_square_gaussian_mixtures's argument checks.
@@ -50,7 +52,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -77,13 +80,16 @@ _MAX_PRIOR_ORDER = 2 * _MAX_REMEZ_K   # the largest k: its atoms are those of th
 # Chi-square quadrature: the window tiled by equal panels, at most
 # _PANEL_WIDTH wide and at most _MAX_PANELS of them, with no break at the
 # atoms (the integrand is entire, a sum of unit-variance Gaussians, which a
-# 32-point panel of width 1 resolves wherever the atoms fall).  Each panel is
+# 32-point panel of width 2 resolves wherever the atoms fall: over k = 2..80
+# and M = 0.1..30 the 16-point estimate stays below 1e-6 of the tolerance,
+# and I_1^2 within 5e-11 of panels a quarter as wide).  Each panel is
 # summed by the 32-point and by the 16-point Gauss-Legendre rule (nodes side
 # by side, the 32-point ones first).  Nodes are evaluated _BLOCK node-atom
 # pairs at a time, which bounds the working memory on wide windows.  The
-# 32-point sum stands when the two differ by at most max(_ABS_TOL, 1e-8 value).
-_PANEL_WIDTH = 1.0
+# 32-point sum stands when the two differ by at most max(_ABS_TOL, _REL_TOL value).
+_PANEL_WIDTH = 2.0
 _ABS_TOL = 1e-10
+_REL_TOL = 1e-8
 _MAX_PANELS = 1 << 14
 _GL_FINE = 32
 _GL_NODES, _GL_WEIGHTS = np.hstack([leggauss(_GL_FINE), leggauss(_GL_FINE // 2)])
@@ -112,6 +118,7 @@ class SymmetricDiscretePrior:
     positions/weights list every atom (mirror atoms listed explicitly);
     construction validates finite real entries, total mass 1 and symmetry: with
     atoms merged at 12 decimals, each mass equals its mirror's within 1e-9.
+    The checked float arrays are kept, read-only, for the moments and the quadrature.
     """
 
     positions: tuple[float, ...]
@@ -130,16 +137,24 @@ class SymmetricDiscretePrior:
         # the first merged atom, in order of appearance, whose mirror's mass differs is reported
         mass = {}
         for t, m in zip(p.tolist(), w.tolist()):
-            mass[round(t, 12)] = mass.get(round(t, 12), 0.0) + m
+            t = round(t, 12)
+            mass[t] = mass.get(t, 0.0) + m
         for t, m in mass.items():
             if abs(mass.get(-t, 0.0) - m) > 1e-9:
                 raise ConstructionError(f"prior is not symmetric at t = {t}")
+        p, w = p.view(), w.view()   # never the caller's array made read-only
+        p.flags.writeable = w.flags.writeable = False
+        object.__setattr__(self, "_atoms", (p, w))
+
+    @cached_property
+    def _mixture(self) -> _Mixture:
+        """The atoms as the chi-square quadrature reads them, laid out on first use."""
+        return _Mixture.of(*self._atoms)
 
     def moment(self, order: int) -> float:
         """sum_j w_j t_j^order; RangeError where that leaves the double range."""
         order = check_int("order", order, 0, MAX_COUNT)
-        p = np.asarray(self.positions)
-        w = np.asarray(self.weights)
+        p, w = self._atoms
         with np.errstate(over="ignore", invalid="ignore"):
             out = float(np.dot(w, p ** order))
         if not math.isfinite(out):
@@ -147,8 +162,7 @@ class SymmetricDiscretePrior:
         return out
 
     def mean_abs(self) -> float:
-        p = np.asarray(self.positions)
-        w = np.asarray(self.weights)
+        p, w = self._atoms
         return float(np.dot(w, np.abs(p)))
 
 
@@ -158,12 +172,21 @@ def scale_prior(prior: SymmetricDiscretePrior, M: float) -> SymmetricDiscretePri
     return SymmetricDiscretePrior(tuple(M * t for t in prior.positions), prior.weights)
 
 
-def _prior_unchecked(positions: tuple[float, ...], weights: tuple[float, ...]) -> SymmetricDiscretePrior:
-    """A SymmetricDiscretePrior built without __post_init__, for atoms valid by construction."""
-    prior = object.__new__(SymmetricDiscretePrior)
-    object.__setattr__(prior, "positions", positions)
-    object.__setattr__(prior, "weights", weights)
-    return prior
+class _ScaledPrior(SymmetricDiscretePrior):
+    """scale_prior(prior, M) without its second check, for a prior exactly mirror-symmetric
+    on [-1, 1], which every M that check_real accepts keeps finite and mirrored.  Its arrays
+    and quadrature layout are the prior's, positions times M; the positions tuple is built
+    only when read."""
+
+    def __init__(self, prior: SymmetricDiscretePrior, M: float):
+        p, w = prior._atoms
+        object.__setattr__(self, "weights", prior.weights)
+        object.__setattr__(self, "_atoms", (M * p, w))
+        object.__setattr__(self, "_mixture", prior._mixture.scaled(M))
+
+    @property
+    def positions(self) -> tuple[float, ...]:
+        return tuple(self._atoms[0].tolist())
 
 
 @lru_cache(maxsize=None)
@@ -244,14 +267,15 @@ def chi_square_gaussian_mixtures(positions0, weights0, positions1, weights1) -> 
     weights in that order equal their reverse), the integrand is even:
     only [0, hi] is integrated, and the value and its error estimate are
     doubled.  Otherwise, symmetric to a tolerance included, the whole
-    window is.  Equal panels tile the window integrated, at most 1 wide,
-    narrower where atoms of f0 lie more than 4 apart, so the node count
-    depends on the window alone and not on the number of atoms.  Each
-    node's densities are scaled by their largest exponent, so f0 does not
-    underflow in the tails.  The same panels are summed with 32 and with 16
-    nodes, and the difference is the error estimate: IntegrationError when
-    it exceeds max(1e-10, 1e-8 * value), or when the window integrated
-    needs more than 2^14 panels.  A distance past the double range is +inf.
+    window is.  Equal panels tile the window integrated, at most 2 wide
+    and at most 4/D wide where D, the widest gap between atoms of f0,
+    exceeds 2, so the node count depends on the window alone and not on
+    the number of atoms.  Each node's densities are scaled by their
+    largest exponent, so f0 does not underflow in the tails.  The same
+    panels are summed with 32 and with 16 nodes, and the difference is
+    the error estimate: IntegrationError when it exceeds
+    max(1e-10, 1e-8 * value), or when the window integrated needs more
+    than 2^14 panels.  A distance past the double range is +inf.
     Positions and weights must be finite Python or numpy integers or floats
     (DomainError otherwise).
     """
@@ -264,27 +288,49 @@ def chi_square_gaussian_mixtures(positions0, weights0, positions1, weights1) -> 
             raise DomainError("mixture positions must be one-dimensional and aligned with the weights")
         if not (w >= 0).all() or abs(w.sum() - 1.0) > 1e-9:
             raise DomainError("mixture weights must be nonnegative and sum to 1")
-    return _chi_square(p0, w0, p1, w1)
+    return _chi_square(_Mixture.of(p0, w0), _Mixture.of(p1, w1))
 
 
-def _chi_square(p0: np.ndarray, w0: np.ndarray, p1: np.ndarray, w1: np.ndarray) -> float:
-    """chi_square_gaussian_mixtures on checked float arrays: finite 1-d positions aligned
+class _Mixture(NamedTuple):
+    """A mixture's atoms as the quadrature reads them: weightless atoms dropped (they change
+    neither density, but would set a node's scale), positions p in their given order with
+    weights w, the positions sorted by one stable argsort, and whether those equal their
+    negated reverse and the weights in that order their reverse: exact mirror symmetry."""
+
+    p: np.ndarray
+    w: np.ndarray
+    sorted: np.ndarray
+    mirror: bool
+
+    @classmethod
+    def of(cls, p: np.ndarray, w: np.ndarray) -> _Mixture:
+        keep = w > 0
+        p, w = p[keep], w[keep]
+        order = np.argsort(p, kind="stable")
+        s, ws = p[order], w[order]
+        return cls(p, w, s, bool(np.array_equal(s, -s[::-1]) and np.array_equal(ws, ws[::-1])))
+
+    def scaled(self, M: float) -> _Mixture:
+        """The mixture pushed forward by t -> M t for M > 0: the order and the mirror flag
+        stand, since M (-t) = -(M t) and rounding is monotone."""
+        return _Mixture(M * self.p, self.w, M * self.sorted, self.mirror)
+
+
+def _chi_square(mix0: _Mixture, mix1: _Mixture) -> float:
+    """chi_square_gaussian_mixtures on checked mixtures: finite 1-d positions aligned
     with nonnegative weights that sum to 1."""
-    # weightless atoms change neither density, but would set a node's scale
-    p0, w0, p1, w1 = p0[w0 > 0], w0[w0 > 0], p1[w1 > 0], w1[w1 > 0]
-    (a0, b0), (a1, b1) = ((float(p.min()), float(p.max())) for p in (p0, p1))   # Python floats overflow to inf quietly
+    a0, b0 = float(mix0.sorted[0]), float(mix0.sorted[-1])   # Python floats overflow to inf quietly
+    a1, b1 = float(mix1.sorted[0]), float(mix1.sorted[-1])
     lo = min(a0, a1, 2.0 * a1 - b0) - 10.0
     hi = max(b0, b1, 2.0 * b1 - a0) + 10.0
     # two mirror-symmetric mixtures give an even integrand: integrate [0, hi] and double it
-    sorted0, mirror0 = _sort_atoms(p0, w0)
-    _, mirror1 = _sort_atoms(p1, w1)
-    fold = 2.0 if mirror0 and mirror1 else 1.0
+    fold = 2.0 if mix0.mirror and mix1.mirror else 1.0
     if fold == 2.0:
         lo = 0.0
 
     # Between two atoms of f0 a distance D apart, 1/f0 peaks over a width of
     # about 1/D, so the panels narrow to 4/D for the widest such gap.
-    width = _PANEL_WIDTH / max(1.0, float(np.diff(sorted0).max(initial=0.0)) / 4.0)
+    width = _PANEL_WIDTH / max(1.0, float(np.diff(mix0.sorted).max(initial=0.0)) / (4.0 / _PANEL_WIDTH))
     panels = (hi - lo) / width   # +inf when the window overflows
     if panels > _MAX_PANELS:
         raise IntegrationError(
@@ -296,8 +342,8 @@ def _chi_square(p0: np.ndarray, w0: np.ndarray, p1: np.ndarray, w1: np.ndarray) 
     nodes = (mid[:, None] + half * _GL_NODES).ravel()
 
     # per node: log scale t and scaled integrand q, (f1 - f0)^2 / f0 = q e^t
-    atoms = np.concatenate([p0, p1])
-    n0 = p0.size
+    atoms = np.concatenate([mix0.p, mix1.p])
+    w0, w1, n0 = mix0.w, mix1.w, mix0.p.size
     t = np.empty(nodes.size)
     q = np.empty(nodes.size)
     step = max(1, _BLOCK // atoms.size)
@@ -327,21 +373,13 @@ def _chi_square(p0: np.ndarray, w0: np.ndarray, p1: np.ndarray, w1: np.ndarray) 
     fine = float(terms[:, :_GL_FINE].sum())
     err = abs(fine - float(terms[:, _GL_FINE:].sum()))
     achieved = _unscale(err, top)
-    # achieved > max(_ABS_TOL, 1e-8 value), the relative part on the common scale e^top
-    if err > 1e-8 * fine and achieved > _ABS_TOL:
+    # achieved > max(_ABS_TOL, _REL_TOL value), the relative part on the common scale e^top
+    if err > _REL_TOL * fine and achieved > _ABS_TOL:
         raise IntegrationError(
             f"quadrature error estimate {achieved:.3e} exceeds the requested tolerance",
             achieved_tolerance=achieved,
         )
     return _unscale(fine, top)
-
-
-def _sort_atoms(p: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, bool]:
-    """The atoms sorted by one stable argsort, and whether they equal their negated
-    reverse and the weights in that order their reverse: exact mirror symmetry."""
-    order = np.argsort(p, kind="stable")
-    p, w = p[order], w[order]
-    return p, bool(np.array_equal(p, -p[::-1]) and np.array_equal(w, w[::-1]))
 
 
 def _unscale(x: float, top: float) -> float:
@@ -360,8 +398,7 @@ def chi_square_mixture_1d(mu0: SymmetricDiscretePrior, mu1: SymmetricDiscretePri
     weights is checked there.
     """
     if isinstance(mu0, SymmetricDiscretePrior) and isinstance(mu1, SymmetricDiscretePrior):
-        return _chi_square(*(np.asarray(a, dtype=float)
-                             for a in (mu0.positions, mu0.weights, mu1.positions, mu1.weights)))
+        return _chi_square(mu0._mixture, mu1._mixture)
     return chi_square_gaussian_mixtures(mu0.positions, mu0.weights, mu1.positions, mu1.weights)
 
 
@@ -597,9 +634,7 @@ def lower_bound_pipeline(n: int, M: float, k_n: int | None = None) -> dict:
 def _pair_terms(k: int, M: float) -> tuple[float, float, float, float, float]:
     """(delta_k, |m1 - m0|, Var_{mu0}|theta|, I_1^2, tail bound) for checked (k, M)."""
     nu0, nu1, delta = construct_prior_pair(k)
-    # the pair is exactly mirror-symmetric on [-1, 1], so for every M that check_real
-    # accepts, M t is finite and mirrored: scale_prior's result, without its second check
-    mu0, mu1 = (_prior_unchecked(tuple(M * t for t in nu.positions), nu.weights) for nu in (nu0, nu1))
+    mu0, mu1 = _ScaledPrior(nu0, M), _ScaledPrior(nu1, M)
     tail = chi_square_tail_bound_1d(M, k)
     I1_sq = chi_square_mixture_1d(mu0, mu1)
     if I1_sq <= _ROUNDOFF_FLOOR:

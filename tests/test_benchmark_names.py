@@ -1,6 +1,7 @@
 """The benchmark session looks library names up at run time: each must resolve,
-the estimators and sizes it builds its Monte Carlo suites from must parse, and
-each family attribute it reads must be a field of that family.
+the lower-bound ones must be reached by a pipeline call, the estimators and
+sizes it builds its Monte Carlo suites from must parse, and each family
+attribute it reads must be a field of that family.
 
 perfbench/session.py is parsed, not imported, so a name that was deleted or
 moved, or a config key the parser no longer takes, fails here instead of as
@@ -9,12 +10,13 @@ an error in a benchmark run.
 
 import ast
 import dataclasses
+import functools
 import importlib
 import json
 import os
 
 import absmean
-from absmean import harness
+from absmean import harness, lowerbound
 
 SESSION = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "session.py")
 
@@ -47,6 +49,32 @@ def test_every_traced_name_resolves():
     assert len(entries) > 0
     missing = [(module, attr) for module, attr, _ in entries if not hasattr(importlib.import_module(module), attr)]
     assert missing == []
+
+
+def _counting(counts: dict, key, original):
+    @functools.wraps(original)
+    def counted(*args, **kwargs):
+        counts[key] += 1
+        return original(*args, **kwargs)
+    return counted
+
+
+def test_every_traced_lower_bound_name_is_reached(monkeypatch):
+    # a refactor that bypasses a traced name would read 0 in its per-layer
+    # metric instead of failing; wrapped as the tracer wraps them, every name
+    # is called by a cold pipeline call or its repeat
+    counts = {}
+    for module_name, attr, _ in _assigned("WRAPS"):
+        if module_name in ("absmean", "absmean.lowerbound"):
+            module = importlib.import_module(module_name)
+            counts[module_name, attr] = 0
+            monkeypatch.setattr(module, attr, _counting(counts, (module_name, attr), getattr(module, attr)))
+    assert counts
+    lowerbound._prior_pair_data.cache_clear()
+    lowerbound._pair_terms.cache_clear()
+    for _ in range(2):
+        absmean.lower_bound_pipeline(10**6, 1.0, k_n=10)
+    assert [key for key, calls in counts.items() if calls == 0] == []
 
 
 def test_every_library_attribute_the_session_reads_resolves():

@@ -211,6 +211,13 @@ def test_prior_moment_order_is_checked():
             nu1.moment(order)
 
 
+def test_prior_moments_of_integer_atoms_are_taken_in_floats():
+    # 3^40 is past the int64 range: integer arithmetic would wrap
+    prior = SymmetricDiscretePrior((-3, 0, 3), (0.25, 0.5, 0.25))
+    assert prior.moment(40) == 0.5 * 3.0**40
+    assert prior.mean_abs() == 1.5
+
+
 @pytest.mark.parametrize("M, order", [(2.0, 2000), (1e300, 2)])
 def test_prior_moment_overflow_raises_range_error(M, order):
     _, nu1, _ = construct_prior_pair(4)   # atoms at +-1
@@ -284,6 +291,15 @@ def test_chi_square_error_estimate_past_the_tolerance_raises(monkeypatch):
     assert info.value.achieved_tolerance == pytest.approx(4.5e-8, rel=0.05)
 
 
+def test_every_sweep_pair_integrates_with_ten_times_tighter_tolerances(monkeypatch, fresh_pair_cache):
+    # the 16-point error estimate stays more than 10x inside both tolerances on every pair
+    monkeypatch.setattr(lowerbound, "_ABS_TOL", lowerbound._ABS_TOL / 10)
+    monkeypatch.setattr(lowerbound, "_REL_TOL", lowerbound._REL_TOL / 10)
+    for k in range(2, 81, 2):
+        for M in (0.25, 0.5, 1.0, 2.0, 3.0, 4.0, 8.0, 16.0):
+            lowerbound._pair_terms(k, M)
+
+
 def test_chi_square_asymmetric_atoms_off_the_panel_grid():
     # no panel edge falls on an atom, and neither mixture is symmetric
     a = ([-0.3, 0.9, 2.2], [0.2, 0.5, 0.3])
@@ -306,7 +322,7 @@ def test_chi_square_deep_valley_off_the_panel_grid():
 
 def test_chi_square_node_count_does_not_grow_with_the_atoms():
     # 16501 atoms in [-1, 1]: a panel break at every atom would need more
-    # than _MAX_PANELS panels; equal panels tile the window with 26 or fewer
+    # than _MAX_PANELS panels; equal panels tile the window with 13 or fewer
     x = np.linspace(-1.0, 1.0, 16501)
     w = np.full(x.size, 1.0 / x.size)
     assert x.size > lowerbound._MAX_PANELS

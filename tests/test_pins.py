@@ -11,7 +11,7 @@ from absmean.estimators import EstimatorSpec
 from absmean.harness import AlternationAtoms, CustomVector, RunConfig, Scenario, TwoSpike, render_csv, run_config
 
 # SHA-256 over the float.hex of every record field, for each (k, n, M) below
-_PIPELINE_DIGEST = "52c509772e86b486555346882be0fde81f8491b2d1e59be15ad2001326a206f0"
+_PIPELINE_DIGEST = "72a15c76c986ff6e83a5dfe351a1e4fea8138e2d452689320c59f4be6a426527"
 # SHA-256 of render_csv over the reports of _config()
 _REPORT_DIGEST = "84420fb35c7621b9375c128ef5eb0317cc79b0a0320b6c3907e10b3715ca07d3"
 
